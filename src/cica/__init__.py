@@ -7,7 +7,7 @@ features.
 """
 
 from . import errors
-from .cca import CcaBasis, cca_decompose, cca_project, leading_pair_fixed_point
+from .cca import CcaBasis, cca_decompose, cca_project
 from .discrete_ci import (
     Coupling,
     SolveReport,
@@ -91,7 +91,6 @@ __all__ = [
     "gaussian_latent",
     "inv_sqrt_psd",
     "latent_mutual_information",
-    "leading_pair_fixed_point",
     "mutual_info_rho",
     "mutual_information",
     "project_discrete",

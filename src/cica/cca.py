@@ -1,16 +1,14 @@
 """Classical CCA on a validated Gaussian joint model.
 
 Provides the full decomposition (sorted canonical correlations plus the
-singular-vector bases), top-k projections of raw observations, and an
-SVD-independent alternating fixed-point solver for the leading pair used as
-a cross-check oracle.
+singular-vector bases) and top-k projections of raw observations.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadK, NoConvergence, PerfectCorrelation
+from .errors import BadK, PerfectCorrelation
 from .model import GaussianJoint, _frozen_array
 from .whitening import WhitenedPair, canonical_matrix
 
@@ -98,41 +96,3 @@ def cca_project(basis: CcaBasis, k: int, x, y):
     u_feat = x @ basis.w_x @ basis.u[:, :k]
     v_feat = y @ basis.w_y @ basis.v[:, :k]
     return u_feat, v_feat
-
-
-def leading_pair_fixed_point(canonical, tol: float = 1e-12, max_iter: int = 100_000):
-    """Leading singular triple by alternating Cauchy-Schwarz updates.
-
-    Alternates u <- K v / ||K v|| and v <- K^T u / ||K^T u|| from a
-    deterministic seeded start until successive rho estimates change by
-    less than tol. Serves as an SVD-independent oracle for the top CCA
-    component. Raises NoConvergence when max_iter is reached, which for a
-    well-posed input signals a near-degenerate rho_1 ~ rho_2 spectrum.
-    """
-    k = np.asarray(canonical, dtype=float)
-    if k.ndim != 2 or not np.any(np.abs(k) > 0):
-        raise ValueError("canonical matrix must be a nonzero 2-D array")
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(k.shape[1])
-    v /= np.linalg.norm(v)
-    # restart if the seeded start is (numerically) in the null space
-    for _ in range(10):
-        if np.linalg.norm(k @ v) > 1e-14:
-            break
-        v = rng.standard_normal(k.shape[1])
-        v /= np.linalg.norm(v)
-    rho_prev = -np.inf
-    for _ in range(max_iter):
-        u = k @ v
-        u_norm = np.linalg.norm(u)
-        u = u / u_norm
-        v = k.T @ u
-        rho = np.linalg.norm(v)
-        v = v / rho
-        if abs(rho - rho_prev) < tol:
-            return u, v, float(rho)
-        rho_prev = rho
-    raise NoConvergence(
-        f"rho estimate still moving after {max_iter} iterations; "
-        "the top two singular values may be degenerate"
-    )

@@ -31,8 +31,8 @@ from .model import (
     LN2,
     DiscreteJoint,
     InfoValue,
-    MultiDiscreteJoint,
     _frozen_array,
+    source_marginals,
     validate_discrete,
 )
 
@@ -62,25 +62,20 @@ def entropy(pmf) -> InfoValue:
     return InfoValue(float(-xlogy(p, p).sum()))
 
 
-def mutual_information(joint: DiscreteJoint) -> InfoValue:
-    """Exact I(X;Y) = H(X) + H(Y) - H(X,Y) in nats."""
-    p = joint.pmf
-    px = p.sum(1)
-    py = p.sum(0)
-    return InfoValue(
-        float(-xlogy(px, px).sum() - xlogy(py, py).sum() + xlogy(p, p).sum())
-    )
-
-
-def total_correlation(mjoint) -> InfoValue:
-    """sum_i H(X_i) - H(X_1..X_M) in nats; equals I(X;Y) for two sources."""
-    p = mjoint.pmf
-    n_src = p.ndim
+def _total_correlation(table) -> float:
+    """sum_i H(X_i) - H(X_1..X_M) of a joint table, in nats."""
     h_marg = 0.0
-    for i in range(n_src):
-        m = p.sum(axis=tuple(j for j in range(n_src) if j != i))
+    for m in source_marginals(table):
         h_marg -= xlogy(m, m).sum()
-    return InfoValue(float(h_marg + xlogy(p, p).sum()))
+    return float(h_marg + xlogy(table, table).sum())
+
+
+def total_correlation(joint: DiscreteJoint) -> InfoValue:
+    """sum_i H(X_i) - H(X_1..X_M) in nats; this is I(X;Y) for two sources."""
+    return InfoValue(_total_correlation(joint.pmf))
+
+
+mutual_information = total_correlation
 
 
 def dsbs_wyner(a0: float) -> InfoValue:
@@ -133,15 +128,12 @@ class Coupling:
 
 def _induced_marginals(q, pmf):
     """Marginal q(w) and per-source conditionals q(w|x_i) from q(w|cells)."""
-    n_src = pmf.ndim
-    qw = (q * pmf[None]).sum(axis=tuple(range(1, n_src + 1)))
-    per_source = []
-    for i in range(n_src):
-        other = tuple(ax for ax in range(1, n_src + 1) if ax != i + 1)
-        num = (q * pmf[None]).sum(axis=other)
-        p_i = pmf.sum(axis=tuple(j for j in range(n_src) if j != i))
-        cond = np.where(p_i[None, :] > 0, num / np.maximum(p_i[None, :], _TINY), 0.0)
-        per_source.append(cond)
+    joint_w = q * pmf[None]
+    qw = joint_w.sum(axis=tuple(range(1, pmf.ndim + 1)))
+    per_source = [
+        np.where(p_i[None, :] > 0, num / np.maximum(p_i[None, :], _TINY), 0.0)
+        for num, p_i in zip(source_marginals(joint_w, lead=1), source_marginals(pmf))
+    ]
     return qw, per_source
 
 
@@ -180,44 +172,19 @@ def latent_mutual_information(c: Coupling) -> InfoValue:
     return InfoValue(float(h_w - h_w_cells))
 
 
-def conditional_mi_given_w(c: Coupling) -> InfoValue:
-    """Exact I(X;Y|W) of a pair coupling, decomposed per latent symbol."""
-    pmf = c.joint_ref.pmf
-    if pmf.ndim != 2:
-        raise InvalidCoupling("conditional_mi_given_w expects a two-source coupling")
-    pwxy = c.q_w_given_xy * pmf[None]
-    total = 0.0
-    for w in range(c.card_w):
-        mass = pwxy[w].sum()
-        if mass <= 0:
-            continue
-        cond = pwxy[w] / mass
-        px = cond.sum(1)
-        py = cond.sum(0)
-        total += mass * float(
-            -xlogy(px, px).sum() - xlogy(py, py).sum() + xlogy(cond, cond).sum()
-        )
-    return InfoValue(total)
-
-
 def relaxation_given_w(c: Coupling) -> InfoValue:
-    """Exact sum_i H(X_i|W) - H(X_1..X_M|W); equals I(X;Y|W) for pairs."""
-    pmf = c.joint_ref.pmf
-    n_src = pmf.ndim
-    pwxy = c.q_w_given_xy * pmf[None]
+    """Exact sum_i H(X_i|W) - H(X_1..X_M|W); this is I(X;Y|W) for pairs."""
+    pwxy = c.q_w_given_xy * c.joint_ref.pmf[None]
     total = 0.0
     for w in range(c.card_w):
         mass = pwxy[w].sum()
         if mass <= 0:
             continue
-        cond = pwxy[w] / mass
-        h_joint = -xlogy(cond, cond).sum()
-        h_marg = 0.0
-        for i in range(n_src):
-            m = cond.sum(axis=tuple(j for j in range(n_src) if j != i))
-            h_marg -= xlogy(m, m).sum()
-        total += mass * float(h_marg - h_joint)
+        total += mass * _total_correlation(pwxy[w] / mass)
     return InfoValue(total)
+
+
+conditional_mi_given_w = relaxation_given_w
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +236,6 @@ def _safe_log(x):
     return np.log(np.maximum(x, _TINY))
 
 
-class _RunBatch:
-    """Result cloud of a batch of descent runs (one row per run)."""
-
-    def __init__(self, q, obj, relax, lam, iters, converged, history):
-        self.q = q
-        self.obj = obj
-        self.relax = relax
-        self.lam = lam
-        self.iters = iters
-        self.converged = converged
-        self.history = history
-
-
 class _Engine:
     """Batched exponentiated-gradient descent on F = I(cells;W) + lam * relax.
 
@@ -296,16 +250,10 @@ class _Engine:
         self.n_src = pmf.ndim
         self.card_w = card_w
         self.opts = opts
-        self.p_src = [
-            pmf.sum(axis=tuple(j for j in range(self.n_src) if j != i))
-            for i in range(self.n_src)
-        ]
+        self.p_src = source_marginals(pmf)
         self.pmf_b = pmf[None, None]
         self.mask = (pmf > 0)[None, None]
-        h_marg = 0.0
-        for m in self.p_src:
-            h_marg -= xlogy(m, m).sum()
-        self.tc = float(h_marg + xlogy(pmf, pmf).sum())  # relaxation of constant W
+        self.tc = _total_correlation(pmf)  # relaxation of constant W
 
     # -- functionals ---------------------------------------------------
 
@@ -368,13 +316,14 @@ class _Engine:
 
     # -- descent -------------------------------------------------------
 
-    def descend(self, q0, lam) -> _RunBatch:
+    def descend(self, q0, lam):
         """Run batched descent to convergence or the iteration cap.
 
         Backtracking halves a run's step size until its Lagrangian does not
         increase; a run freezes when the relative decrease drops below
         opts.tol (or no descent step exists, which is stationarity for the
-        multiplicative update).
+        multiplicative update). Returns per-run arrays (q, obj, relax,
+        iters, converged, history); history is None unless recorded.
         """
         opts = self.opts
         q = np.array(q0, dtype=float)
@@ -416,7 +365,8 @@ class _Engine:
             )
             parts = self._parts(q)
             G_new = self._lagrangian(parts, lam)
-            assert np.all(G_new <= G + 1e-9), "Lagrangian increased within a run"
+            if not np.all(G_new <= G + 1e-9):
+                raise NoConvergence("Lagrangian increased within a run")
             rel = (G - G_new) / np.maximum(np.abs(G), 1.0)
             newly = (~frozen) & (rel < opts.tol)
             iters[newly] = it + 1
@@ -430,17 +380,10 @@ class _Engine:
         converged = frozen.copy()
         iters[~frozen] = opts.max_iter
         obj, relax = self._objective_relax(parts)
-        return _RunBatch(
-            q=q,
-            obj=obj,
-            relax=relax,
-            lam=lam,
-            iters=iters,
-            converged=converged,
-            history=np.array(history).T if history is not None else None,
-        )
+        history = np.array(history).T if history is not None else None
+        return q, obj, relax, iters, converged, history
 
-    def descend_sharded(self, q0, lam) -> _RunBatch:
+    def descend_sharded(self, q0, lam):
         """descend(), optionally sharding the independent runs over threads."""
         threads = max(1, int(self.opts.threads))
         R = q0.shape[0]
@@ -449,74 +392,59 @@ class _Engine:
         bounds = np.linspace(0, R, threads + 1).astype(int)
         chunks = [(q0[a:b], lam[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: self.descend(*c), chunks))
-        return _merge_batches(results)
-
-
-def _merge_batches(batches) -> _RunBatch:
-    hist = None
-    if all(b.history is not None for b in batches):
-        width = max(b.history.shape[1] for b in batches)
-        rows = []
-        for b in batches:
-            h = b.history
-            if h.shape[1] < width:  # pad converged-early shards with final value
-                pad = np.repeat(h[:, -1:], width - h.shape[1], axis=1)
-                h = np.hstack([h, pad])
-            rows.append(h)
-        hist = np.vstack(rows)
-    return _RunBatch(
-        q=np.concatenate([b.q for b in batches]),
-        obj=np.concatenate([b.obj for b in batches]),
-        relax=np.concatenate([b.relax for b in batches]),
-        lam=np.concatenate([b.lam for b in batches]),
-        iters=np.concatenate([b.iters for b in batches]),
-        converged=np.concatenate([b.converged for b in batches]),
-        history=hist,
-    )
+            shards = list(pool.map(lambda c: self.descend(*c), chunks))
+        *fields, hist = zip(*shards)
+        if hist[0] is not None:
+            # pad shards that froze early with their final value, as one
+            # unsharded batch records it
+            width = max(h.shape[1] for h in hist)
+            hist = np.vstack(
+                [np.pad(h, ((0, 0), (0, width - h.shape[1])), mode="edge") for h in hist]
+            )
+        else:
+            hist = None
+        return (*(np.concatenate(f) for f in fields), hist)
 
 
 # ---------------------------------------------------------------------------
 # sweep orchestration and selection
 # ---------------------------------------------------------------------------
 
-class _Candidate:
-    __slots__ = ("q", "obj", "relax", "lam", "iters", "converged", "order", "history")
-
-    def __init__(self, q, obj, relax, lam, iters, converged, order, history=None):
-        self.q = q
-        self.obj = obj
-        self.relax = relax
-        self.lam = lam
-        self.iters = iters
-        self.converged = converged
-        self.order = order
-        self.history = history
-
-
 class _Sweep:
-    """Candidate cloud for one joint pmf, grown lazily by lambda escalation."""
+    """Run cloud for one joint pmf, grown lazily by lambda escalation.
 
-    def __init__(self, pmf, card_w, opts: SolverOptions):
-        self.opts = opts
-        self.engine = _Engine(pmf, card_w, opts)
-        self.rng = np.random.default_rng(opts.seed)
-        self.candidates: list[_Candidate] = []
-        self.runs_executed = 0
-        self.any_converged = False
-        # the trivial coupling (W independent of the sources) is always available
-        q_const = np.full((card_w,) + pmf.shape, 1.0 / card_w)
-        self.candidates.append(
-            _Candidate(
-                q=q_const,
-                obj=0.0,
-                relax=self.engine.tc,
-                lam=0.0,
-                iters=0,
-                converged=True,
-                order=(-1.0, -1),
+    Each field holds one entry per run in execution order: coupling q,
+    objective, relaxation, multiplier lam, restart index, iterations,
+    convergence flag and recorded history. Entry 0 is the trivial coupling
+    (W independent of the sources), which is always available. The joint's
+    size is checked against opts.max_states before anything is allocated.
+    """
+
+    def __init__(self, joint: DiscreteJoint, opts: SolverOptions):
+        n_states = joint.pmf.size
+        if n_states > opts.max_states:
+            raise TooLarge(
+                f"joint alphabet has {n_states} cells > max_states={opts.max_states}"
             )
-        )
+        card_w = n_states + 1 if opts.card_w is None else int(opts.card_w)
+        if card_w < 1:
+            raise InvalidCoupling(f"card_w must be >= 1, got {card_w}")
+        if card_w > n_states + 1:
+            raise InvalidCoupling(
+                f"card_w={card_w} exceeds the cardinality bound |X||Y|+1 = {n_states + 1}"
+            )
+        self.opts = opts
+        self.engine = _Engine(joint.pmf, card_w, opts)
+        self.rng = np.random.default_rng(opts.seed)
+        self.q = np.full((1, card_w) + joint.pmf.shape, 1.0 / card_w)
+        self.obj = np.zeros(1)
+        self.relax = np.array([self.engine.tc])
+        self.lam = np.zeros(1)
+        self.restart = np.array([-1])
+        self.iters = np.zeros(1, dtype=int)
+        self.converged = np.ones(1, dtype=bool)
+        self.history = [None]
+        self.runs_executed = 0
         self._run_lambdas(np.geomspace(opts.lambda_min, opts.lambda_grid_max, opts.n_lambda))
 
     def _run_lambdas(self, lambdas):
@@ -524,36 +452,30 @@ class _Sweep:
         lam = np.repeat(np.asarray(lambdas, dtype=float), opts.restarts)
         q0 = self.rng.random((lam.size, self.engine.card_w) + self.engine.cards)
         q0 /= q0.sum(axis=1, keepdims=True)
-        batch = self.engine.descend_sharded(q0, lam)
-        for r in range(lam.size):
-            self.candidates.append(
-                _Candidate(
-                    q=batch.q[r],
-                    obj=float(batch.obj[r]),
-                    relax=float(batch.relax[r]),
-                    lam=float(batch.lam[r]),
-                    iters=int(batch.iters[r]),
-                    converged=bool(batch.converged[r]),
-                    order=(float(batch.lam[r]), r % opts.restarts),
-                    history=None if batch.history is None else batch.history[r],
-                )
-            )
+        q, obj, relax, iters, converged, history = self.engine.descend_sharded(q0, lam)
+        self.q = np.concatenate([self.q, q])
+        self.obj = np.concatenate([self.obj, obj])
+        self.relax = np.concatenate([self.relax, relax])
+        self.lam = np.concatenate([self.lam, lam])
+        self.restart = np.concatenate([self.restart, np.arange(lam.size) % opts.restarts])
+        self.iters = np.concatenate([self.iters, iters])
+        self.converged = np.concatenate([self.converged, converged])
+        self.history += [None] * lam.size if history is None else list(history)
         self.runs_executed += lam.size
-        self.any_converged = self.any_converged or bool(batch.converged.any())
 
     def _feasible(self, gamma):
-        return [c for c in self.candidates if c.relax <= gamma + self.opts.slack]
+        return self.relax <= gamma + self.opts.slack
 
     def ensure_feasible(self, gamma):
         """Escalate lambda toward opts.lambda_max until some run is feasible."""
         opts = self.opts
-        if self._feasible(gamma):
+        if self._feasible(gamma).any():
             return
         lo = opts.lambda_grid_max
         hi = opts.lambda_max
         self._run_lambdas([hi])
-        if not self._feasible(gamma):
-            best = min(c.relax for c in self.candidates)
+        if not self._feasible(gamma).any():
+            best = float(self.relax.min())
             raise Infeasible(
                 f"no coupling reached I-relaxation <= {gamma + opts.slack:.3e}; "
                 f"best achieved {best:.3e} at lambda <= {hi:g}",
@@ -569,106 +491,67 @@ class _Sweep:
         for _ in range(12):
             mid = math.sqrt(lo * hi)
             self._run_lambdas([mid])
-            if any(c.relax <= gamma + opts.slack and c.lam == mid for c in self.candidates):
+            if (self._feasible(gamma) & (self.lam == mid)).any():
                 hi = mid
             else:
                 lo = mid
 
-    def select(self, gamma) -> _Candidate:
-        """Best feasible candidate under a slope-penalized score.
+    def select(self, gamma) -> int:
+        """Index of the best feasible run under a slope-penalized score.
 
         The score obj + lambda_grid_max * max(0, relax - gamma) charges a
-        candidate's constraint overshoot back at the steepest swept slope,
-        so near-tight frontier points beat ones that merely exploit the
-        slack. Ties go to lower lambda, then lower restart index.
+        run's constraint overshoot back at the steepest swept slope, so
+        near-tight frontier points beat ones that merely exploit the slack.
+        Ties go to lower lambda, then lower restart index, then earlier run.
         """
         self.ensure_feasible(gamma)
-        if not self.any_converged:
+        if not self.converged[1:].any():  # the trivial coupling does not count
             raise NoConvergence(
                 f"no descent run met tol={self.opts.tol:g} within "
                 f"{self.opts.max_iter} iterations"
             )
-        feasible = self._feasible(gamma)
-        feasible.sort(key=lambda c: c.order)
+        score = self.obj + self.opts.lambda_grid_max * np.maximum(0.0, self.relax - gamma)
+        feasible = np.flatnonzero(self._feasible(gamma))
         best = None
         best_score = np.inf
-        for c in feasible:
-            score = c.obj + self.opts.lambda_grid_max * max(0.0, c.relax - gamma)
-            if score < best_score - 1e-15:
-                best = c
-                best_score = score
+        for i in feasible[np.lexsort((self.restart[feasible], self.lam[feasible]))]:
+            if score[i] < best_score - 1e-15:
+                best = i
+                best_score = score[i]
         return best
 
-    def cloud_points(self):
-        return [(c.relax, c.obj) for c in self.candidates]
 
+def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions | None = None):
+    """Upper-bound solver for relaxed Wyner common information of M >= 2 sources.
 
-def _resolve_card_w(pmf_shape, opts: SolverOptions) -> int:
-    bound = int(np.prod(pmf_shape)) + 1
-    card_w = bound if opts.card_w is None else int(opts.card_w)
-    if card_w < 1:
-        raise InvalidCoupling(f"card_w must be >= 1, got {card_w}")
-    if card_w > bound:
-        raise InvalidCoupling(
-            f"card_w={card_w} exceeds the cardinality bound |X||Y|+1 = {bound}"
-        )
-    return card_w
-
-
-def _finish(sweep: _Sweep, joint, gamma: float):
-    cand = sweep.select(gamma)
-    coupling = build_coupling(cand.q, joint)
+    The relaxation functional is sum_i H(X_i|W) - H(X_1..X_M|W), which is
+    I(X;Y|W) for a pair. Returns (Coupling, SolveReport). The report's
+    objective is I(X_1..X_M;W) of the returned coupling, an upper bound on
+    C at achieved_gamma <= gamma + opts.slack. Raises TooLarge when the
+    joint has more than opts.max_states cells, Infeasible when no
+    multiplier up to opts.lambda_max meets the budget and NoConvergence
+    when every descent run exhausts the iteration cap.
+    """
+    opts = opts or SolverOptions()
+    gamma = float(gamma)
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    sweep = _Sweep(joint, opts)
+    i = sweep.select(gamma)
+    coupling = build_coupling(sweep.q[i], joint)
     report = SolveReport(
-        achieved_gamma=InfoValue(max(cand.relax, 0.0)),
-        objective=InfoValue(max(cand.obj, 0.0)),
-        lam=cand.lam,
-        iterations=cand.iters,
+        achieved_gamma=InfoValue(max(float(sweep.relax[i]), 0.0)),
+        objective=InfoValue(max(float(sweep.obj[i]), 0.0)),
+        lam=float(sweep.lam[i]),
+        iterations=int(sweep.iters[i]),
         restarts_used=sweep.runs_executed,
-        converged=cand.converged,
-        history=cand.history,
+        converged=bool(sweep.converged[i]),
+        history=sweep.history[i],
     )
     return coupling, report
 
 
-def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions | None = None):
-    """Upper-bound solver for C_gamma(X;Y) on a finite pair alphabet.
-
-    Returns (Coupling, SolveReport). The report's objective is I(X,Y;W) of
-    the returned coupling, an upper bound on C at achieved_gamma =
-    I(X;Y|W) <= gamma + opts.slack. Raises Infeasible when no multiplier up
-    to opts.lambda_max meets the budget and NoConvergence when every
-    descent run exhausts the iteration cap.
-    """
-    opts = opts or SolverOptions()
-    gamma = float(gamma)
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    card_w = _resolve_card_w(joint.pmf.shape, opts)
-    sweep = _Sweep(joint.pmf, card_w, opts)
-    return _finish(sweep, joint, gamma)
-
-
-def solve_relaxed_wyner_multi(
-    mjoint: MultiDiscreteJoint, gamma: float, opts: SolverOptions | None = None
-):
-    """Upper-bound solver for the M-source relaxed common information.
-
-    The relaxation functional is sum_i H(X_i|W) - H(X_1..X_M|W); for M = 2
-    this coincides with I(X;Y|W) and the solver agrees with
-    solve_relaxed_wyner. Raises TooLarge when prod(cards) > opts.max_states.
-    """
-    opts = opts or SolverOptions()
-    gamma = float(gamma)
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    n_states = int(np.prod(mjoint.cards))
-    if n_states > opts.max_states:
-        raise TooLarge(
-            f"joint alphabet has {n_states} cells > max_states={opts.max_states}"
-        )
-    card_w = _resolve_card_w(mjoint.pmf.shape, opts)
-    sweep = _Sweep(mjoint.pmf, card_w, opts)
-    return _finish(sweep, mjoint, gamma)
+solve_relaxed_wyner_multi = solve_relaxed_wyner
 
 
 # ---------------------------------------------------------------------------
@@ -719,12 +602,11 @@ def ci_curve_discrete(joint: DiscreteJoint, grid, opts: SolverOptions | None = N
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or grid.min() < 0 or np.any(np.diff(grid) < 0):
         raise ValueError("grid must be nonempty, nonnegative, sorted ascending")
-    card_w = _resolve_card_w(joint.pmf.shape, opts)
-    sweep = _Sweep(joint.pmf, card_w, opts)
+    sweep = _Sweep(joint, opts)
     achieved = []
     for g in grid:
-        cand = sweep.select(float(g))
-        achieved.append(float(cand.relax))
-    env = _lower_convex_envelope(sweep.cloud_points(), grid)
+        best = sweep.select(float(g))  # may grow the sweep's arrays
+        achieved.append(float(sweep.relax[best]))
+    env = _lower_convex_envelope(list(zip(sweep.relax.tolist(), sweep.obj.tolist())), grid)
     env = np.maximum(env, 0.0)
     return [(float(g), float(u), a) for g, u, a in zip(grid, env, achieved)]

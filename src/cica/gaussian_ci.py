@@ -17,7 +17,6 @@ from .model import GaussianJoint, InfoValue
 #: correlations below this are treated as exact zeros (SVD noise)
 _ZERO_RHO = 1e-12
 _ACTIVE_MARGIN = 1e-12
-_BISECT_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,23 @@ def _check_rho_list(rho) -> np.ndarray:
     return np.where(rho < _ZERO_RHO, 0.0, rho)
 
 
+def _info(rho):
+    """I(rho) = 0.5 ln 1/(1 - rho^2), elementwise."""
+    return -0.5 * np.log1p(-rho * rho)
+
+
+def _relaxed_ci(rho, gamma_i):
+    """C(rho, gamma_i), elementwise; exactly zero once gamma_i >= I(rho)."""
+    info = _info(rho)
+    # capping the budget at I(rho) keeps s <= rho < 1, so the logs stay finite
+    s = np.sqrt(-np.expm1(-2.0 * np.minimum(gamma_i, info)))
+    val = 0.5 * (np.log1p(rho) - np.log1p(-rho) + np.log1p(-s) - np.log1p(s))
+    return np.where(gamma_i >= info, 0.0, np.maximum(val, 0.0))
+
+
 def mutual_info_rho(rho: float) -> InfoValue:
     """Mutual information of a unit-variance Gaussian pair: 0.5 ln 1/(1-rho^2)."""
-    rho = _check_rho_scalar(rho)
-    return InfoValue(-0.5 * np.log1p(-rho * rho))
+    return InfoValue(float(_info(_check_rho_scalar(rho))))
 
 
 def scalar_relaxed_ci(rho: float, gamma_i: float) -> InfoValue:
@@ -70,51 +82,38 @@ def scalar_relaxed_ci(rho: float, gamma_i: float) -> InfoValue:
     gamma_i = float(gamma_i)
     if gamma_i < 0:
         raise ValueError(f"gamma_i must be >= 0, got {gamma_i}")
-    if gamma_i >= float(mutual_info_rho(rho)):
-        return InfoValue(0.0)
-    s = np.sqrt(-np.expm1(-2.0 * gamma_i))
-    val = 0.5 * (np.log1p(rho) - np.log1p(-rho) + np.log1p(-s) - np.log1p(s))
-    return InfoValue(max(float(val), 0.0))
+    return InfoValue(float(_relaxed_ci(rho, gamma_i)))
 
 
 def waterfill(rho, gamma_total: float) -> GammaAllocation:
-    """Optimal split of gamma_total across components, by bisection.
+    """Optimal split of gamma_total across components, in closed form.
 
     The water level solves sum_i min(level, I(rho_i)) = gamma_total; each
-    component receives gamma_i = min(level, I(rho_i)). rho must be sorted
-    descending with entries in [0, 1).
+    component receives gamma_i = min(level, I(rho_i)). With the m smallest
+    I(rho_i) saturated the sum is linear in the level, so the level is
+    (gamma_total - their sum) / (n - m) on that segment; a budget of at
+    least sum_i I(rho_i) saturates every component at level max_i I(rho_i).
+    rho must be sorted descending with entries in [0, 1).
     """
     rho = _check_rho_list(rho)
     gamma_total = float(gamma_total)
     if gamma_total < 0:
         raise ValueError(f"gamma_total must be >= 0, got {gamma_total}")
-    info = np.array([float(mutual_info_rho(r)) for r in rho])
-    total_info = info.sum()
-    if gamma_total >= total_info:
-        gamma_i = info.copy()
-        level = info.max() if info.size else 0.0
-        c = 0.0
-        active = 0
-    else:
-        # run the full budget: the scalar curve has unbounded slope at 0, so
-        # the level must be resolved to ulp precision, not just 1e-12
-        lo, hi = 0.0, float(info.max())
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if np.minimum(mid, info).sum() < gamma_total:
-                lo = mid
-            else:
-                hi = mid
-        level = 0.5 * (lo + hi)
-        gamma_i = np.minimum(level, info)
-        active = int(np.sum(level < info - _ACTIVE_MARGIN))
-        c = sum(float(scalar_relaxed_ci(r, g)) for r, g in zip(rho, gamma_i))
+    info = _info(rho)
+    n = info.size
+    rising = np.sort(info)
+    saturated = np.concatenate([[0.0], np.cumsum(rising)])  # sum of the m smallest
+    # the budget used when the level sits at each breakpoint rising[m]
+    at_breaks = saturated[:-1] + (n - np.arange(n)) * rising
+    m = int(np.searchsorted(at_breaks, gamma_total, side="right"))
+    level = rising[-1] if m == n else (gamma_total - saturated[m]) / (n - m)
+    gamma_i = np.minimum(level, info)
     return GammaAllocation(
         gamma_total=gamma_total,
         gamma_i=gamma_i,
-        c_gamma=InfoValue(c),
+        c_gamma=InfoValue(float(_relaxed_ci(rho, gamma_i).sum())),
         water_level=float(level),
-        active_count=active,
+        active_count=int(np.sum(level < info - _ACTIVE_MARGIN)),
     )
 
 
@@ -140,14 +139,12 @@ def component_count(rho, gamma: float) -> int:
     gamma = float(gamma)
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    info = np.array([float(mutual_info_rho(r)) for r in rho])
+    info = _info(rho)
     n = info.size
     tails = np.concatenate([np.cumsum(info[::-1])[::-1], [0.0]])  # tails[m] = sum_{i>=m}
-    for ell in range(n):
-        # lower edge of the k = ell row: (ell+1) I(rho_{ell+1}) + tail beyond it
-        if gamma >= (ell + 1) * info[ell] + tails[ell + 1]:
-            return ell
-    return n
+    # lower edge of the k = ell row: (ell+1) I(rho_{ell+1}) + tail beyond it
+    reached = gamma >= np.arange(1, n + 1) * info + tails[1:]
+    return int(np.argmax(reached)) if reached.any() else n
 
 
 def ci_curve(joint: GaussianJoint, grid) -> list[tuple[float, float, int]]:

@@ -70,35 +70,45 @@ class GaussianJoint:
         return np.vstack([top, bottom])
 
 
+def source_marginals(table, lead: int = 0) -> list:
+    """Per-source marginals of a table whose source axes start at ``lead``.
+
+    Entry i sums ``table`` over every source axis except lead + i; leading
+    axes (a latent symbol, a batch of runs) are kept.
+    """
+    axes = range(lead, table.ndim)
+    return [table.sum(axis=tuple(ax for ax in axes if ax != i)) for i in axes]
+
+
 @dataclass(frozen=True)
 class DiscreteJoint:
-    """Finite joint pmf p(x, y) over card_x * card_y cells."""
+    """Joint pmf p(x_1, ..., x_M) over M >= 2 finite alphabets; p(x, y) for M = 2."""
 
-    card_x: int
-    card_y: int
-    pmf: np.ndarray
-
-    def marginal_x(self) -> np.ndarray:
-        return self.pmf.sum(axis=1)
-
-    def marginal_y(self) -> np.ndarray:
-        return self.pmf.sum(axis=0)
-
-
-@dataclass(frozen=True)
-class MultiDiscreteJoint:
-    """Joint pmf p(x_1, ..., x_M) over M >= 2 finite alphabets."""
-
-    cards: tuple
     pmf: np.ndarray
 
     @property
-    def n_sources(self) -> int:
-        return len(self.cards)
+    def cards(self) -> tuple:
+        return self.pmf.shape
+
+    @property
+    def card_x(self) -> int:
+        return self.pmf.shape[0]
+
+    @property
+    def card_y(self) -> int:
+        return self.pmf.shape[1]
 
     def marginal(self, i: int) -> np.ndarray:
-        axes = tuple(j for j in range(self.n_sources) if j != i)
-        return self.pmf.sum(axis=axes)
+        return source_marginals(self.pmf)[i]
+
+    def marginal_x(self) -> np.ndarray:
+        return self.marginal(0)
+
+    def marginal_y(self) -> np.ndarray:
+        return self.marginal(1)
+
+
+MultiDiscreteJoint = DiscreteJoint
 
 
 def _check_symmetric(name, k):
@@ -113,12 +123,15 @@ def validate_gaussian(k_x, k_y, k_xy, eps_pd: float = DEFAULT_EPS_PD) -> Gaussia
     """Validate covariance blocks and build an immutable GaussianJoint.
 
     Raises NotPositiveDefinite if k_x or k_y has an eigenvalue <= eps_pd,
-    InconsistentBlock if the stacked covariance has an eigenvalue below
-    -1e-9, and ShapeMismatch on dimension errors.
+    InconsistentBlock if a block has a non-finite entry or the stacked
+    covariance has an eigenvalue below -1e-9, and ShapeMismatch on
+    dimension errors.
     """
     k_x = np.asarray(k_x, dtype=float)
     k_y = np.asarray(k_y, dtype=float)
     k_xy = np.asarray(k_xy, dtype=float)
+    if not all(np.isfinite(k).all() for k in (k_x, k_y, k_xy)):
+        raise InconsistentBlock("covariance blocks have non-finite entries")
     _check_symmetric("k_x", k_x)
     _check_symmetric("k_y", k_y)
     dim_x, dim_y = k_x.shape[0], k_y.shape[0]
@@ -154,32 +167,20 @@ def validate_gaussian(k_x, k_y, k_xy, eps_pd: float = DEFAULT_EPS_PD) -> Gaussia
 
 
 def validate_discrete(pmf) -> DiscreteJoint:
-    """Validate a 2-D probability table and build an immutable DiscreteJoint.
+    """Validate a probability table with M >= 2 axes and build a DiscreteJoint.
 
-    Entries below -1e-14 raise NegativeMass; tiny negatives are clamped to
-    zero. The clamped table must sum to 1 within 1e-12 (NotNormalized
-    otherwise) and is then renormalized exactly.
+    Non-finite entries raise NotNormalized and entries below -1e-14 raise
+    NegativeMass; tiny negatives are clamped to zero. The clamped table must
+    sum to 1 within 1e-12 (NotNormalized otherwise) and is then
+    renormalized exactly.
     """
-    pmf = np.array(pmf, dtype=float)
-    if pmf.ndim != 2 or pmf.size == 0:
-        raise ShapeMismatch(f"pmf must be a nonempty 2-D table, got shape {pmf.shape}")
-    if pmf.min() < -_PMF_NEG_TOL:
-        raise NegativeMass(f"pmf has entry {pmf.min():.3e} < -1e-14")
-    pmf = np.maximum(pmf, 0.0)
-    total = pmf.sum()
-    if abs(total - 1.0) > _PMF_SUM_TOL:
-        raise NotNormalized(f"pmf sums to {total!r}, expected 1 within 1e-12")
-    pmf /= total
-    return DiscreteJoint(card_x=pmf.shape[0], card_y=pmf.shape[1], pmf=_frozen_array(pmf))
-
-
-def validate_multi_discrete(pmf) -> MultiDiscreteJoint:
-    """Validate an M-dimensional probability table (M >= 2)."""
     pmf = np.array(pmf, dtype=float)
     if pmf.ndim < 2 or pmf.size == 0:
         raise ShapeMismatch(
             f"pmf must be a nonempty table with M >= 2 axes, got shape {pmf.shape}"
         )
+    if not np.isfinite(pmf).all():
+        raise NotNormalized("pmf has non-finite entries")
     if pmf.min() < -_PMF_NEG_TOL:
         raise NegativeMass(f"pmf has entry {pmf.min():.3e} < -1e-14")
     pmf = np.maximum(pmf, 0.0)
@@ -187,4 +188,7 @@ def validate_multi_discrete(pmf) -> MultiDiscreteJoint:
     if abs(total - 1.0) > _PMF_SUM_TOL:
         raise NotNormalized(f"pmf sums to {total!r}, expected 1 within 1e-12")
     pmf /= total
-    return MultiDiscreteJoint(cards=tuple(pmf.shape), pmf=_frozen_array(pmf))
+    return DiscreteJoint(pmf=_frozen_array(pmf))
+
+
+validate_multi_discrete = validate_discrete

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cica import validate_gaussian
+from cica.errors import NoConvergence
 
 
 def random_gaussian_joint(rng, dim_x, dim_y, spread=1.0):
@@ -57,6 +58,44 @@ def gauss_cond_mi(cov, idx_a, idx_b, idx_c):
         + logdet(idx_b + idx_c)
         - logdet(idx_c)
         - logdet(idx_a + idx_b + idx_c)
+    )
+
+
+def leading_pair_fixed_point(canonical, tol: float = 1e-12, max_iter: int = 100_000):
+    """Leading singular triple by alternating Cauchy-Schwarz updates.
+
+    Alternates u <- K v / ||K v|| and v <- K^T u / ||K^T u|| from a
+    deterministic seeded start until successive rho estimates change by
+    less than tol. Serves as an SVD-independent oracle for the top CCA
+    component. Raises NoConvergence when max_iter is reached, which for a
+    well-posed input signals a near-degenerate rho_1 ~ rho_2 spectrum.
+    """
+    k = np.asarray(canonical, dtype=float)
+    if k.ndim != 2 or not np.any(np.abs(k) > 0):
+        raise ValueError("canonical matrix must be a nonzero 2-D array")
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(k.shape[1])
+    v /= np.linalg.norm(v)
+    # restart if the seeded start is (numerically) in the null space
+    for _ in range(10):
+        if np.linalg.norm(k @ v) > 1e-14:
+            break
+        v = rng.standard_normal(k.shape[1])
+        v /= np.linalg.norm(v)
+    rho_prev = -np.inf
+    for _ in range(max_iter):
+        u = k @ v
+        u_norm = np.linalg.norm(u)
+        u = u / u_norm
+        v = k.T @ u
+        rho = np.linalg.norm(v)
+        v = v / rho
+        if abs(rho - rho_prev) < tol:
+            return u, v, float(rho)
+        rho_prev = rho
+    raise NoConvergence(
+        f"rho estimate still moving after {max_iter} iterations; "
+        "the top two singular values may be degenerate"
     )
 
 

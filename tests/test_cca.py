@@ -6,11 +6,15 @@ import pytest
 from cica import (
     cca_decompose,
     cca_project,
-    leading_pair_fixed_point,
     validate_gaussian,
 )
 from cica.errors import BadK, PerfectCorrelation
-from conftest import random_gaussian_joint, sample_joint, whitened_diag_joint
+from conftest import (
+    leading_pair_fixed_point,
+    random_gaussian_joint,
+    sample_joint,
+    whitened_diag_joint,
+)
 
 
 def check_basis_invariants(basis, canonical):

@@ -131,6 +131,13 @@ class TestCmdGaussian:
         assert all(a >= b - 1e-12 for a, b in zip(c, c[1:]))
         assert all(a >= b for a, b in zip(k, k[1:]))
 
+    def test_non_finite_cov_exit_3(self, tmp_path):
+        cov = tmp_path / "cov.json"
+        cov.write_text(json.dumps({"k_x": [[float("nan")]], "k_y": [[1.0]], "k_xy": [[0.5]]}))
+        r = run_cli("gaussian", "--cov", str(cov), "--gamma", "0", "--out", str(tmp_path / "r.json"))
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr
+
     def test_perfect_correlation_exit_4(self, tmp_path):
         cov = tmp_path / "cov.json"
         cov.write_text(json.dumps({"k_x": [[1.0]], "k_y": [[1.0]], "k_xy": [[0.9999999999]]}))
@@ -184,6 +191,33 @@ class TestCmdDiscrete:
         pmf.write_text("x,y\n0,0\n")
         r = run_cli("discrete", "--pmf", str(pmf), "--gamma", "0", "--out", str(tmp_path / "d.json"))
         assert r.returncode == 2
+
+    def test_non_finite_pmf_exit_3(self, tmp_path):
+        pmf = tmp_path / "nan.csv"
+        pmf.write_text("x,y,p\n0,0,nan\n0,1,0.5\n1,0,0.25\n1,1,0.25\n")
+        r = run_cli("discrete", "--pmf", str(pmf), "--gamma", "0", "--out", str(tmp_path / "d.json"))
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr
+
+    def test_lagrangian_increase_exit_5_under_optimize(self, dsbs_file, tmp_path):
+        # the monotonicity check must not be an assert, which -O strips
+        script = (
+            "import itertools, sys\n"
+            "from cica import cli, discrete_ci\n"
+            "calls = itertools.count()\n"
+            "lagrangian = discrete_ci._Engine._lagrangian\n"
+            "discrete_ci._Engine._lagrangian = (\n"
+            "    lambda self, parts, lam: lagrangian(self, parts, lam) + next(calls))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-O", "-c", script, "discrete", "--pmf", str(dsbs_file),
+             "--gamma", "0", "--restarts", "1", "--threads", "1", "--out", str(tmp_path / "d.json")],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 5, r.stderr
+        assert "Lagrangian increased" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_unnormalized_pmf_exit_3(self, tmp_path):
         pmf = tmp_path / "bad.csv"

@@ -6,6 +6,8 @@ C(0.05) = 0.6530425383369941, C(0.1) = 0.6049515261814267,
 C(0.2) = 0.48929599185999795.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from cica import (
     build_coupling,
     ci_curve_discrete,
     conditional_mi_given_w,
+    discrete_ci,
     dsbs_joint,
     dsbs_wyner,
     entropy,
@@ -175,15 +178,17 @@ class TestCoupling:
 
 class TestSolveRelaxedWyner:
     def test_product_joint_any_gamma(self):
-        j = product_joint([0.3, 0.7], [0.6, 0.4])
-        for gamma in (0.0, 0.05):
-            _, rep = solve_relaxed_wyner(j, gamma, SolverOptions(seed=7))
-            assert float(rep.objective) <= 1e-6
+        for j in (product_joint([0.3, 0.7], [0.6, 0.4]), validate_discrete(np.ones((2, 2, 2)) / 8)):
+            for gamma in (0.0, 0.05):
+                _, rep = solve_relaxed_wyner(j, gamma, SolverOptions(seed=7))
+                assert float(rep.objective) <= 1e-6
 
     def test_copy_source_gamma_zero(self):
-        j = validate_discrete([[0.5, 0.0], [0.0, 0.5]])
-        _, rep = solve_relaxed_wyner(j, 0.0, SolverOptions(seed=7))
-        assert abs(float(rep.objective) - LN2) < 1e-3
+        three_copies = np.zeros((2, 2, 2))
+        three_copies[0, 0, 0] = three_copies[1, 1, 1] = 0.5
+        for pmf, tol in (([[0.5, 0.0], [0.0, 0.5]], 1e-3), (three_copies, 2e-2)):
+            _, rep = solve_relaxed_wyner(validate_discrete(pmf), 0.0, SolverOptions(seed=7))
+            assert abs(float(rep.objective) - LN2) < tol
 
     @pytest.mark.parametrize("a0", [0.05, 0.1, 0.2])
     def test_dsbs_oracle(self, a0):
@@ -251,6 +256,26 @@ class TestSolveRelaxedWyner:
             solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
         assert "best_achieved_gamma" in excinfo.value.details
 
+    def test_too_large_pair_before_allocation(self, monkeypatch):
+        def no_engine(*args):
+            raise AssertionError("the size guard must run before the engine allocates")
+
+        monkeypatch.setattr(discrete_ci, "_Engine", no_engine)
+        with pytest.raises(TooLarge):
+            solve_relaxed_wyner(validate_discrete(np.ones((9, 9)) / 81), 0.0)
+
+    def test_lagrangian_increase_raises(self, monkeypatch):
+        calls = itertools.count()
+        lagrangian = discrete_ci._Engine._lagrangian
+        monkeypatch.setattr(
+            discrete_ci._Engine,
+            "_lagrangian",
+            lambda self, parts, lam: lagrangian(self, parts, lam) + next(calls),
+        )
+        opts = SolverOptions(seed=1, n_lambda=1, restarts=1)
+        with pytest.raises(NoConvergence, match="Lagrangian increased"):
+            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
+
     def test_no_convergence(self):
         opts = SolverOptions(seed=1, max_iter=1, tol=0.0, n_lambda=2, restarts=2)
         with pytest.raises(NoConvergence):
@@ -302,6 +327,16 @@ class TestCiCurveDiscrete:
         j = dsbs_joint(0.1)
         rows = ci_curve_discrete(j, [float(mutual_information(j))], SolverOptions(seed=7))
         assert rows[0][1] <= 1e-3
+
+    def test_escalation_within_curve(self):
+        # the two-point grid is infeasible at gamma = 0, so selecting the first
+        # curve point escalates lambda and grows the run cloud mid-curve
+        j = dsbs_joint(0.1)
+        opts = SolverOptions(seed=3, n_lambda=2, restarts=1, lambda_grid_max=2.0)
+        rows = ci_curve_discrete(j, [0.0, 0.2], opts)
+        _, rep = solve_relaxed_wyner(j, 0.0, opts)
+        assert rep.restarts_used > opts.n_lambda * opts.restarts
+        assert rows[0][2] == float(rep.achieved_gamma) <= opts.slack
 
     def test_dsbs_curve_convex_nonincreasing(self):
         j = dsbs_joint(0.1)

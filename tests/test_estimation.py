@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from cica import cca_decompose, estimate_gaussian, estimate_pmf
-from cica.errors import IndexOutOfRange, NotPositiveDefinite, ShapeMismatch, TooFewSamples
+from cica.errors import (
+    InconsistentBlock,
+    IndexOutOfRange,
+    NotPositiveDefinite,
+    ShapeMismatch,
+    TooFewSamples,
+)
 from conftest import sample_joint, whitened_diag_joint
 
 
@@ -16,6 +22,13 @@ class TestEstimateGaussian:
     def test_constant_samples_degenerate(self):
         with pytest.raises(NotPositiveDefinite):
             estimate_gaussian(np.ones((10, 2)), np.ones((10, 2)), ridge=0.0)
+
+    def test_non_finite_sample_rejected(self, rng):
+        x = rng.standard_normal((20, 2))
+        y = rng.standard_normal((20, 2))
+        x[3, 1] = np.inf
+        with pytest.raises(InconsistentBlock):
+            estimate_gaussian(x, y)
 
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeMismatch):

@@ -62,6 +62,43 @@ def _scalar_curve(rho, gammas):
     return np.maximum(val, 0.0)
 
 
+def bisection_allocation(rho, gamma):
+    """Reference water level by bisection and the summed scalar C values."""
+    info = np.array([float(mutual_info_rho(r)) for r in rho])
+    if gamma >= info.sum():
+        return info.max(), 0.0
+    lo, hi = 0.0, float(info.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.minimum(mid, info).sum() < gamma:
+            lo = mid
+        else:
+            hi = mid
+    level = 0.5 * (lo + hi)
+    return level, sum(float(scalar_relaxed_ci(r, min(level, i))) for r, i in zip(rho, info))
+
+
+def loop_component_count(rho, gamma):
+    """Reference k: the first row of the schedule whose lower edge gamma reaches."""
+    info = [float(mutual_info_rho(r)) for r in rho]
+    for ell in range(len(info)):
+        if gamma >= (ell + 1) * info[ell] + sum(info[ell + 1:]):
+            return ell
+    return len(info)
+
+
+def random_spectra(rng, count):
+    """Descending spectra in [0, 1) with zeros, tiny values and ties mixed in."""
+    for t in range(count):
+        n = int(rng.integers(1, 40))
+        rho = rng.uniform(0.0, 0.999, size=n)
+        if t % 3 == 1:
+            rho[rng.random(n) < 0.3] = 0.0
+        elif t % 3 == 2:
+            rho = np.minimum(np.round(rho, 1), 0.9)
+        yield np.sort(rho)[::-1]
+
+
 class TestMutualInfoRho:
     def test_zero(self):
         assert float(mutual_info_rho(0.0)) == 0.0
@@ -130,6 +167,15 @@ class TestWaterfill:
                 atol=1e-9,
             )
 
+    def test_matches_bisection_reference(self, rng):
+        for rho in random_spectra(rng, 300):
+            total = sum(float(mutual_info_rho(r)) for r in rho)
+            for gamma in (0.0, rng.uniform(0.0, 1e-3) * total, rng.uniform(0.0, total), 1.01 * total):
+                level, c = bisection_allocation(rho, gamma)
+                alloc = waterfill(rho, gamma)
+                assert abs(alloc.water_level - level) <= 1e-12 * max(level, 1.0)
+                assert abs(float(alloc.c_gamma) - c) <= 1e-12 * max(c, 1.0)
+
     def test_equal_derivative_structure(self):
         # numerical partial derivatives of the summed objective agree across
         # active components, since dC/dgamma depends only on gamma_i
@@ -157,6 +203,12 @@ class TestComponentCount:
         assert component_count([0.8, 0.5], 0.1) == 2
         assert component_count([0.8, 0.5], 0.4) == 1
         assert component_count([0.8, 0.5], 1.0) == 0
+
+    def test_matches_loop_reference(self, rng):
+        for rho in random_spectra(rng, 300):
+            total = sum(float(mutual_info_rho(r)) for r in rho)
+            for gamma in rng.uniform(0.0, 1.1 * total, size=5):
+                assert component_count(rho, gamma) == loop_component_count(rho, gamma)
 
     def test_thresholds_frozen(self):
         assert 2 * I_05 == pytest.approx(0.28768207245178085, abs=1e-16)

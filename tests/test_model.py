@@ -37,6 +37,12 @@ class TestValidateGaussian:
         with pytest.raises(NotPositiveDefinite):
             validate_gaussian(np.diag([1.0, 0.0]), np.eye(2), np.zeros((2, 2)))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(InconsistentBlock):
+            validate_gaussian(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(InconsistentBlock):
+            validate_gaussian(np.eye(2), np.eye(2), np.array([[np.inf, 0.0], [0.0, 0.1]]))
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             validate_gaussian(np.eye(2), np.eye(2), np.zeros((3, 2)))
@@ -72,6 +78,11 @@ class TestValidateDiscrete:
         j = validate_discrete(np.full((2, 2), 0.25))
         assert j.card_x == j.card_y == 2
         np.testing.assert_allclose(j.marginal_x(), [0.5, 0.5])
+        pmf = np.zeros((2, 2, 2))
+        pmf[0, 0, 0] = pmf[1, 1, 1] = 0.5
+        j = validate_discrete(pmf)
+        assert j.cards == (2, 2, 2)
+        np.testing.assert_allclose(j.marginal(1), [0.5, 0.5])
 
     def test_dsbs_table(self):
         j = validate_discrete([[0.45, 0.05], [0.05, 0.45]])
@@ -80,6 +91,17 @@ class TestValidateDiscrete:
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
             validate_discrete([[0.45, 0.05], [0.05, 0.35]])
+        with pytest.raises(NotNormalized):
+            validate_discrete(np.full((2, 2, 2), 0.2))
+
+    def test_non_finite_rejected(self):
+        for bad in ([[np.nan, 0.5], [0.25, 0.25]], [[np.inf, 0.5], [0.25, 0.25]]):
+            with pytest.raises(NotNormalized):
+                validate_discrete(bad)
+        pmf = np.full((2, 2, 2), 0.125)
+        pmf[1, 0, 1] = np.nan
+        with pytest.raises(NotNormalized):
+            validate_discrete(pmf)
 
     def test_negative_mass(self):
         with pytest.raises(NegativeMass):
@@ -93,6 +115,8 @@ class TestValidateDiscrete:
     def test_empty_rejected(self):
         with pytest.raises(ShapeMismatch):
             validate_discrete(np.zeros((0, 2)))
+        with pytest.raises(ShapeMismatch):
+            validate_discrete(np.array([0.5, 0.5]))
 
 
 class TestValidateMultiDiscrete:

@@ -10,10 +10,8 @@ import numpy as np
 
 from .errors import BadK, PerfectCorrelation
 from .model import GaussianJoint, _frozen_array
-from .whitening import WhitenedPair, canonical_matrix
-
-_PERFECT_RHO = 1.0 - 1e-9
-_ZERO_RHO = 1e-12
+from .whitening import _PERFECT_RHO, _ZERO_RHO, _whitened_svd
+from .whitening import canonical_matrix  # noqa: F401  (unused here; the benchmark tracer patches it)
 
 
 @dataclass(frozen=True)
@@ -37,46 +35,31 @@ class CcaBasis:
         return self.rho.size
 
 
-def _apply_sign_convention(u, v, rho):
-    u = u.copy()
-    v = v.copy()
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            if rho[j] > _ZERO_RHO:
-                v[:, j] = -v[:, j]
-        if rho[j] <= _ZERO_RHO:
-            # zero-correlation columns: fix v's sign independently
-            i = int(np.argmax(np.abs(v[:, j])))
-            if v[i, j] < 0:
-                v[:, j] = -v[:, j]
-    return u, v
+def cca_decompose(joint: GaussianJoint) -> CcaBasis:
+    """Canonical correlations and sign-fixed bases from one whitened SVD.
 
-
-def cca_decompose(joint: GaussianJoint, pair: WhitenedPair | None = None) -> CcaBasis:
-    """Full SVD of the whitened cross-covariance, sorted and sign-fixed.
-
-    Raises PerfectCorrelation when some rho_i >= 1 - 1e-9, where the
-    per-component mutual information I(rho) diverges.
+    rho comes out sorted descending (LAPACK's order) with values below
+    1e-12 set to 0. Raises PerfectCorrelation when rho_1 >= 1 - 1e-9, where
+    the per-component mutual information I(rho) diverges; this includes
+    every correlation within 1e-6 of 1, which the whitening step clamps to
+    1 - 1e-9 with a warning.
     """
-    if pair is None:
-        pair = canonical_matrix(joint)
-    u, s, vh = np.linalg.svd(pair.canonical, full_matrices=False)
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    u = u[:, order]
-    v = vh.T[:, order]
+    pair, (u, s, vh) = _whitened_svd(joint)
     if s.size and s[0] >= _PERFECT_RHO:
         raise PerfectCorrelation(
             f"leading canonical correlation {s[0]:.12f} >= 1 - 1e-9"
         )
-    s = np.where(s < _ZERO_RHO, 0.0, s)
-    u, v = _apply_sign_convention(u, v, s)
+    rho = np.where(s < _ZERO_RHO, 0.0, s)
+    v = np.ascontiguousarray(vh.T)
+    cols = np.arange(rho.size)
+    # the sign of each column's largest-magnitude entry (argmax takes the first)
+    u_signs = np.sign(u[np.abs(u).argmax(axis=0), cols])
+    # zero-correlation columns fix v's sign on their own
+    v_signs = np.where(rho > _ZERO_RHO, u_signs, np.sign(v[np.abs(v).argmax(axis=0), cols]))
     return CcaBasis(
-        rho=_frozen_array(s),
-        u=_frozen_array(u),
-        v=_frozen_array(v),
+        rho=_frozen_array(rho),
+        u=_frozen_array(u * u_signs),
+        v=_frozen_array(v * v_signs),
         w_x=pair.w_x,
         w_y=pair.w_y,
     )

@@ -31,7 +31,7 @@ from .errors import (
     PerfectCorrelation,
 )
 from .estimation import estimate_gaussian
-from .gaussian_ci import component_count, mutual_info_rho, waterfill
+from .gaussian_ci import _fill, component_count, mutual_info_rho, waterfill
 from .model import (
     LN2,
     validate_discrete,
@@ -39,10 +39,11 @@ from .model import (
     validate_multi_discrete,  # noqa: F401  (unused here; the benchmark tracer patches it)
 )
 from .projections import (
+    _gaussian_maps,
     binary_vector_covariance,
     feature_mutual_information,
     project_discrete_map,
-    project_gaussian,
+    project_gaussian,  # noqa: F401  (unused here; the benchmark tracer patches it)
     toy_binary_example,
 )
 
@@ -181,7 +182,7 @@ def cmd_gaussian_cica(args, parser) -> int:
     basis = cca_decompose(joint)
     alloc = waterfill(basis.rho, args.gamma)
     k = component_count(basis.rho, args.gamma)
-    proj = project_gaussian(joint, args.gamma, version)
+    proj = _gaussian_maps(basis, k, version)
     total_info = sum(float(mutual_info_rho(r)) for r in basis.rho)
     report = {
         "gamma": _scale(args.gamma, units),
@@ -197,28 +198,21 @@ def cmd_gaussian_cica(args, parser) -> int:
         "component_scale": proj.scale,
         "units": units,
     }
-    warnings = []
     if k == 0:
-        warnings.append(
+        report["warnings"] = [
             "gamma is at or above the total mutual information; "
             "no components are retained and the projection maps are empty"
-        )
-    if warnings:
-        report["warnings"] = warnings
+        ]
     if args.curve is not None:
         grid = np.linspace(0.0, max(total_info, args.gamma), args.curve_points)
+        _, _, c_gamma, ks = _fill(basis.rho, grid)
         with open(args.curve, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["gamma", "c_gamma", "k"])
-            for g in grid:
-                a = waterfill(basis.rho, float(g))
-                writer.writerow(
-                    [
-                        repr(_scale(float(g), units)),
-                        repr(_scale(float(a.c_gamma), units)),
-                        component_count(basis.rho, float(g)),
-                    ]
-                )
+            writer.writerows(
+                [repr(_scale(float(g), units)), repr(_scale(float(c), units)), int(kk)]
+                for g, c, kk in zip(grid, c_gamma, ks)
+            )
     _write_report(args.out, report, args.no_meta)
     return 0
 
@@ -401,11 +395,8 @@ def main(argv=None) -> int:
             print(f"cica: telemetry: {json.dumps(_jsonable(details), sort_keys=True)}", file=sys.stderr)
         return _EXIT_SOLVER
     except PerfectCorrelation as exc:
-        if args.command == "gaussian":
-            print(f"cica: {exc}", file=sys.stderr)
-            return _EXIT_PERFECT_CORR
         print(f"cica: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
+        return _EXIT_PERFECT_CORR if args.command == "gaussian" else _EXIT_VALIDATION
     except CicaError as exc:
         print(f"cica: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION

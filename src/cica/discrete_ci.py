@@ -126,13 +126,17 @@ class Coupling:
         return self.q_w_given_sources[1]
 
 
-def _induced_marginals(q, pmf):
-    """Marginal q(w) and per-source conditionals q(w|x_i) from q(w|cells)."""
-    joint_w = q * pmf[None]
-    qw = joint_w.sum(axis=tuple(range(1, pmf.ndim + 1)))
+def _induced_marginals(q, pmf, lead: int = 1):
+    """Marginal q(w) and per-source conditionals q(w|x_i) from q(w|cells).
+
+    q carries ``lead`` leading axes (a batch of runs, then the latent
+    symbol) in front of the source axes of pmf; q(w) keeps all of them.
+    """
+    joint_w = q * pmf
+    qw = joint_w.sum(axis=tuple(range(lead, joint_w.ndim)))
     per_source = [
-        np.where(p_i[None, :] > 0, num / np.maximum(p_i[None, :], _TINY), 0.0)
-        for num, p_i in zip(source_marginals(joint_w, lead=1), source_marginals(pmf))
+        np.where(p_i > 0, num / np.maximum(p_i, _TINY), 0.0)
+        for num, p_i in zip(source_marginals(joint_w, lead=lead), source_marginals(pmf))
     ]
     return qw, per_source
 
@@ -251,7 +255,6 @@ class _Engine:
         self.card_w = card_w
         self.opts = opts
         self.p_src = source_marginals(pmf)
-        self.pmf_b = pmf[None, None]
         self.mask = (pmf > 0)[None, None]
         self.tc = _total_correlation(pmf)  # relaxation of constant W
 
@@ -259,21 +262,11 @@ class _Engine:
 
     def _parts(self, q):
         """Per-run J = -H(W|cells), A = -H(W), B_i = -H(W|X_i), plus logs."""
-        qw = (q * self.pmf_b).sum(axis=tuple(range(2, self.n_src + 2)))
-        per_src = []
-        for i in range(self.n_src):
-            other = tuple(ax for ax in range(2, self.n_src + 2) if ax != i + 2)
-            num = (q * self.pmf_b).sum(axis=other)
-            cond = np.where(
-                self.p_src[i][None, None] > 0,
-                num / np.maximum(self.p_src[i][None, None], _TINY),
-                0.0,
-            )
-            per_src.append(cond)
+        qw, per_src = _induced_marginals(q, self.pmf, lead=2)
         lq = _safe_log(q)
         lw = _safe_log(qw)
         lsrc = [_safe_log(c) for c in per_src]
-        J = ((q * lq) * self.pmf_b).sum(axis=tuple(range(1, self.n_src + 2)))
+        J = ((q * lq) * self.pmf).sum(axis=tuple(range(1, self.n_src + 2)))
         A = np.where(qw > 0, qw * lw, 0.0).sum(axis=1)
         B = [
             (np.where(c > 0, c * lc, 0.0) * self.p_src[i][None, None]).sum(axis=(1, 2))
@@ -577,14 +570,7 @@ def _lower_convex_envelope(points, xs):
         hull.append(p)
     hx = np.array([h[0] for h in hull])
     hy = np.array([h[1] for h in hull])
-    out = np.empty(len(xs))
-    for j, x in enumerate(xs):
-        if x <= hx[0]:
-            out[j] = hy[0]
-        elif x >= hx[-1]:
-            out[j] = hy[-1]
-        else:
-            out[j] = np.interp(x, hx, hy)
+    out = np.interp(xs, hx, hy)  # clamps to the end values outside the hull
     # a value achievable at gamma' <= gamma is achievable at gamma
     np.minimum.accumulate(out, out=out)
     return out

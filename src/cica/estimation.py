@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import IndexOutOfRange, ShapeMismatch, TooFewSamples
+from .errors import InconsistentBlock, IndexOutOfRange, ShapeMismatch, TooFewSamples
 from .model import DiscreteJoint, GaussianJoint, validate_discrete, validate_gaussian
 
 #: auto ridge, as a fraction of the average eigenvalue of each block
@@ -14,7 +14,8 @@ def estimate_gaussian(x_samples, y_samples, ridge: float | None = None) -> Gauss
 
     Rows are observations; x and y rows are paired. Means are always
     removed. ridge*I is added to k_x and k_y before validation; ridge=None
-    picks 1e-8 * trace/dim per block. Requires N >= dim_x + dim_y + 1.
+    picks 1e-8 * trace/dim per block. Requires N >= dim_x + dim_y + 1;
+    non-finite samples raise InconsistentBlock.
     """
     x = np.atleast_2d(np.asarray(x_samples, dtype=float))
     y = np.atleast_2d(np.asarray(y_samples, dtype=float))
@@ -27,6 +28,8 @@ def estimate_gaussian(x_samples, y_samples, ridge: float | None = None) -> Gauss
         raise TooFewSamples(
             f"need at least dim_x + dim_y + 1 = {x.shape[1] + y.shape[1] + 1} rows, got {n}"
         )
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InconsistentBlock("samples have non-finite entries")
     # canonical row order: permuting input rows must not change any output bit
     order = np.lexsort(np.hstack([x, y]).T[::-1])
     x = x[order]

@@ -13,9 +13,8 @@ import numpy as np
 from .cca import cca_decompose
 from .errors import RhoOutOfRange, UnsortedRho
 from .model import GaussianJoint, InfoValue
+from .whitening import _ZERO_RHO
 
-#: correlations below this are treated as exact zeros (SVD noise)
-_ZERO_RHO = 1e-12
 _ACTIVE_MARGIN = 1e-12
 
 
@@ -42,7 +41,8 @@ def _check_rho_scalar(rho) -> float:
     return rho
 
 
-def _check_rho_list(rho) -> np.ndarray:
+def _check_budget(rho, gamma, name: str):
+    """Validated (rho, gamma) for the one-budget entry points."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if rho.size == 0:
         raise RhoOutOfRange("rho list must be nonempty")
@@ -50,7 +50,10 @@ def _check_rho_list(rho) -> np.ndarray:
         raise RhoOutOfRange(f"all rho must lie in [0, 1), got {rho}")
     if np.any(np.diff(rho) > 0):
         raise UnsortedRho(f"rho must be sorted descending, got {rho}")
-    return np.where(rho < _ZERO_RHO, 0.0, rho)
+    gamma = float(gamma)
+    if gamma < 0:
+        raise ValueError(f"{name} must be >= 0, got {gamma}")
+    return np.where(rho < _ZERO_RHO, 0.0, rho), gamma
 
 
 def _info(rho):
@@ -85,34 +88,47 @@ def scalar_relaxed_ci(rho: float, gamma_i: float) -> InfoValue:
     return InfoValue(float(_relaxed_ci(rho, gamma_i)))
 
 
-def waterfill(rho, gamma_total: float) -> GammaAllocation:
-    """Optimal split of gamma_total across components, in closed form.
+def _fill(rho, gammas):
+    """(I(rho), water level, C_gamma, component count k) for each budget in gammas.
 
-    The water level solves sum_i min(level, I(rho_i)) = gamma_total; each
-    component receives gamma_i = min(level, I(rho_i)). With the m smallest
-    I(rho_i) saturated the sum is linear in the level, so the level is
-    (gamma_total - their sum) / (n - m) on that segment; a budget of at
-    least sum_i I(rho_i) saturates every component at level max_i I(rho_i).
-    rho must be sorted descending with entries in [0, 1).
+    rho is a validated descending spectrum and gammas a 1-D array of
+    nonnegative budgets. The level solves sum_i min(level, I(rho_i)) =
+    gamma: with the m smallest I(rho_i) saturated the sum is linear in the
+    level, so the level is (gamma - their sum) / (n - m) on that segment,
+    and a budget of at least sum_i I(rho_i) saturates every component at
+    level max_i I(rho_i). k follows the schedule of component_count.
     """
-    rho = _check_rho_list(rho)
-    gamma_total = float(gamma_total)
-    if gamma_total < 0:
-        raise ValueError(f"gamma_total must be >= 0, got {gamma_total}")
     info = _info(rho)
     n = info.size
     rising = np.sort(info)
     saturated = np.concatenate([[0.0], np.cumsum(rising)])  # sum of the m smallest
     # the budget used when the level sits at each breakpoint rising[m]
     at_breaks = saturated[:-1] + (n - np.arange(n)) * rising
-    m = int(np.searchsorted(at_breaks, gamma_total, side="right"))
-    level = rising[-1] if m == n else (gamma_total - saturated[m]) / (n - m)
-    gamma_i = np.minimum(level, info)
+    m = np.searchsorted(at_breaks, gammas, side="right")
+    level = np.where(m == n, rising[-1], (gammas - saturated[m]) / np.maximum(n - m, 1))
+    c_gamma = _relaxed_ci(rho, np.minimum(level[:, None], info)).sum(axis=1)
+    tails = np.concatenate([np.cumsum(info[::-1])[::-1], [0.0]])  # tails[m] = sum_{i>=m}
+    # lower edge of the k = ell row: (ell+1) I(rho_{ell+1}) + tail beyond it
+    reached = gammas[:, None] >= np.arange(1, n + 1) * info + tails[1:]
+    k = np.where(reached.any(axis=1), reached.argmax(axis=1), n)
+    return info, level, c_gamma, k
+
+
+def waterfill(rho, gamma_total: float) -> GammaAllocation:
+    """Optimal split of gamma_total across components, in closed form.
+
+    The water level solves sum_i min(level, I(rho_i)) = gamma_total; each
+    component receives gamma_i = min(level, I(rho_i)). rho must be sorted
+    descending with entries in [0, 1).
+    """
+    rho, gamma_total = _check_budget(rho, gamma_total, "gamma_total")
+    info, level, c_gamma, _ = _fill(rho, np.array([gamma_total]))
+    level = float(level[0])
     return GammaAllocation(
         gamma_total=gamma_total,
-        gamma_i=gamma_i,
-        c_gamma=InfoValue(float(_relaxed_ci(rho, gamma_i).sum())),
-        water_level=float(level),
+        gamma_i=np.minimum(level, info),
+        c_gamma=InfoValue(float(c_gamma[0])),
+        water_level=level,
         active_count=int(np.sum(level < info - _ACTIVE_MARGIN)),
     )
 
@@ -135,26 +151,14 @@ def component_count(rho, gamma: float) -> int:
     sum_{i>l} I(rho_i); exact breakpoints take the smaller k, where the
     extra component's budget is saturated and contributes nothing.
     """
-    rho = _check_rho_list(rho)
-    gamma = float(gamma)
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    info = _info(rho)
-    n = info.size
-    tails = np.concatenate([np.cumsum(info[::-1])[::-1], [0.0]])  # tails[m] = sum_{i>=m}
-    # lower edge of the k = ell row: (ell+1) I(rho_{ell+1}) + tail beyond it
-    reached = gamma >= np.arange(1, n + 1) * info + tails[1:]
-    return int(np.argmax(reached)) if reached.any() else n
+    rho, gamma = _check_budget(rho, gamma, "gamma")
+    return int(_fill(rho, np.array([gamma]))[3][0])
 
 
 def ci_curve(joint: GaussianJoint, grid) -> list[tuple[float, float, int]]:
     """Evaluate (gamma, c_gamma, k) along an ascending nonnegative grid."""
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or grid.min() < 0 or np.any(np.diff(grid) < 0):
+    if grid.ndim != 1 or grid.size == 0 or grid.min() < 0 or np.any(np.diff(grid) < 0):
         raise ValueError("grid must be nonempty, nonnegative, sorted ascending")
-    basis = cca_decompose(joint)
-    out = []
-    for g in grid:
-        alloc = waterfill(basis.rho, float(g))
-        out.append((float(g), float(alloc.c_gamma), component_count(basis.rho, float(g))))
-    return out
+    _, _, c_gamma, k = _fill(cca_decompose(joint).rho, grid)
+    return [(float(g), float(c), int(kk)) for g, c, kk in zip(grid, c_gamma, k)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import cca_decompose
+from .cca import CcaBasis, cca_decompose
 from .discrete_ci import Coupling
 from .errors import A0OutOfRange
 from .gaussian_ci import component_count, waterfill
@@ -83,7 +83,11 @@ def project_gaussian(joint: GaussianJoint, gamma: float, version: str) -> Projec
     if version not in VERSIONS:
         raise ValueError(f"version must be one of {VERSIONS}, got {version!r}")
     basis = cca_decompose(joint)
-    k = component_count(basis.rho, gamma)
+    return _gaussian_maps(basis, component_count(basis.rho, gamma), version)
+
+
+def _gaussian_maps(basis: CcaBasis, k: int, version: str) -> ProjectionOutputs:
+    """project_gaussian's maps from a decomposed basis and its component count k."""
     scale = 1.0 + basis.rho[:k] if version in ("map", "cond_exp") else np.ones(k)
     u_map = (scale[:, None] * basis.u[:, :k].T) @ basis.w_x
     v_map = (scale[:, None] * basis.v[:, :k].T) @ basis.w_y

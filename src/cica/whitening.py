@@ -13,9 +13,12 @@ import numpy as np
 from .errors import NotPositiveDefinite, SingularValueOutOfRange
 from .model import DEFAULT_EPS_PD, GaussianJoint, _frozen_array
 
-# singular values in [1 - CLAMP_BAND, 1 + CLAMP_BAND] are pulled to CLAMP_TARGET
+# singular values in [1 - CLAMP_BAND, 1 + CLAMP_BAND] are pulled to _PERFECT_RHO
 _CLAMP_BAND = 1e-6
-_CLAMP_TARGET = 1.0 - 1e-9
+#: canonical correlations at or above this are perfect: I(rho) diverges
+_PERFECT_RHO = 1.0 - 1e-9
+#: canonical correlations below this are SVD noise and read as exact zeros
+_ZERO_RHO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,13 +48,11 @@ def inv_sqrt_psd(k, eps_pd: float = DEFAULT_EPS_PD) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def canonical_matrix(joint: GaussianJoint) -> WhitenedPair:
-    """Whiten a GaussianJoint and return K_x^{-1/2} K_xy K_y^{-1/2}.
+def _whitened_svd(joint: GaussianJoint):
+    """Whitening pair plus the SVD (u, s, vh) of the whitened cross-covariance.
 
-    Singular values must lie in [0, 1] up to noise: values above 1 + 1e-6
-    raise SingularValueOutOfRange; values within 1e-6 of 1 are clamped to
-    1 - 1e-9 with a warning (covariances estimated from samples can
-    overshoot slightly).
+    The one SVD of a Gaussian problem: it owns the range check and the
+    near-one clamp that canonical_matrix documents, and returns s clamped.
     """
     w_x = inv_sqrt_psd(joint.k_x, joint.eps_pd)
     w_y = inv_sqrt_psd(joint.k_y, joint.eps_pd)
@@ -66,12 +67,25 @@ def canonical_matrix(joint: GaussianJoint) -> WhitenedPair:
     if near_one.any():
         warnings.warn(
             f"{int(near_one.sum())} singular value(s) within 1e-6 of 1 clamped to 1 - 1e-9",
-            stacklevel=2,
+            stacklevel=3,
         )
-        s = np.where(near_one, _CLAMP_TARGET, s)
+        s = np.where(near_one, _PERFECT_RHO, s)
         canonical = (u * s) @ vh
-    return WhitenedPair(
+    pair = WhitenedPair(
         w_x=_frozen_array(w_x),
         w_y=_frozen_array(w_y),
         canonical=_frozen_array(canonical),
     )
+    return pair, (u, s, vh)
+
+
+def canonical_matrix(joint: GaussianJoint) -> WhitenedPair:
+    """Whiten a GaussianJoint and return K_x^{-1/2} K_xy K_y^{-1/2}.
+
+    Singular values must lie in [0, 1] up to noise: values above 1 + 1e-6
+    raise SingularValueOutOfRange; values within 1e-6 of 1 are clamped to
+    1 - 1e-9 with a warning (covariances estimated from samples can
+    overshoot slightly). Without a clamp the matrix is w_x @ k_xy @ w_y
+    as computed.
+    """
+    return _whitened_svd(joint)[0]

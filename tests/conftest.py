@@ -24,6 +24,26 @@ def whitened_diag_joint(rho):
     return validate_gaussian(np.eye(n), np.eye(n), np.diag(rho))
 
 
+def random_basis_joint(rng, rho):
+    """Joint whose canonical correlations are exactly rho, behind random bases.
+
+    The blocks are k_x = A A^T, k_y = B B^T and k_xy = A U diag(rho) V^T B^T
+    with U, V random orthogonal and A, B random orthogonal times scales in
+    [0.5, 2], so whitening and the SVD both add round-off.
+    """
+    rho = np.asarray(rho, dtype=float)
+    n = rho.size
+
+    def orthogonal():
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        return q * np.sign(np.diag(r))
+
+    a = orthogonal() * rng.uniform(0.5, 2.0, n)
+    b = orthogonal() * rng.uniform(0.5, 2.0, n)
+    k_xy = a @ (orthogonal() * rho) @ orthogonal().T @ b.T
+    return validate_gaussian(a @ a.T, b @ b.T, k_xy)
+
+
 def sample_joint(joint, n, rng):
     """Draw n paired samples from a GaussianJoint via Cholesky."""
     cov = joint.block_covariance()

@@ -1,5 +1,7 @@
 """CCA decomposition, projection, and fixed-point oracle tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from cica import (
 from cica.errors import BadK, PerfectCorrelation
 from conftest import (
     leading_pair_fixed_point,
+    random_basis_joint,
     random_gaussian_joint,
     sample_joint,
     whitened_diag_joint,
@@ -68,6 +71,21 @@ class TestCcaDecompose:
         with pytest.raises(PerfectCorrelation):
             with pytest.warns(UserWarning):
                 cca_decompose(j)
+        # a correlation within 1e-6 of 1 is clamped and then always raises,
+        # whatever round-off the basis adds; one just outside decomposes
+        rng = np.random.default_rng(5)
+        for leading in (1.0 - 5e-7, 1.0 - 1e-8, 1.0 - 2e-9):
+            for _ in range(30):
+                j = random_basis_joint(rng, [leading, 0.6, 0.2])
+                with pytest.raises(PerfectCorrelation):
+                    with pytest.warns(UserWarning, match="clamped"):
+                        cca_decompose(j)
+        for _ in range(30):
+            j = random_basis_joint(rng, [1.0 - 1.1e-6, 0.6, 0.2])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rho = cca_decompose(j).rho
+            assert rho[0] == pytest.approx(1.0 - 1.1e-6, abs=1e-10)
 
     def test_invariance_under_invertible_maps(self, rng):
         j = random_gaussian_joint(rng, 3, 3)

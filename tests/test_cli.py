@@ -8,6 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from cica import ci_curve, cli
+from conftest import random_basis_joint, whitened_diag_joint
+
 RUN = [sys.executable, "-m", "cica.cli"]
 
 
@@ -143,6 +146,27 @@ class TestCmdGaussian:
         cov.write_text(json.dumps({"k_x": [[1.0]], "k_y": [[1.0]], "k_xy": [[0.9999999999]]}))
         r = run_cli("gaussian", "--cov", str(cov), "--gamma", "0", "--out", str(tmp_path / "r.json"))
         assert r.returncode == 4
+        # a correlation within 1e-6 of 1 behind a rotated basis: clamped, then
+        # exit 4 from gaussian and 3 from cca, never a report or a traceback
+        j = random_basis_joint(np.random.default_rng(6), [1.0 - 5e-7, 0.6, 0.2])
+        cov.write_text(json.dumps({"k_x": j.k_x.tolist(), "k_y": j.k_y.tolist(),
+                                   "k_xy": j.k_xy.tolist()}))
+        for command, flags, code in (("gaussian", ["--gamma", "0"], 4), ("cca", ["-k", "1"], 3)):
+            r = run_cli(command, "--cov", str(cov), *flags, "--out", str(tmp_path / "near.json"))
+            assert r.returncode == code, r.stderr
+            assert "clamped" in r.stderr and "Traceback" not in r.stderr
+            assert not (tmp_path / "near.json").exists()
+
+    def test_one_svd_per_call(self, cov_file, tmp_path, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        argv = ["gaussian", "--cov", str(cov_file), "--gamma", "0.2", "--curve",
+                str(tmp_path / "curve.csv"), "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+        ci_curve(whitened_diag_joint([0.8, 0.5]), np.linspace(0.0, 1.0, 50))
+        assert len(calls) == 2
 
 
 class TestCmdDiscrete:

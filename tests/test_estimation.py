@@ -1,5 +1,7 @@
 """Sample-based model estimation tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,14 @@ class TestEstimateGaussian:
         x = rng.standard_normal((20, 2))
         y = rng.standard_normal((20, 2))
         x[3, 1] = np.inf
-        with pytest.raises(InconsistentBlock):
-            estimate_gaussian(x, y)
+        bad_y = y.copy()
+        bad_y[7, 0] = np.nan
+        for xs, ys in ((x, y), (y, bad_y)):
+            # the typed error comes before numpy can warn about the sample
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InconsistentBlock):
+                    estimate_gaussian(xs, ys)
 
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeMismatch):

@@ -240,12 +240,25 @@ def _safe_log(x):
     return np.log(np.maximum(x, _TINY))
 
 
+def _take_rows(parts, rows):
+    """The given runs' rows of every array in a _parts dict."""
+    return {k: [a[rows] for a in v] if isinstance(v, list) else v[rows] for k, v in parts.items()}
+
+
+def _put_rows(parts, rows, new, sel):
+    """parts[rows] = new[sel] for every array of two _parts dicts, in place."""
+    for k, v in parts.items():
+        for dst, src in zip(v, new[k]) if isinstance(v, list) else [(v, new[k])]:
+            dst[rows] = src[sel]
+
+
 class _Engine:
     """Batched exponentiated-gradient descent on F = I(cells;W) + lam * relax.
 
     Runs are independent: each has its own multiplier, step size, and
-    backtracking trajectory, so sharding a batch across threads (or
-    re-batching) cannot change any run's outcome.
+    backtracking trajectory, and every functional is computed row by row.
+    The batch is compacted as runs freeze, so neither compaction nor
+    sharding the runs across threads can change any run's outcome.
     """
 
     def __init__(self, pmf, card_w: int, opts: SolverOptions):
@@ -315,70 +328,71 @@ class _Engine:
         Backtracking halves a run's step size until its Lagrangian does not
         increase; a run freezes when the relative decrease drops below
         opts.tol (or no descent step exists, which is stationarity for the
-        multiplicative update). Returns per-run arrays (q, obj, relax,
-        iters, converged, history); history is None unless recorded.
+        multiplicative update). A frozen run's results are written out and
+        its rows leave the batch, and each backtracking round evaluates only
+        the runs whose step is not yet accepted, so the cost follows the
+        live runs. Returns per-run arrays (q, obj, relax, iters, converged,
+        history); history is None unless recorded, and repeats a frozen
+        run's final value until the last run freezes.
         """
         opts = self.opts
         q = np.array(q0, dtype=float)
         lam = np.asarray(lam, dtype=float)
         R = q.shape[0]
-        lam_b = lam.reshape((R,) + (1,) * (self.n_src + 1))
+        q_out = np.empty_like(q)
+        obj_out = np.empty(R)
+        relax_out = np.empty(R)
+        iters = np.full(R, opts.max_iter)
+        converged = np.zeros(R, dtype=bool)
+        live = np.arange(R)  # output index of each batch row
         eta = np.full(R, _ETA_INIT)
-        frozen = np.zeros(R, dtype=bool)
-        iters = np.zeros(R, dtype=int)
         parts = self._parts(q)
         G = self._lagrangian(parts, lam)
-        history = [] if opts.record_history else None
-        if history is not None:
-            obj, relax = self._objective_relax(parts)
-            history.append(obj + lam * relax)
+        obj, relax = self._objective_relax(parts)
+        history = [obj + lam * relax] if opts.record_history else None
         for it in range(opts.max_iter):
-            if frozen.all():
+            if live.size == 0:
                 break
-            g = self._gradient(parts, lam_b)
-            ok = frozen.copy()
-            eta_acc = np.zeros(R)  # zero step for runs that never descend
-            while not ok.all():
-                cand = self._step(parts["lq"], g, eta)
-                G_c = self._lagrangian(self._parts(cand), lam)
-                good = (~ok) & (G_c <= G + 1e-12)
-                eta_acc[good] = eta[good]
-                ok |= good
-                bad = ~ok
-                eta[bad] *= 0.5
-                stuck = bad & (eta < _ETA_FLOOR)
-                if stuck.any():
-                    frozen |= stuck
-                    iters[stuck] = it + 1
-                    ok |= stuck
-            q = np.where(
-                frozen.reshape((R,) + (1,) * (self.n_src + 1)),
-                q,
-                self._step(parts["lq"], g, eta_acc),
-            )
-            parts = self._parts(q)
+            g = self._gradient(parts, lam.reshape((live.size,) + (1,) * (self.n_src + 1)))
+            pending = np.arange(live.size)
+            stuck = np.zeros(live.size, dtype=bool)
+            while pending.size:
+                cand = self._step(parts["lq"][pending], g[pending], eta[pending])
+                cand_parts = self._parts(cand)
+                good = self._lagrangian(cand_parts, lam[pending]) <= G[pending] + 1e-12
+                # an accepted run's rows take the candidate; stuck runs keep theirs
+                q[pending[good]] = cand[good]
+                _put_rows(parts, pending[good], cand_parts, good)
+                pending = pending[~good]
+                eta[pending] *= 0.5
+                stuck[pending] = eta[pending] < _ETA_FLOOR
+                pending = pending[~stuck[pending]]
             G_new = self._lagrangian(parts, lam)
             if not np.all(G_new <= G + 1e-9):
                 raise NoConvergence("Lagrangian increased within a run")
             rel = (G - G_new) / np.maximum(np.abs(G), 1.0)
-            newly = (~frozen) & (rel < opts.tol)
-            iters[newly] = it + 1
-            converged_now = frozen | newly
-            G = G_new
-            frozen = converged_now
-            eta = np.where(frozen, eta, np.minimum(eta * _ETA_GROWTH, _ETA_MAX))
+            obj, relax = self._objective_relax(parts)
             if history is not None:
-                obj, relax = self._objective_relax(parts)
-                history.append(obj + lam * relax)
-        converged = frozen.copy()
-        iters[~frozen] = opts.max_iter
-        obj, relax = self._objective_relax(parts)
+                history.append(history[-1].copy())
+                history[-1][live] = obj + lam * relax
+            done = stuck | (rel < opts.tol)
+            G = G_new
+            if done.any():
+                out = live[done]
+                q_out[out], obj_out[out], relax_out[out] = q[done], obj[done], relax[done]
+                iters[out] = it + 1
+                converged[out] = True
+                keep = ~done
+                live, q, G, eta, lam = live[keep], q[keep], G[keep], eta[keep], lam[keep]
+                parts, obj, relax = _take_rows(parts, keep), obj[keep], relax[keep]
+            eta = np.minimum(eta * _ETA_GROWTH, _ETA_MAX)
+        q_out[live], obj_out[live], relax_out[live] = q, obj, relax
         history = np.array(history).T if history is not None else None
-        return q, obj, relax, iters, converged, history
+        return q_out, obj_out, relax_out, iters, converged, history
 
     def descend_sharded(self, q0, lam):
         """descend(), optionally sharding the independent runs over threads."""
-        threads = max(1, int(self.opts.threads))
+        threads = int(self.opts.threads)
         R = q0.shape[0]
         if threads == 1 or R < 2 * threads:
             return self.descend(q0, lam)
@@ -410,7 +424,8 @@ class _Sweep:
     objective, relaxation, multiplier lam, restart index, iterations,
     convergence flag and recorded history. Entry 0 is the trivial coupling
     (W independent of the sources), which is always available. The joint's
-    size is checked against opts.max_states before anything is allocated.
+    size (against opts.max_states), card_w, restarts and threads are checked
+    before anything is allocated.
     """
 
     def __init__(self, joint: DiscreteJoint, opts: SolverOptions):
@@ -426,6 +441,9 @@ class _Sweep:
             raise InvalidCoupling(
                 f"card_w={card_w} exceeds the cardinality bound |X||Y|+1 = {n_states + 1}"
             )
+        for name in ("restarts", "threads"):
+            if getattr(opts, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(opts, name)}")
         self.opts = opts
         self.engine = _Engine(joint.pmf, card_w, opts)
         self.rng = np.random.default_rng(opts.seed)
@@ -522,8 +540,9 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
     objective is I(X_1..X_M;W) of the returned coupling, an upper bound on
     C at achieved_gamma <= gamma + opts.slack. Raises TooLarge when the
     joint has more than opts.max_states cells, Infeasible when no
-    multiplier up to opts.lambda_max meets the budget and NoConvergence
-    when every descent run exhausts the iteration cap.
+    multiplier up to opts.lambda_max meets the budget, NoConvergence
+    when every descent run exhausts the iteration cap, and ValueError for
+    a negative gamma or fewer than one restart or thread.
     """
     opts = opts or SolverOptions()
     gamma = float(gamma)

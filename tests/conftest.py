@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cica import validate_gaussian
+from cica.discrete_ci import _ETA_FLOOR, _ETA_GROWTH, _ETA_INIT, _ETA_MAX
 from cica.errors import NoConvergence
 
 
@@ -117,6 +118,73 @@ def leading_pair_fixed_point(canonical, tol: float = 1e-12, max_iter: int = 100_
         f"rho estimate still moving after {max_iter} iterations; "
         "the top two singular values may be degenerate"
     )
+
+
+def reference_descend(engine, q0, lam):
+    """The batched descent before frozen runs left the batch, kept as an oracle.
+
+    Every iteration evaluates every run, frozen or not, and every
+    backtracking round evaluates the whole batch; the accepted step is then
+    recomputed. Runs are independent, so the compacting engine must return
+    exactly these arrays (q, obj, relax, iters, converged, history).
+    """
+    opts = engine.opts
+    q = np.array(q0, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    R = q.shape[0]
+    lam_b = lam.reshape((R,) + (1,) * (engine.n_src + 1))
+    eta = np.full(R, _ETA_INIT)
+    frozen = np.zeros(R, dtype=bool)
+    iters = np.zeros(R, dtype=int)
+    parts = engine._parts(q)
+    G = engine._lagrangian(parts, lam)
+    history = [] if opts.record_history else None
+    if history is not None:
+        obj, relax = engine._objective_relax(parts)
+        history.append(obj + lam * relax)
+    for it in range(opts.max_iter):
+        if frozen.all():
+            break
+        g = engine._gradient(parts, lam_b)
+        ok = frozen.copy()
+        eta_acc = np.zeros(R)  # zero step for runs that never descend
+        while not ok.all():
+            cand = engine._step(parts["lq"], g, eta)
+            G_c = engine._lagrangian(engine._parts(cand), lam)
+            good = (~ok) & (G_c <= G + 1e-12)
+            eta_acc[good] = eta[good]
+            ok |= good
+            bad = ~ok
+            eta[bad] *= 0.5
+            stuck = bad & (eta < _ETA_FLOOR)
+            if stuck.any():
+                frozen |= stuck
+                iters[stuck] = it + 1
+                ok |= stuck
+        q = np.where(
+            frozen.reshape((R,) + (1,) * (engine.n_src + 1)),
+            q,
+            engine._step(parts["lq"], g, eta_acc),
+        )
+        parts = engine._parts(q)
+        G_new = engine._lagrangian(parts, lam)
+        if not np.all(G_new <= G + 1e-9):
+            raise NoConvergence("Lagrangian increased within a run")
+        rel = (G - G_new) / np.maximum(np.abs(G), 1.0)
+        newly = (~frozen) & (rel < opts.tol)
+        iters[newly] = it + 1
+        converged_now = frozen | newly
+        G = G_new
+        frozen = converged_now
+        eta = np.where(frozen, eta, np.minimum(eta * _ETA_GROWTH, _ETA_MAX))
+        if history is not None:
+            obj, relax = engine._objective_relax(parts)
+            history.append(obj + lam * relax)
+    converged = frozen.copy()
+    iters[~frozen] = opts.max_iter
+    obj, relax = engine._objective_relax(parts)
+    history = np.array(history).T if history is not None else None
+    return q, obj, relax, iters, converged, history
 
 
 @pytest.fixture

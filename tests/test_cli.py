@@ -210,6 +210,19 @@ class TestCmdDiscrete:
         assert r.returncode == 5
         assert "telemetry" in r.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--restarts", "0"), ("--restarts", "-1"), ("--threads", "0"), ("--threads", "-1")],
+    )
+    def test_solver_counts_below_one_exit_2(self, dsbs_file, tmp_path, flag, value):
+        out = tmp_path / "d.json"
+        r = run_cli("discrete", "--pmf", str(dsbs_file), "--gamma", "0", flag, value,
+                    "--out", str(out))
+        assert r.returncode == 2
+        assert f"{flag[2:]} must be >= 1, got {value}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
     def test_bad_pmf_exit_2(self, tmp_path):
         pmf = tmp_path / "bad.csv"
         pmf.write_text("x,y\n0,0\n")
@@ -270,6 +283,16 @@ class TestDeterminismAndRoundTrip:
             r = run_cli("discrete", "--pmf", str(dsbs_file), "--gamma", "0.05", "--seed", "11",
                         "--threads", "2", "--out", str(out), "--no-meta")
             assert r.returncode == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_byte_identical_across_thread_counts(self, dsbs_file, tmp_path):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.json"
+            r = run_cli("discrete", "--pmf", str(dsbs_file), "--gamma", "0.05", "--seed", "11",
+                        "--threads", threads, "--out", str(out), "--no-meta")
+            assert r.returncode == 0, r.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 

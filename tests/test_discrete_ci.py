@@ -6,6 +6,7 @@ C(0.05) = 0.6530425383369941, C(0.1) = 0.6049515261814267,
 C(0.2) = 0.48929599185999795.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -25,6 +26,7 @@ from cica import (
     relaxation_given_w,
     solve_relaxed_wyner,
     solve_relaxed_wyner_multi,
+    toy_binary_example,
     total_correlation,
     validate_discrete,
     validate_multi_discrete,
@@ -37,6 +39,7 @@ from cica.errors import (
     NotNormalized,
     TooLarge,
 )
+from conftest import reference_descend
 
 LN2 = np.log(2.0)
 H_09_01 = 0.3250829733914482
@@ -50,6 +53,26 @@ WYNER_DSBS = {
 
 def product_joint(px, py):
     return validate_discrete(np.outer(px, py))
+
+
+def grid_batch(joint, opts):
+    """The engine and the first batch (q0, lam) that a sweep over joint draws."""
+    card_w = opts.card_w or joint.pmf.size + 1
+    grid = np.geomspace(opts.lambda_min, opts.lambda_grid_max, opts.n_lambda)
+    lam = np.repeat(grid, opts.restarts)
+    q0 = np.random.default_rng(opts.seed).random((lam.size, card_w) + joint.pmf.shape)
+    q0 /= q0.sum(axis=1, keepdims=True)
+    return discrete_ci._Engine(joint.pmf, card_w, opts), q0, lam
+
+
+def assert_same_runs(got, want):
+    for name, a, b in zip(("q", "obj", "relax", "iters", "converged", "history"), got, want):
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+MULTI_PMF = np.random.default_rng(1).dirichlet(np.ones(8)).reshape(2, 2, 2)
 
 
 class TestFunctionals:
@@ -244,11 +267,24 @@ class TestSolveRelaxedWyner:
 
     def test_deterministic_given_seed_and_threads(self):
         j = dsbs_joint(0.2)
-        _, r1 = solve_relaxed_wyner(j, 0.1, SolverOptions(seed=9, threads=1))
-        _, r2 = solve_relaxed_wyner(j, 0.1, SolverOptions(seed=9, threads=4))
-        assert float(r1.objective) == float(r2.objective)
-        assert float(r1.achieved_gamma) == float(r2.achieved_gamma)
-        assert r1.lam == r2.lam
+        c1, r1 = solve_relaxed_wyner(j, 0.1, SolverOptions(seed=9, threads=1))
+        for threads in (4, 3):  # 3 threads split the 128 grid runs 42/43/43
+            c2, r2 = solve_relaxed_wyner(j, 0.1, SolverOptions(seed=9, threads=threads))
+            assert float(r1.objective) == float(r2.objective)
+            assert float(r1.achieved_gamma) == float(r2.achieved_gamma)
+            assert r1.lam == r2.lam
+            assert r1.iterations == r2.iterations
+            np.testing.assert_array_equal(c1.q_w_given_xy, c2.q_w_given_xy)
+
+    @pytest.mark.parametrize("field", ["restarts", "threads"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_solver_counts_below_one_rejected_before_allocation(self, monkeypatch, field, value):
+        def no_engine(*args):
+            raise AssertionError("the count check must run before the engine allocates")
+
+        monkeypatch.setattr(discrete_ci, "_Engine", no_engine)
+        with pytest.raises(ValueError, match=field):
+            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(**{field: value}))
 
     def test_infeasible(self):
         opts = SolverOptions(seed=1, slack=1e-9, lambda_max=55.0, n_lambda=4, restarts=2)
@@ -285,6 +321,77 @@ class TestSolveRelaxedWyner:
         j = dsbs_joint(0.1)
         _, rep = solve_relaxed_wyner(j, float(mutual_information(j)), SolverOptions(seed=7))
         assert float(rep.objective) <= 1e-6
+
+
+class TestDescendOracle:
+    """The compacting engine returns exactly what the full-batch descent did."""
+
+    @pytest.mark.parametrize(
+        "joint, card_w",
+        [
+            (dsbs_joint(0.1), None),
+            (toy_binary_example(0.1), 17),
+            (validate_multi_discrete(MULTI_PMF), None),
+        ],
+        ids=["dsbs", "toy17", "multi222"],
+    )
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"record_history": True}, {"record_history": True, "max_iter": 5}],
+        ids=["plain", "history", "capped"],
+    )
+    def test_matches_reference(self, joint, card_w, extra):
+        opts = SolverOptions(seed=3, card_w=card_w, **extra)
+        engine, q0, lam = grid_batch(joint, opts)
+        want = reference_descend(engine, q0, lam)
+        if "max_iter" in extra:
+            assert not want[4].all()  # some runs hit the cap
+        for threads in (1, 2, 3):  # 3 shards of 128 runs are 42/43/43 long
+            opts_t = dataclasses.replace(opts, threads=threads)
+            sharded = discrete_ci._Engine(joint.pmf, engine.card_w, opts_t)
+            assert_same_runs(sharded.descend_sharded(q0, lam), want)
+
+    def test_matches_reference_with_stuck_runs(self):
+        # concentrated starts under a high probability floor: the floored step
+        # raises the Lagrangian at every step size, so some runs freeze stuck
+        opts = SolverOptions(prob_floor=0.2, record_history=True)
+        engine, _, lam = grid_batch(dsbs_joint(0.1), opts)
+        q0 = np.random.default_rng(0).random((lam.size, engine.card_w, 2, 2)) ** 8
+        q0 /= q0.sum(axis=1, keepdims=True)
+        want = reference_descend(engine, q0, lam)
+        got = engine.descend(q0, lam)
+        assert_same_runs(got, want)
+        kept_start = np.all(got[0] == q0, axis=(1, 2, 3))
+        assert (kept_start & got[4] & (got[3] == 1)).any()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "joint, card_w",
+        [(dsbs_joint(0.1), None), (toy_binary_example(0.1), 4)],
+        ids=["dsbs", "toy4"],
+    )
+    def test_functional_rows_follow_live_runs(self, monkeypatch, joint, card_w, threads):
+        # each live run-iteration costs its backtracking rounds only, about two
+        # rows; the full-batch descent evaluated 15 to 18 rows per run-iteration
+        rows = []
+        iters = []
+        parts = discrete_ci._Engine._parts
+        descend = discrete_ci._Engine.descend
+
+        def counted_parts(self, q):
+            rows.append(q.shape[0])
+            return parts(self, q)
+
+        def counted_descend(self, q0, lam):
+            out = descend(self, q0, lam)
+            iters.append(int(out[3].sum()))
+            return out
+
+        monkeypatch.setattr(discrete_ci._Engine, "_parts", counted_parts)
+        monkeypatch.setattr(discrete_ci._Engine, "descend", counted_descend)
+        opts = SolverOptions(seed=7, card_w=card_w, threads=threads)
+        _, rep = solve_relaxed_wyner(joint, 0.0, opts)
+        assert sum(rows) <= 3 * sum(iters) + rep.restarts_used
 
 
 class TestSolveMulti:

@@ -21,6 +21,7 @@ from cica import (
     solve_relaxed_wyner,
     toy_binary_example,
     validate_gaussian,
+    waterfill,
 )
 from cica.errors import A0OutOfRange
 from conftest import gauss_cond_mi, gauss_mi, random_gaussian_joint, whitened_diag_joint
@@ -69,6 +70,23 @@ class TestGaussianLatent:
     def test_gamma_zero_keeps_all(self):
         j = whitened_diag_joint([0.8, 0.5])
         assert gaussian_latent(j, 0.0).k == 2
+
+    def test_spec_matches_separate_waterfill_and_count(self, rng):
+        # one water-filling call must give what waterfill plus component_count gave
+        for _ in range(20):
+            j = random_gaussian_joint(rng, 3, 4)
+            basis = cca_decompose(j)
+            gamma = rng.uniform(0.0, 1.2) * sum(float(mutual_info_rho(r)) for r in basis.rho)
+            spec = gaussian_latent(j, gamma)
+            k = component_count(basis.rho, gamma)
+            rho = basis.rho[:k]
+            s = np.sqrt(-np.expm1(-2.0 * waterfill(basis.rho, gamma).gamma_i[:k]))
+            assert spec.k == k
+            np.testing.assert_array_equal(spec.u_k, basis.u[:, :k])
+            np.testing.assert_array_equal(spec.v_k, basis.v[:, :k])
+            np.testing.assert_array_equal(
+                spec.noise_cov, np.diag((1.0 - rho * rho) * (1.0 + s) / (rho - s))
+            )
 
     def test_construction_achieves_budget_and_value(self, rng):
         # independent oracle: Gaussian MI from covariance determinants

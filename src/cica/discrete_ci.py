@@ -12,11 +12,9 @@ M = 2.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     A0OutOfRange,
@@ -49,6 +47,17 @@ _ETA_FLOOR = 1e-12
 # exact information functionals
 # ---------------------------------------------------------------------------
 
+def _plogp(p):
+    """p ln p elementwise for a nonnegative array, with 0 ln 0 = 0.
+
+    Uses libm's log (math.log) entry by entry, not numpy's vectorized log,
+    whose SIMD kernels can differ from libm in the last bit.
+    """
+    p = np.asarray(p, dtype=float)
+    vals = [0.0 if x == 0 else x * math.log(x) for x in p.ravel().tolist()]
+    return np.array(vals, dtype=float).reshape(p.shape)
+
+
 def entropy(pmf) -> InfoValue:
     """Shannon entropy in nats, with 0 ln 0 = 0."""
     p = np.asarray(pmf, dtype=float)
@@ -59,15 +68,15 @@ def entropy(pmf) -> InfoValue:
     p = np.maximum(p, 0.0)
     if abs(p.sum() - 1.0) > 1e-12:
         raise NotNormalized(f"pmf sums to {p.sum()!r}, expected 1 within 1e-12")
-    return InfoValue(float(-xlogy(p, p).sum()))
+    return InfoValue(float(-_plogp(p).sum()))
 
 
 def _total_correlation(table) -> float:
     """sum_i H(X_i) - H(X_1..X_M) of a joint table, in nats."""
     h_marg = 0.0
     for m in source_marginals(table):
-        h_marg -= xlogy(m, m).sum()
-    return float(h_marg + xlogy(table, table).sum())
+        h_marg -= _plogp(m).sum()
+    return float(h_marg + _plogp(table).sum())
 
 
 def total_correlation(joint: DiscreteJoint) -> InfoValue:
@@ -88,7 +97,7 @@ def dsbs_wyner(a0: float) -> InfoValue:
         raise A0OutOfRange(f"a0 must lie in [0, 1/2], got {a0}")
 
     def hb_bits(p):
-        return float(-(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / LN2)
+        return float(-(_plogp(p) + _plogp(1.0 - p)) / LN2)
 
     a1 = (1.0 - math.sqrt(1.0 - 2.0 * a0)) / 2.0
     bits = 1.0 + hb_bits(a0) - 2.0 * hb_bits(a1)
@@ -171,8 +180,8 @@ def build_coupling(q_w_given_xy, joint) -> Coupling:
 def latent_mutual_information(c: Coupling) -> InfoValue:
     """Exact I(X_1..X_M; W) = H(W) - H(W | X_1..X_M) of a coupling."""
     pmf = c.joint_ref.pmf
-    h_w = -xlogy(c.q_w, c.q_w).sum()
-    h_w_cells = -(xlogy(c.q_w_given_xy, c.q_w_given_xy) * pmf[None]).sum()
+    h_w = -_plogp(c.q_w).sum()
+    h_w_cells = -(_plogp(c.q_w_given_xy) * pmf[None]).sum()
     return InfoValue(float(h_w - h_w_cells))
 
 
@@ -199,8 +208,9 @@ conditional_mi_given_w = relaxation_given_w
 class SolverOptions:
     """Tuning knobs for the Lagrangian sweep; defaults suit alphabets <= 8x8.
 
-    All randomness flows from ``seed``. ``threads`` shards the independent
-    runs across a thread pool; results do not depend on the thread count.
+    All randomness flows from ``seed``. ``threads`` is validated (it must be
+    at least 1) but does not change how the solve runs: every multiplier
+    sweep is one batch on the calling thread, so results do not depend on it.
     """
 
     card_w: int | None = None
@@ -257,8 +267,9 @@ class _Engine:
 
     Runs are independent: each has its own multiplier, step size, and
     backtracking trajectory, and every functional is computed row by row.
-    The batch is compacted as runs freeze, so neither compaction nor
-    sharding the runs across threads can change any run's outcome.
+    The batch is compacted as runs freeze, so compaction cannot change any
+    run's outcome. One batch holds every run of a sweep: splitting it over
+    threads only adds Python iteration loops that the GIL serialises.
     """
 
     def __init__(self, pmf, card_w: int, opts: SolverOptions):
@@ -390,28 +401,6 @@ class _Engine:
         history = np.array(history).T if history is not None else None
         return q_out, obj_out, relax_out, iters, converged, history
 
-    def descend_sharded(self, q0, lam):
-        """descend(), optionally sharding the independent runs over threads."""
-        threads = int(self.opts.threads)
-        R = q0.shape[0]
-        if threads == 1 or R < 2 * threads:
-            return self.descend(q0, lam)
-        bounds = np.linspace(0, R, threads + 1).astype(int)
-        chunks = [(q0[a:b], lam[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shards = list(pool.map(lambda c: self.descend(*c), chunks))
-        *fields, hist = zip(*shards)
-        if hist[0] is not None:
-            # pad shards that froze early with their final value, as one
-            # unsharded batch records it
-            width = max(h.shape[1] for h in hist)
-            hist = np.vstack(
-                [np.pad(h, ((0, 0), (0, width - h.shape[1])), mode="edge") for h in hist]
-            )
-        else:
-            hist = None
-        return (*(np.concatenate(f) for f in fields), hist)
-
 
 # ---------------------------------------------------------------------------
 # sweep orchestration and selection
@@ -463,7 +452,7 @@ class _Sweep:
         lam = np.repeat(np.asarray(lambdas, dtype=float), opts.restarts)
         q0 = self.rng.random((lam.size, self.engine.card_w) + self.engine.cards)
         q0 /= q0.sum(axis=1, keepdims=True)
-        q, obj, relax, iters, converged, history = self.engine.descend_sharded(q0, lam)
+        q, obj, relax, iters, converged, history = self.engine.descend(q0, lam)
         self.q = np.concatenate([self.q, q])
         self.obj = np.concatenate([self.obj, obj])
         self.relax = np.concatenate([self.relax, relax])

@@ -2,14 +2,17 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cica import ci_curve, cli
-from conftest import random_basis_joint, whitened_diag_joint
+import cica
+from cica import cca_decompose, ci_curve, cli, component_count, mutual_info_rho, waterfill
+from conftest import random_basis_joint, random_gaussian_joint, whitened_diag_joint
 
 RUN = [sys.executable, "-m", "cica.cli"]
 
@@ -168,6 +171,27 @@ class TestCmdGaussian:
         ci_curve(whitened_diag_joint([0.8, 0.5]), np.linspace(0.0, 1.0, 50))
         assert len(calls) == 2
 
+    def test_report_matches_separate_waterfill_and_count(self, tmp_path, rng):
+        # one water-filling call must give what waterfill plus component_count gave
+        cov = tmp_path / "cov.json"
+        out = tmp_path / "r.json"
+        for _ in range(20):
+            j = random_gaussian_joint(rng, 3, 4)
+            cov.write_text(json.dumps({"k_x": j.k_x.tolist(), "k_y": j.k_y.tolist(),
+                                       "k_xy": j.k_xy.tolist()}))
+            j = cli.validate_gaussian(*cli._read_cov_json(cov))  # the model the CLI solves
+            rho = cca_decompose(j).rho
+            gamma = rng.uniform(0.0, 1.2) * sum(float(mutual_info_rho(r)) for r in rho)
+            argv = ["gaussian", "--cov", str(cov), "--gamma", repr(gamma), "--out", str(out),
+                    "--no-meta"]
+            assert cli.main(argv) == 0
+            rep = json.loads(out.read_text())
+            alloc = waterfill(rho, gamma)
+            assert rep["k"] == component_count(rho, gamma)
+            assert rep["c_gamma"] == float(alloc.c_gamma)
+            assert rep["water_level"] == alloc.water_level
+            assert rep["gamma_i"] == alloc.gamma_i.tolist()
+
 
 class TestCmdDiscrete:
     def test_dsbs_report(self, dsbs_file, tmp_path):
@@ -316,3 +340,12 @@ class TestDeterminismAndRoundTrip:
         assert again["upper_bound"] == rep["upper_bound"]
         arr = np.asarray(again["coupling"]["q_w_given_xy"])
         np.testing.assert_array_equal(arr, np.asarray(rep["coupling"]["q_w_given_xy"]))
+
+
+def test_cli_import_skips_scipy_and_thread_pool():
+    # a fresh `import cica.cli` is the benchmark's setup cost
+    probe = "import sys, cica.cli; print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cica.__file__).resolve().parents[1]))
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -6,7 +6,6 @@ C(0.05) = 0.6530425383369941, C(0.1) = 0.6049515261814267,
 C(0.2) = 0.48929599185999795.
 """
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -88,6 +87,19 @@ class TestFunctionals:
     def test_entropy_not_normalized(self):
         with pytest.raises(NotNormalized):
             entropy([0.5, 0.4])
+
+    def test_plogp_matches_xlogy(self):
+        # scipy's xlogy(p, p) is the reference: the libm-based helper must match it bit for bit
+        xlogy = pytest.importorskip("scipy.special").xlogy
+        rng = np.random.default_rng(5)
+        p = np.concatenate([
+            rng.random(100_000),
+            rng.dirichlet(np.full(64, 0.1), size=1_000).ravel(),
+            10.0 ** rng.uniform(-310, 0, 20_000),
+            [0.0, 1.0, 0.5, 5e-324, np.finfo(float).tiny],
+        ])
+        got, want = discrete_ci._plogp(p), xlogy(p, p)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_mi_product(self):
         assert float(mutual_information(product_joint([0.3, 0.7], [0.25, 0.75]))) < 1e-15
@@ -346,10 +358,7 @@ class TestDescendOracle:
         want = reference_descend(engine, q0, lam)
         if "max_iter" in extra:
             assert not want[4].all()  # some runs hit the cap
-        for threads in (1, 2, 3):  # 3 shards of 128 runs are 42/43/43 long
-            opts_t = dataclasses.replace(opts, threads=threads)
-            sharded = discrete_ci._Engine(joint.pmf, engine.card_w, opts_t)
-            assert_same_runs(sharded.descend_sharded(q0, lam), want)
+        assert_same_runs(engine.descend(q0, lam), want)
 
     def test_matches_reference_with_stuck_runs(self):
         # concentrated starts under a high probability floor: the floored step
@@ -392,6 +401,22 @@ class TestDescendOracle:
         opts = SolverOptions(seed=7, card_w=card_w, threads=threads)
         _, rep = solve_relaxed_wyner(joint, 0.0, opts)
         assert sum(rows) <= 3 * sum(iters) + rep.restarts_used
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_one_batch_per_sweep_at_any_thread_count(self, monkeypatch, threads):
+        # the 16 x 8 grid runs descend as one batch whatever the thread count
+        batches = []
+        descend = discrete_ci._Engine.descend
+
+        def counted_descend(self, q0, lam):
+            batches.append(q0.shape[0])
+            return descend(self, q0, lam)
+
+        monkeypatch.setattr(discrete_ci._Engine, "descend", counted_descend)
+        opts = SolverOptions(seed=7, card_w=4, threads=threads)
+        _, rep = solve_relaxed_wyner(toy_binary_example(0.1), 0.0, opts)
+        assert batches == [128]
+        assert rep.restarts_used == 128
 
 
 class TestSolveMulti:

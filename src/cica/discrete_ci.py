@@ -63,6 +63,8 @@ def entropy(pmf) -> InfoValue:
     p = np.asarray(pmf, dtype=float)
     if p.size == 0:
         raise NotNormalized("empty pmf")
+    if not np.isfinite(p).all():
+        raise NotNormalized("pmf has non-finite entries")
     if p.min() < -1e-14:
         raise NegativeMass(f"pmf has entry {p.min():.3e} < -1e-14")
     p = np.maximum(p, 0.0)
@@ -231,7 +233,12 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Telemetry for one solve; objective is an upper bound on C_gamma."""
+    """Telemetry for one solve; objective is an upper bound on C_gamma.
+
+    restarts_used counts the descent runs in the solve's run cloud: a
+    single-budget solve keeps the grid's runs up to the first multiplier
+    that meets gamma, plus any escalation and bisection runs.
+    """
 
     achieved_gamma: InfoValue
     objective: InfoValue
@@ -333,18 +340,21 @@ class _Engine:
 
     # -- descent -------------------------------------------------------
 
-    def descend(self, q0, lam):
+    def descend(self, q0, lam, budget=None):
         """Run batched descent to convergence or the iteration cap.
 
         Backtracking halves a run's step size until its Lagrangian does not
         increase; a run freezes when the relative decrease drops below
-        opts.tol (or no descent step exists, which is stationarity for the
-        multiplicative update). A frozen run's results are written out and
+        opts.tol (converged), or stuck when no step down to _ETA_FLOOR
+        descends (not converged). A frozen run's results are written out and
         its rows leave the batch, and each backtracking round evaluates only
         the runs whose step is not yet accepted, so the cost follows the
-        live runs. Returns per-run arrays (q, obj, relax, iters, converged,
-        history); history is None unless recorded, and repeats a frozen
-        run's final value until the last run freezes.
+        live runs. With a budget, a run that freezes with relax <= budget at
+        multiplier lam_c cuts every live run with lam > lam_c: it leaves
+        the batch unconverged, at its current iterate. Returns per-run
+        arrays (q, obj, relax, iters, converged, history); history is None
+        unless recorded, and repeats a frozen run's final value until the
+        last run freezes.
         """
         opts = self.opts
         q = np.array(q0, dtype=float)
@@ -386,13 +396,16 @@ class _Engine:
             if history is not None:
                 history.append(history[-1].copy())
                 history[-1][live] = obj + lam * relax
-            done = stuck | (rel < opts.tol)
+            met_tol = rel < opts.tol
+            done = stuck | met_tol
             G = G_new
             if done.any():
+                if budget is not None:
+                    done |= lam > lam[done & (relax <= budget)].min(initial=np.inf)
                 out = live[done]
                 q_out[out], obj_out[out], relax_out[out] = q[done], obj[done], relax[done]
                 iters[out] = it + 1
-                converged[out] = True
+                converged[out] = (met_tol & ~stuck)[done]
                 keep = ~done
                 live, q, G, eta, lam = live[keep], q[keep], G[keep], eta[keep], lam[keep]
                 parts, obj, relax = _take_rows(parts, keep), obj[keep], relax[keep]
@@ -414,10 +427,11 @@ class _Sweep:
     convergence flag and recorded history. Entry 0 is the trivial coupling
     (W independent of the sources), which is always available. The joint's
     size (against opts.max_states), card_w, restarts and threads are checked
-    before anything is allocated.
+    before anything is allocated. With a budget, a batch keeps only its runs
+    up to the lowest multiplier that holds a run with relax <= budget.
     """
 
-    def __init__(self, joint: DiscreteJoint, opts: SolverOptions):
+    def __init__(self, joint: DiscreteJoint, opts: SolverOptions, budget: float | None = None):
         n_states = joint.pmf.size
         if n_states > opts.max_states:
             raise TooLarge(
@@ -434,6 +448,7 @@ class _Sweep:
             if getattr(opts, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(opts, name)}")
         self.opts = opts
+        self.budget = budget
         self.engine = _Engine(joint.pmf, card_w, opts)
         self.rng = np.random.default_rng(opts.seed)
         self.q = np.full((1, card_w) + joint.pmf.shape, 1.0 / card_w)
@@ -452,7 +467,12 @@ class _Sweep:
         lam = np.repeat(np.asarray(lambdas, dtype=float), opts.restarts)
         q0 = self.rng.random((lam.size, self.engine.card_w) + self.engine.cards)
         q0 /= q0.sum(axis=1, keepdims=True)
-        q, obj, relax, iters, converged, history = self.engine.descend(q0, lam)
+        runs = self.engine.descend(q0, lam, self.budget)
+        if self.budget is not None:
+            # lam ascends, so the runs up to the first multiplier that met the budget are a prefix
+            n = np.searchsorted(lam, lam[runs[2] <= self.budget].min(initial=np.inf), side="right")
+            runs, lam = [None if a is None else a[:n] for a in runs], lam[:n]
+        q, obj, relax, iters, converged, history = runs
         self.q = np.concatenate([self.q, q])
         self.obj = np.concatenate([self.obj, obj])
         self.relax = np.concatenate([self.relax, relax])
@@ -527,17 +547,20 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
     The relaxation functional is sum_i H(X_i|W) - H(X_1..X_M|W), which is
     I(X;Y|W) for a pair. Returns (Coupling, SolveReport). The report's
     objective is I(X_1..X_M;W) of the returned coupling, an upper bound on
-    C at achieved_gamma <= gamma + opts.slack. Raises TooLarge when the
+    C at achieved_gamma <= gamma + opts.slack. The grid sweep stops at the
+    first multiplier that holds a run with relaxation <= gamma: the runs at
+    higher multipliers are cut from the batch and never enter the run cloud
+    that selection scores. Raises TooLarge when the
     joint has more than opts.max_states cells, Infeasible when no
     multiplier up to opts.lambda_max meets the budget, NoConvergence
-    when every descent run exhausts the iteration cap, and ValueError for
+    when no descent run in the cloud converged, and ValueError for
     a negative gamma or fewer than one restart or thread.
     """
     opts = opts or SolverOptions()
     gamma = float(gamma)
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    sweep = _Sweep(joint, opts)
+    sweep = _Sweep(joint, opts, budget=gamma)
     i = sweep.select(gamma)
     coupling = build_coupling(sweep.q[i], joint)
     report = SolveReport(

@@ -6,6 +6,7 @@ C(0.05) = 0.6530425383369941, C(0.1) = 0.6049515261814267,
 C(0.2) = 0.48929599185999795.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -73,6 +74,40 @@ def assert_same_runs(got, want):
 
 MULTI_PMF = np.random.default_rng(1).dirichlet(np.ones(8)).reshape(2, 2, 2)
 
+#: pmfs whose single-budget solves the multiplier cut must leave unchanged
+CUT_PMFS = {
+    "4x4": np.random.default_rng(2).dirichlet(np.full(16, 0.5)).reshape(4, 4),
+    "dsbs": dsbs_joint(0.1).pmf,
+    "multi222": MULTI_PMF,
+    "3x3": np.random.default_rng(3).dirichlet(np.ones(9)).reshape(3, 3),
+}
+#: (pmf name, gamma as an absolute budget or as a fraction of TC)
+CUT_CASES = [
+    ("4x4", 0.01, None), ("4x4", 0.05, None), ("4x4", None, 0.3),
+    ("dsbs", 0.01, None), ("dsbs", None, 0.3),
+    ("multi222", 0.05, None),
+    ("3x3", 0.01, None), ("3x3", 0.05, None),
+]
+CUT_OPTS = SolverOptions(seed=7)
+
+
+def cut_id(case):
+    name, gamma, tc_frac = case
+    return f"{name}-{gamma}" if gamma is not None else f"{name}-{tc_frac}tc"
+
+
+def cut_case(name, gamma, tc_frac):
+    joint = validate_multi_discrete(CUT_PMFS[name])
+    if gamma is None:
+        gamma = tc_frac * float(total_correlation(joint))
+    return joint, gamma
+
+
+@functools.cache
+def uncut_sweep(name):
+    """The grid sweep with no budget, as every single-budget solve ran before the cut."""
+    return discrete_ci._Sweep(validate_multi_discrete(CUT_PMFS[name]), CUT_OPTS)
+
 
 class TestFunctionals:
     def test_entropy_point_mass(self):
@@ -85,8 +120,9 @@ class TestFunctionals:
         assert float(entropy([0.9, 0.1])) == pytest.approx(H_09_01, abs=1e-15)
 
     def test_entropy_not_normalized(self):
-        with pytest.raises(NotNormalized):
-            entropy([0.5, 0.4])
+        for bad in ([0.5, 0.4], [np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 0.0], [-np.inf, 1.0]):
+            with pytest.raises(NotNormalized):
+                entropy(bad)
 
     def test_plogp_matches_xlogy(self):
         # scipy's xlogy(p, p) is the reference: the libm-based helper must match it bit for bit
@@ -369,9 +405,12 @@ class TestDescendOracle:
         q0 /= q0.sum(axis=1, keepdims=True)
         want = reference_descend(engine, q0, lam)
         got = engine.descend(q0, lam)
-        assert_same_runs(got, want)
-        kept_start = np.all(got[0] == q0, axis=(1, 2, 3))
-        assert (kept_start & got[4] & (got[3] == 1)).any()
+        # here every stuck run freezes at its start after one iteration; the
+        # reference flags it converged, the engine does not, and every other
+        # field is the reference's
+        stuck = np.all(got[0] == q0, axis=(1, 2, 3))
+        assert stuck.any() and np.all(got[3][stuck] == 1) and want[4][stuck].all()
+        assert_same_runs(got, want[:4] + (want[4] & ~stuck,) + want[5:])
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
@@ -391,8 +430,8 @@ class TestDescendOracle:
             rows.append(q.shape[0])
             return parts(self, q)
 
-        def counted_descend(self, q0, lam):
-            out = descend(self, q0, lam)
+        def counted_descend(self, q0, lam, *args):
+            out = descend(self, q0, lam, *args)
             iters.append(int(out[3].sum()))
             return out
 
@@ -408,15 +447,63 @@ class TestDescendOracle:
         batches = []
         descend = discrete_ci._Engine.descend
 
-        def counted_descend(self, q0, lam):
+        def counted_descend(self, q0, lam, *args):
             batches.append(q0.shape[0])
-            return descend(self, q0, lam)
+            return descend(self, q0, lam, *args)
 
         monkeypatch.setattr(discrete_ci._Engine, "descend", counted_descend)
         opts = SolverOptions(seed=7, card_w=4, threads=threads)
         _, rep = solve_relaxed_wyner(toy_binary_example(0.1), 0.0, opts)
         assert batches == [128]
         assert rep.restarts_used == 128
+
+
+class TestMultiplierCut:
+    """A single-budget solve stops at the first multiplier that meets gamma."""
+
+    @pytest.mark.parametrize("case", CUT_CASES, ids=cut_id)
+    def test_same_selection_as_uncut_sweep(self, case):
+        joint, gamma = cut_case(*case)
+        sweep = uncut_sweep(case[0])
+        i = sweep.select(gamma)
+        assert sweep.runs_executed == 128  # the grid met gamma: no escalation
+        c, rep = solve_relaxed_wyner(joint, gamma, CUT_OPTS)
+        assert c.q_w_given_xy.tobytes() == sweep.q[i].tobytes()
+        assert float(rep.objective) == max(float(sweep.obj[i]), 0.0)
+        assert float(rep.achieved_gamma) == max(float(sweep.relax[i]), 0.0)
+        assert rep.lam == sweep.lam[i]
+        assert rep.iterations == sweep.iters[i]
+        assert rep.converged == sweep.converged[i]
+
+    @pytest.mark.parametrize("case", CUT_CASES, ids=cut_id)
+    def test_cloud_is_uncut_runs_up_to_first_multiplier_meeting_gamma(self, case):
+        joint, gamma = cut_case(*case)
+        uncut = uncut_sweep(case[0])
+        cut = discrete_ci._Sweep(joint, CUT_OPTS, budget=gamma)
+        keep = uncut.lam <= uncut.lam[uncut.relax <= gamma].min()
+        assert cut.runs_executed == keep.sum() - 1  # less the trivial coupling
+        for name in ("q", "obj", "relax", "lam", "restart", "iters", "converged"):
+            got, want = getattr(cut, name), getattr(uncut, name)[keep]
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_descend_stops_higher_multipliers_once_budget_met(self):
+        engine, q0, lam = grid_batch(dsbs_joint(0.1), CUT_OPTS)
+        want = engine.descend(q0, lam)
+        got = engine.descend(q0, lam, 0.05)
+        lam_star = lam[want[2] <= 0.05].min()
+        low = lam <= lam_star
+        assert_same_runs([a[low] for a in got[:5]] + [None], [a[low] for a in want[:5]] + [None])
+        # every higher run stopped by the time the first run at lam_star met the budget
+        first = want[3][low & (lam == lam_star) & (want[2] <= 0.05)].min()
+        assert got[3][~low].max() <= first < want[3][~low].max()
+        assert not got[4][~low & (got[3] < want[3])].any()
+
+    def test_run_count(self):
+        # the first multiplier with a run at relax <= 0.05 is the 10th of 16
+        joint = validate_discrete(CUT_PMFS["4x4"])
+        _, rep = solve_relaxed_wyner(joint, 0.05, CUT_OPTS)
+        assert rep.restarts_used == 80
+        assert uncut_sweep("4x4").runs_executed == 128
 
 
 class TestSolveMulti:

@@ -41,6 +41,10 @@ _ETA_INIT = 0.5
 _ETA_GROWTH = 2.0
 _ETA_MAX = 1e6
 _ETA_FLOOR = 1e-12
+# float64 entries of q(w|cells) in a sweep's widest backtracking round, two
+# rungs for every grid run: 2**24 entries are 128 MiB, and the engine holds a
+# few arrays of that size at once (the default options reach about 2**20)
+_MAX_ROUND_ENTRIES = 2**24
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +141,6 @@ class Coupling:
         return self.q_w_given_sources[1]
 
 
-def _induced_marginals(q, pmf, lead: int = 1):
-    """Marginal q(w) and per-source conditionals q(w|x_i) from q(w|cells).
-
-    q carries ``lead`` leading axes (a batch of runs, then the latent
-    symbol) in front of the source axes of pmf; q(w) keeps all of them.
-    """
-    joint_w = q * pmf
-    qw = joint_w.sum(axis=tuple(range(lead, joint_w.ndim)))
-    per_source = [
-        np.where(p_i > 0, num / np.maximum(p_i, _TINY), 0.0)
-        for num, p_i in zip(source_marginals(joint_w, lead=lead), source_marginals(pmf))
-    ]
-    return qw, per_source
-
-
 def build_coupling(q_w_given_xy, joint) -> Coupling:
     """Validate a conditional table against a joint model and attach marginals."""
     q = np.asarray(q_w_given_xy, dtype=float)
@@ -169,11 +158,15 @@ def build_coupling(q_w_given_xy, joint) -> Coupling:
     err = np.abs(q.sum(axis=0) - 1.0).max()
     if err > 1e-10:
         raise InvalidCoupling(f"conditional slices deviate from 1 by {err:.2e} > 1e-10")
-    qw, per_source = _induced_marginals(q, pmf)
+    joint_w = q * pmf
+    per_source = [
+        np.where(p_i > 0, num / np.maximum(p_i, _TINY), 0.0)
+        for num, p_i in zip(source_marginals(joint_w, lead=1), source_marginals(pmf))
+    ]
     return Coupling(
         card_w=card_w,
         q_w_given_xy=_frozen_array(q),
-        q_w=_frozen_array(qw),
+        q_w=_frozen_array(joint_w.sum(axis=tuple(range(1, joint_w.ndim)))),
         q_w_given_sources=tuple(_frozen_array(c) for c in per_source),
         joint_ref=joint,
     )
@@ -254,19 +247,19 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 def _safe_log(x):
-    return np.log(np.maximum(x, _TINY))
+    out = np.maximum(x, _TINY)
+    return np.log(out, out=out)
 
 
 def _take_rows(parts, rows):
-    """The given runs' rows of every array in a _parts dict."""
-    return {k: [a[rows] for a in v] if isinstance(v, list) else v[rows] for k, v in parts.items()}
+    """The given runs' rows of every array in a _parts triple."""
+    return tuple(a[rows] for a in parts)
 
 
 def _put_rows(parts, rows, new, sel):
-    """parts[rows] = new[sel] for every array of two _parts dicts, in place."""
-    for k, v in parts.items():
-        for dst, src in zip(v, new[k]) if isinstance(v, list) else [(v, new[k])]:
-            dst[rows] = src[sel]
+    """parts[rows] = new[sel] for every array of two _parts triples, in place."""
+    for dst, src in zip(parts, new):
+        dst[rows] = src[sel]
 
 
 class _Engine:
@@ -277,6 +270,12 @@ class _Engine:
     The batch is compacted as runs freeze, so compaction cannot change any
     run's outcome. One batch holds every run of a sweep: splitting it over
     threads only adds Python iteration loops that the GIL serialises.
+
+    ``_parts`` packs a batch's functionals into three arrays: log q, the
+    packed logs of q(w) and of every q(w|x_i) (per run: W entries of q(w),
+    then the (W, c_i) block of each source in row-major order), and
+    F = [J, A, B_1..B_M]. Each functional is one reduction over a
+    contiguous slice, the same one the unpacked arrays would take.
     """
 
     def __init__(self, pmf, card_w: int, opts: SolverOptions):
@@ -285,58 +284,84 @@ class _Engine:
         self.n_src = pmf.ndim
         self.card_w = card_w
         self.opts = opts
-        self.p_src = source_marginals(pmf)
-        self.mask = (pmf > 0)[None, None]
+        self.off_support = pmf <= 0
         self.tc = _total_correlation(pmf)  # relaxation of constant W
+        p_src = source_marginals(pmf)
+        ends = np.cumsum([card_w] + [card_w * p.size for p in p_src])
+        self.src_slices = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+        self.n_packed = int(ends[-1])
+        # per packed source entry: the safe p_i denominator and the p_i weight
+        self.p_den = np.concatenate([np.tile(np.maximum(p, _TINY), card_w) for p in p_src])
+        self.p_wt = np.concatenate([np.tile(p, card_w) for p in p_src])
+        self.cell_axes = tuple(range(2, self.n_src + 2))
+        self.row_axes = tuple(range(1, self.n_src + 2))  # all but the run axis
+        # (W, 1, ..., 1) and (W, 1, ..., c_i, ..., 1) for gradient assembly
+        self.lw_shape = (card_w,) + (1,) * self.n_src
+        self.src_shapes = [
+            (card_w,) + tuple(c if a == i else 1 for a, c in enumerate(self.cards))
+            for i in range(self.n_src)
+        ]
 
     # -- functionals ---------------------------------------------------
 
     def _parts(self, q):
-        """Per-run J = -H(W|cells), A = -H(W), B_i = -H(W|X_i), plus logs."""
-        qw, per_src = _induced_marginals(q, self.pmf, lead=2)
+        """Per-run (log q, packed logs, F): J = -H(W|cells), A = -H(W), B_i = -H(W|X_i)."""
+        R, W = q.shape[0], self.card_w
+        joint_w = q * self.pmf
+        packed = np.empty((R, self.n_packed))
+        packed[:, :W] = joint_w.sum(axis=self.cell_axes)
+        for sl, num in zip(self.src_slices, source_marginals(joint_w, lead=2)):
+            packed[:, sl] = num.reshape(R, -1)
+        # where p_i = 0 the numerator is 0, so the ratio is the 0 a mask would give
+        src = packed[:, W:]
+        np.divide(src, self.p_den, out=src)
+        logs = _safe_log(packed)
+        zero = packed <= 0
+        plogp = np.multiply(packed, logs, out=packed)
+        np.copyto(plogp, 0.0, where=zero)
+        np.multiply(src, self.p_wt, out=src)
         lq = _safe_log(q)
-        lw = _safe_log(qw)
-        lsrc = [_safe_log(c) for c in per_src]
-        J = ((q * lq) * self.pmf).sum(axis=tuple(range(1, self.n_src + 2)))
-        A = np.where(qw > 0, qw * lw, 0.0).sum(axis=1)
-        B = [
-            (np.where(c > 0, c * lc, 0.0) * self.p_src[i][None, None]).sum(axis=(1, 2))
-            for i, (c, lc) in enumerate(zip(per_src, lsrc))
-        ]
-        return dict(lq=lq, lw=lw, lsrc=lsrc, J=J, A=A, B=B)
+        F = np.empty((R, 2 + self.n_src))
+        np.multiply(q, lq, out=joint_w)
+        F[:, 0] = np.multiply(joint_w, self.pmf, out=joint_w).sum(axis=self.row_axes)
+        F[:, 1] = plogp[:, :W].sum(axis=1)
+        for i, sl in enumerate(self.src_slices):
+            F[:, 2 + i] = plogp[:, sl].sum(axis=1)
+        return lq, logs, F
 
     def _objective_relax(self, parts):
-        obj = parts["J"] - parts["A"]
-        relax = parts["J"] + (self.n_src - 1) * parts["A"] - sum(parts["B"]) + self.tc
+        F = parts[2]
+        obj = F[:, 0] - F[:, 1]
+        relax = F[:, 0] + (self.n_src - 1) * F[:, 1] - sum(F[:, 2:].T) + self.tc
         return obj, relax
 
     def _lagrangian(self, parts, lam):
+        F = parts[2]
         return (
-            (1.0 + lam) * parts["J"]
-            + ((self.n_src - 1) * lam - 1.0) * parts["A"]
-            - lam * sum(parts["B"])
+            (1.0 + lam) * F[:, 0]
+            + ((self.n_src - 1) * lam - 1.0) * F[:, 1]
+            - lam * sum(F[:, 2:].T)
         )
 
-    def _bcast_src(self, arr, i):
-        """(R, W, c_i) -> (R, W, 1, ..., c_i, ..., 1) for gradient assembly."""
-        shape = [arr.shape[0], arr.shape[1]] + [1] * self.n_src
-        shape[i + 2] = arr.shape[2]
-        return arr.reshape(shape)
-
     def _gradient(self, parts, lam_b):
-        lw_b = parts["lw"].reshape(parts["lw"].shape + (1,) * self.n_src)
-        g = (1.0 + lam_b) * parts["lq"] + ((self.n_src - 1) * lam_b - 1.0) * lw_b
-        for i in range(self.n_src):
-            g = g - lam_b * self._bcast_src(parts["lsrc"][i], i)
-        return np.where(self.mask, g, 0.0)
+        lq, logs, _ = parts
+        R = lq.shape[0]
+        g = np.multiply(1.0 + lam_b, lq)
+        lw = logs[:, : self.card_w].reshape((R,) + self.lw_shape)
+        g += ((self.n_src - 1) * lam_b - 1.0) * lw
+        for sl, shape in zip(self.src_slices, self.src_shapes):
+            g -= lam_b * logs[:, sl].reshape((R,) + shape)
+        np.copyto(g, 0.0, where=self.off_support)
+        return g
 
     def _step(self, lq, g, eta):
-        z = lq - eta.reshape((eta.size,) + (1,) * (self.n_src + 1)) * g
-        z = z - z.max(axis=1, keepdims=True)
-        cand = np.exp(z)
-        cand = np.maximum(cand, self.opts.prob_floor)
-        cand /= cand.sum(axis=1, keepdims=True)
-        return cand
+        z = np.multiply(eta.reshape((eta.size,) + (1,) * (self.n_src + 1)), g)
+        np.subtract(lq, z, out=z)
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        np.maximum(z, self.opts.prob_floor, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+        return z
 
     # -- descent -------------------------------------------------------
 
@@ -347,9 +372,13 @@ class _Engine:
         increase; a run freezes when the relative decrease drops below
         opts.tol (converged), or stuck when no step down to _ETA_FLOOR
         descends (not converged). A frozen run's results are written out and
-        its rows leave the batch, and each backtracking round evaluates only
-        the runs whose step is not yet accepted, so the cost follows the
-        live runs. With a budget, a run that freezes with relax <= budget at
+        its rows leave the batch, so the cost follows the live runs. The
+        first backtracking round of an iteration tries every live run at its
+        step eta; each later round stacks, for every run whose step is not
+        yet accepted, the rungs eta and eta/2 (the second only while
+        eta/2 >= _ETA_FLOOR) into one evaluation and takes the first rung
+        that holds, which is the step that halving one rung per round would
+        accept. With a budget, a run that freezes with relax <= budget at
         multiplier lam_c cuts every live run with lam > lam_c: it leaves
         the batch unconverged, at its current iterate. Returns per-run
         arrays (q, obj, relax, iters, converged, history); history is None
@@ -374,20 +403,39 @@ class _Engine:
         for it in range(opts.max_iter):
             if live.size == 0:
                 break
+            lq = parts[0]
             g = self._gradient(parts, lam.reshape((live.size,) + (1,) * (self.n_src + 1)))
             pending = np.arange(live.size)
             stuck = np.zeros(live.size, dtype=bool)
+            retry = False
             while pending.size:
-                cand = self._step(parts["lq"][pending], g[pending], eta[pending])
+                n = pending.size
+                rows, steps = pending, eta[pending]
+                if retry:  # the rungs eta and eta/2, the second while above the floor
+                    two = steps * 0.5 >= _ETA_FLOOR
+                    rows = np.concatenate([pending, pending[two]])
+                    steps = np.concatenate([steps, steps[two] * 0.5])
+                cand = self._step(lq[rows], g[rows], steps)
                 cand_parts = self._parts(cand)
-                good = self._lagrangian(cand_parts, lam[pending]) <= G[pending] + 1e-12
+                good = self._lagrangian(cand_parts, lam[rows]) <= G[rows] + 1e-12
+                fail = ~good[:n]
+                if retry:  # a run takes its first rung that holds
+                    good[n:] &= fail[two]
+                    fail[two] &= ~good[n:]
                 # an accepted run's rows take the candidate; stuck runs keep theirs
-                q[pending[good]] = cand[good]
-                _put_rows(parts, pending[good], cand_parts, good)
-                pending = pending[~good]
+                sel = np.flatnonzero(good)
+                acc = rows[sel]
+                q[acc] = cand[sel]
+                _put_rows(parts, acc, cand_parts, sel)
+                eta[acc] = steps[sel]
+                # a run that failed every rung halves once per rung it tried
+                pending = pending[fail]
                 eta[pending] *= 0.5
+                if retry:
+                    eta[pending[two[fail]]] *= 0.5
                 stuck[pending] = eta[pending] < _ETA_FLOOR
                 pending = pending[~stuck[pending]]
+                retry = True
             G_new = self._lagrangian(parts, lam)
             if not np.all(G_new <= G + 1e-9):
                 raise NoConvergence("Lagrangian increased within a run")
@@ -426,9 +474,11 @@ class _Sweep:
     objective, relaxation, multiplier lam, restart index, iterations,
     convergence flag and recorded history. Entry 0 is the trivial coupling
     (W independent of the sources), which is always available. The joint's
-    size (against opts.max_states), card_w, restarts and threads are checked
-    before anything is allocated. With a budget, a batch keeps only its runs
-    up to the lowest multiplier that holds a run with relax <= budget.
+    size (against opts.max_states), card_w, restarts, threads and the size
+    of the widest backtracking round (against _MAX_ROUND_ENTRIES) are
+    checked before anything is allocated. With a budget, a batch keeps only
+    its runs up to the lowest multiplier that holds a run with relax <=
+    budget.
     """
 
     def __init__(self, joint: DiscreteJoint, opts: SolverOptions, budget: float | None = None):
@@ -447,6 +497,13 @@ class _Sweep:
         for name in ("restarts", "threads"):
             if getattr(opts, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(opts, name)}")
+        # an escalation batch holds one multiplier's runs even when the grid is empty
+        entries = 2 * max(opts.n_lambda, 1) * opts.restarts * card_w * n_states
+        if entries > _MAX_ROUND_ENTRIES:
+            raise TooLarge(
+                f"a backtracking round needs {entries} entries (2 x n_lambda x restarts x "
+                f"card_w x cells) > {_MAX_ROUND_ENTRIES}"
+            )
         self.opts = opts
         self.budget = budget
         self.engine = _Engine(joint.pmf, card_w, opts)
@@ -551,15 +608,16 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
     first multiplier that holds a run with relaxation <= gamma: the runs at
     higher multipliers are cut from the batch and never enter the run cloud
     that selection scores. Raises TooLarge when the
-    joint has more than opts.max_states cells, Infeasible when no
+    joint has more than opts.max_states cells or a backtracking round
+    would hold more than _MAX_ROUND_ENTRIES entries, Infeasible when no
     multiplier up to opts.lambda_max meets the budget, NoConvergence
     when no descent run in the cloud converged, and ValueError for
-    a negative gamma or fewer than one restart or thread.
+    a negative or non-finite gamma or fewer than one restart or thread.
     """
     opts = opts or SolverOptions()
     gamma = float(gamma)
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not math.isfinite(gamma) or gamma < 0:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     sweep = _Sweep(joint, opts, budget=gamma)
     i = sweep.select(gamma)
     coupling = build_coupling(sweep.q[i], joint)
@@ -617,8 +675,8 @@ def ci_curve_discrete(joint: DiscreteJoint, grid, opts: SolverOptions | None = N
     """
     opts = opts or SolverOptions()
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or grid.min() < 0 or np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be nonempty, nonnegative, sorted ascending")
+    if grid.size == 0 or not np.isfinite(grid).all() or grid.min() < 0 or np.any(np.diff(grid) < 0):
+        raise ValueError("grid must be nonempty, finite, nonnegative, sorted ascending")
     sweep = _Sweep(joint, opts)
     achieved = []
     for g in grid:

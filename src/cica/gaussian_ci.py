@@ -6,6 +6,7 @@ derivative dC/dgamma = -1/sqrt(1 - e^{-2 gamma}) does not depend on rho, so
 every active component sits at the same water level.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ def _check_budget(rho, gamma, name: str):
     if np.any(np.diff(rho) > 0):
         raise UnsortedRho(f"rho must be sorted descending, got {rho}")
     gamma = float(gamma)
-    if gamma < 0:
-        raise ValueError(f"{name} must be >= 0, got {gamma}")
+    if not math.isfinite(gamma) or gamma < 0:
+        raise ValueError(f"{name} must be finite and >= 0, got {gamma}")
     return np.where(rho < _ZERO_RHO, 0.0, rho), gamma
 
 
@@ -158,7 +159,10 @@ def component_count(rho, gamma: float) -> int:
 def ci_curve(joint: GaussianJoint, grid) -> list[tuple[float, float, int]]:
     """Evaluate (gamma, c_gamma, k) along an ascending nonnegative grid."""
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or grid.min() < 0 or np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be nonempty, nonnegative, sorted ascending")
+    if (
+        grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
+        or grid.min() < 0 or np.any(np.diff(grid) < 0)
+    ):
+        raise ValueError("grid must be nonempty, finite, nonnegative, sorted ascending")
     _, _, c_gamma, k = _fill(cca_decompose(joint).rho, grid)
     return [(float(g), float(c), int(kk)) for g, c, kk in zip(grid, c_gamma, k)]

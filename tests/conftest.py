@@ -149,7 +149,7 @@ def reference_descend(engine, q0, lam):
         ok = frozen.copy()
         eta_acc = np.zeros(R)  # zero step for runs that never descend
         while not ok.all():
-            cand = engine._step(parts["lq"], g, eta)
+            cand = engine._step(parts[0], g, eta)
             G_c = engine._lagrangian(engine._parts(cand), lam)
             good = (~ok) & (G_c <= G + 1e-12)
             eta_acc[good] = eta[good]
@@ -164,7 +164,7 @@ def reference_descend(engine, q0, lam):
         q = np.where(
             frozen.reshape((R,) + (1,) * (engine.n_src + 1)),
             q,
-            engine._step(parts["lq"], g, eta_acc),
+            engine._step(parts[0], g, eta_acc),
         )
         parts = engine._parts(q)
         G_new = engine._lagrangian(parts, lam)

@@ -113,6 +113,16 @@ class TestCmdGaussian:
         assert rep["u_map"] == []
         assert rep["warnings"]
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_exit_2(self, cov_file, tmp_path, gamma):
+        # NaN wrote c_gamma 0.0 and inf wrote "gamma": Infinity, which is not JSON
+        out = tmp_path / "r.json"
+        r = run_cli("gaussian", "--cov", str(cov_file), "--gamma", gamma, "--out", str(out))
+        assert r.returncode == 2
+        assert f"gamma must be finite and >= 0, got {gamma}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
     def test_units_bits(self, cov_file, tmp_path):
         nats = tmp_path / "nats.json"
         bits = tmp_path / "bits.json"
@@ -244,6 +254,24 @@ class TestCmdDiscrete:
                     "--out", str(out))
         assert r.returncode == 2
         assert f"{flag[2:]} must be >= 1, got {value}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_exit_2(self, dsbs_file, tmp_path, gamma):
+        out = tmp_path / "d.json"
+        r = run_cli("discrete", "--pmf", str(dsbs_file), "--gamma", gamma, "--out", str(out))
+        assert r.returncode == 2
+        assert f"gamma must be finite and >= 0, got {gamma}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
+    def test_oversized_batch_exit_3(self, dsbs_file, tmp_path):
+        out = tmp_path / "d.json"
+        r = run_cli("discrete", "--pmf", str(dsbs_file), "--gamma", "0",
+                    "--restarts", "100000000000", "--out", str(out))
+        assert r.returncode == 3
+        assert "backtracking round" in r.stderr
         assert "Traceback" not in r.stderr
         assert not out.exists()
 

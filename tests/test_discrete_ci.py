@@ -348,6 +348,45 @@ class TestSolveRelaxedWyner:
         with pytest.raises(TooLarge):
             solve_relaxed_wyner(validate_discrete(np.ones((9, 9)) / 81), 0.0)
 
+    @pytest.mark.parametrize("extra", [{"restarts": 10**11}, {"n_lambda": 10**9}])
+    def test_too_large_round_before_allocation(self, monkeypatch, extra):
+        def no_engine(*args):
+            raise AssertionError("the round size guard must run before the engine allocates")
+
+        monkeypatch.setattr(discrete_ci, "_Engine", no_engine)
+        with pytest.raises(TooLarge, match="backtracking round"):
+            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(**extra))
+        with pytest.raises(TooLarge, match="backtracking round"):
+            ci_curve_discrete(dsbs_joint(0.1), [0.0], SolverOptions(**extra))
+
+    def test_round_size_limit_is_inclusive(self, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def no_engine(*args):
+            raise Allocated
+
+        monkeypatch.setattr(discrete_ci, "_Engine", no_engine)
+        # a DSBS grid run holds card_w 5 x 4 cells = 20 entries per rung, two rungs
+        restarts = discrete_ci._MAX_ROUND_ENTRIES // 40
+        with pytest.raises(Allocated):
+            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(n_lambda=1, restarts=restarts))
+        with pytest.raises(TooLarge):
+            solve_relaxed_wyner(
+                dsbs_joint(0.1), 0.0, SolverOptions(n_lambda=1, restarts=restarts + 1)
+            )
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gamma_rejected_before_allocation(self, monkeypatch, gamma):
+        def no_engine(*args):
+            raise AssertionError("the budget check must run before the engine allocates")
+
+        monkeypatch.setattr(discrete_ci, "_Engine", no_engine)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            solve_relaxed_wyner(dsbs_joint(0.1), gamma)
+        with pytest.raises(ValueError, match="grid must be nonempty, finite"):
+            ci_curve_discrete(dsbs_joint(0.1), [0.0, gamma])
+
     def test_lagrangian_increase_raises(self, monkeypatch):
         calls = itertools.count()
         lagrangian = discrete_ci._Engine._lagrangian
@@ -440,6 +479,36 @@ class TestDescendOracle:
         opts = SolverOptions(seed=7, card_w=card_w, threads=threads)
         _, rep = solve_relaxed_wyner(joint, 0.0, opts)
         assert sum(rows) <= 3 * sum(iters) + rep.restarts_used
+
+    @pytest.mark.parametrize(
+        "joint, card_w",
+        [(dsbs_joint(0.1), None), (toy_binary_example(0.1), 4)],
+        ids=["dsbs", "toy4"],
+    )
+    def test_retry_rounds_try_two_rungs(self, monkeypatch, joint, card_w):
+        # after the first round of an iteration, each backtracking round tries
+        # eta and eta/2 at once; halving one rung per round took 3.0 to 3.3
+        # rounds per iteration on these solves
+        calls = []
+        parts = discrete_ci._Engine._parts
+        descend = discrete_ci._Engine.descend
+
+        def counted_parts(self, q):
+            calls[-1][0] += 1
+            return parts(self, q)
+
+        def counted_descend(self, q0, lam, *args):
+            calls.append([0, 0])
+            out = descend(self, q0, lam, *args)
+            calls[-1][1] = int(out[3].max())
+            return out
+
+        monkeypatch.setattr(discrete_ci._Engine, "_parts", counted_parts)
+        monkeypatch.setattr(discrete_ci._Engine, "descend", counted_descend)
+        solve_relaxed_wyner(joint, 0.0, SolverOptions(seed=7, card_w=card_w))
+        assert calls
+        for rounds, iters in calls:
+            assert rounds - 1 <= 2.5 * iters
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_one_batch_per_sweep_at_any_thread_count(self, monkeypatch, threads):

@@ -279,3 +279,20 @@ class TestCiCurve:
         j = whitened_diag_joint([0.8, 0.5])
         rows = ci_curve(j, [I_08 + I_05 + 0.1])
         assert rows[0][1] == 0.0 and rows[0][2] == 0
+
+
+class TestNonFiniteBudget:
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_one_budget_entry_points(self, gamma):
+        with pytest.raises(ValueError, match="gamma_total must be finite"):
+            waterfill([0.8, 0.5], gamma)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            component_count([0.8, 0.5], gamma)
+        with pytest.raises(ValueError, match="gamma_total must be finite"):
+            relaxed_ci_gaussian(whitened_diag_joint([0.8, 0.5]), gamma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_curve_grid(self, bad):
+        # NaN slipped past grid.min() < 0, and inf gave a row at gamma = inf
+        with pytest.raises(ValueError, match="finite"):
+            ci_curve(whitened_diag_joint([0.8, 0.5]), [0.0, 0.1, bad])

@@ -65,15 +65,19 @@ def cca_decompose(joint: GaussianJoint) -> CcaBasis:
     )
 
 
+def _check_k(k, n: int) -> None:
+    """BadK unless 1 <= k <= n."""
+    if not 1 <= k <= n:
+        raise BadK(f"k must be in [1, {n}], got {k}")
+
+
 def cca_project(basis: CcaBasis, k: int, x, y):
     """Top-k CCA components of raw observations x and y.
 
     Returns (U_k^T W_x x, V_k^T W_y y). x and y may be single vectors or
     arrays of row observations. Raises BadK unless 1 <= k <= n.
     """
-    n = basis.n_components
-    if not 1 <= k <= n:
-        raise BadK(f"k must be in [1, {n}], got {k}")
+    _check_k(k, basis.n_components)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     u_feat = x @ basis.w_x @ basis.u[:, :k]

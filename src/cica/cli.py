@@ -9,12 +9,13 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .cca import cca_decompose, cca_project
+from .cca import _check_k, cca_decompose, cca_project
 from .discrete_ci import (
     SolverOptions,
     mutual_information,
@@ -22,17 +23,10 @@ from .discrete_ci import (
     solve_relaxed_wyner_multi,  # noqa: F401  (unused here; the benchmark tracer patches it)
     total_correlation,
 )
-from .errors import (
-    BadK,
-    CicaError,
-    Infeasible,
-    NoConvergence,
-    PerfectCorrelation,
-)
+from .errors import CicaError, Infeasible, NoConvergence, PerfectCorrelation
 from .estimation import estimate_gaussian
 # waterfill and component_count are unused here; the benchmark tracer patches them
 from .gaussian_ci import (  # noqa: F401
-    _check_budget,
     _fill,
     component_count,
     mutual_info_rho,
@@ -40,6 +34,9 @@ from .gaussian_ci import (  # noqa: F401
 )
 from .model import (
     LN2,
+    _check_budget,
+    _check_cells,
+    _check_grid,
     validate_discrete,
     validate_gaussian,
     validate_multi_discrete,  # noqa: F401  (unused here; the benchmark tracer patches it)
@@ -79,13 +76,9 @@ def _read_cov_json(path):
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     try:
-        return (
-            np.asarray(payload["k_x"], dtype=float),
-            np.asarray(payload["k_y"], dtype=float),
-            np.asarray(payload["k_xy"], dtype=float),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: covariance JSON needs keys k_x, k_y, k_xy") from exc
+        return tuple(np.asarray(payload[key], dtype=float) for key in ("k_x", "k_y", "k_xy"))
+    except (KeyError, TypeError) as exc:  # TypeError: not an object, or a non-numeric matrix
+        raise ValueError(f"{path}: covariance JSON needs numeric matrices k_x, k_y, k_xy") from exc
 
 
 def _read_pmf_csv(path, multi: bool):
@@ -101,13 +94,15 @@ def _read_pmf_csv(path, multi: bool):
             f"{path}: rows must be symbol indices plus a probability "
             f"({'>= 2' if multi else 'exactly 2'} index columns)"
         )
-    idx = np.asarray([[int(float(c)) for c in row[:-1]] for row in body], dtype=int)
+    idx = np.asarray([[float(c) for c in row[:-1]] for row in body], dtype=float)
     prob = np.asarray([float(row[-1]) for row in body], dtype=float)
-    if idx.min() < 0:
-        raise ValueError(f"{path}: negative symbol index")
+    if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
+        raise ValueError(f"{path}: symbol indices must be nonnegative integers")
     cards = tuple(int(m) + 1 for m in idx.max(axis=0))
+    # the table would be allocated here, so the solver's cell limit applies now
+    _check_cells(math.prod(cards), SolverOptions().max_states)
     table = np.zeros(cards)
-    np.add.at(table, tuple(idx.T), prob)
+    np.add.at(table, tuple(idx.T.astype(int)), prob)
     return table
 
 
@@ -165,8 +160,7 @@ def _load_gaussian_model(args, parser):
 def cmd_cca(args, parser) -> int:
     joint, x, y = _load_gaussian_model(args, parser)
     basis = cca_decompose(joint)
-    if not 1 <= args.k <= basis.n_components:
-        raise BadK(f"k must be in [1, {basis.n_components}], got {args.k}")
+    _check_k(args.k, basis.n_components)
     report = {
         "rho": basis.rho,
         "u_k": basis.u[:, : args.k],
@@ -186,8 +180,7 @@ def cmd_gaussian_cica(args, parser) -> int:
     units = args.units
     version = _VERSION_FLAGS[args.version]
     basis = cca_decompose(joint)
-    rho, gamma = _check_budget(basis.rho, args.gamma, "gamma")
-    info, level, c_gamma, k = _fill(rho, np.array([gamma]))
+    info, level, c_gamma, k = _fill(basis.rho, np.array([_check_budget(args.gamma)]))
     level, k = float(level[0]), int(k[0])
     proj = _gaussian_maps(basis, k, version)
     total_info = sum(float(mutual_info_rho(r)) for r in basis.rho)
@@ -211,7 +204,7 @@ def cmd_gaussian_cica(args, parser) -> int:
             "no components are retained and the projection maps are empty"
         ]
     if args.curve is not None:
-        grid = np.linspace(0.0, max(total_info, args.gamma), args.curve_points)
+        grid = _check_grid(np.linspace(0.0, max(total_info, args.gamma), args.curve_points))
         _, _, curve_c, ks = _fill(basis.rho, grid)
         with open(args.curve, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)

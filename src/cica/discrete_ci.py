@@ -16,19 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    A0OutOfRange,
-    Infeasible,
-    InvalidCoupling,
-    NegativeMass,
-    NoConvergence,
-    NotNormalized,
-    TooLarge,
-)
+from .errors import A0OutOfRange, Infeasible, InvalidCoupling, NoConvergence, TooLarge
 from .model import (
     LN2,
     DiscreteJoint,
     InfoValue,
+    _check_budget,
+    _check_cells,
+    _check_grid,
+    _check_mass,
     _frozen_array,
     source_marginals,
     validate_discrete,
@@ -64,17 +60,7 @@ def _plogp(p):
 
 def entropy(pmf) -> InfoValue:
     """Shannon entropy in nats, with 0 ln 0 = 0."""
-    p = np.asarray(pmf, dtype=float)
-    if p.size == 0:
-        raise NotNormalized("empty pmf")
-    if not np.isfinite(p).all():
-        raise NotNormalized("pmf has non-finite entries")
-    if p.min() < -1e-14:
-        raise NegativeMass(f"pmf has entry {p.min():.3e} < -1e-14")
-    p = np.maximum(p, 0.0)
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise NotNormalized(f"pmf sums to {p.sum()!r}, expected 1 within 1e-12")
-    return InfoValue(float(-_plogp(p).sum()))
+    return InfoValue(float(-_plogp(_check_mass(pmf)).sum()))
 
 
 def _total_correlation(table) -> float:
@@ -93,14 +79,20 @@ def total_correlation(joint: DiscreteJoint) -> InfoValue:
 mutual_information = total_correlation
 
 
+def _check_a0(a0) -> float:
+    """A DSBS flip probability as a float; A0OutOfRange unless it lies in [0, 1/2]."""
+    a0 = float(a0)
+    if not 0.0 <= a0 <= 0.5:
+        raise A0OutOfRange(f"a0 must lie in [0, 1/2], got {a0}")
+    return a0
+
+
 def dsbs_wyner(a0: float) -> InfoValue:
     """Closed-form Wyner common information of a DSBS with flip probability a0.
 
     The source formula is stated in bits and converted to nats here.
     """
-    a0 = float(a0)
-    if not 0.0 <= a0 <= 0.5:
-        raise A0OutOfRange(f"a0 must lie in [0, 1/2], got {a0}")
+    a0 = _check_a0(a0)
 
     def hb_bits(p):
         return float(-(_plogp(p) + _plogp(1.0 - p)) / LN2)
@@ -112,9 +104,7 @@ def dsbs_wyner(a0: float) -> InfoValue:
 
 def dsbs_joint(a0: float) -> DiscreteJoint:
     """The 2x2 joint pmf of a doubly symmetric binary source."""
-    a0 = float(a0)
-    if not 0.0 <= a0 <= 0.5:
-        raise A0OutOfRange(f"a0 must lie in [0, 1/2], got {a0}")
+    a0 = _check_a0(a0)
     return validate_discrete([[(1 - a0) / 2, a0 / 2], [a0 / 2, (1 - a0) / 2]])
 
 
@@ -141,6 +131,14 @@ class Coupling:
         return self.q_w_given_sources[1]
 
 
+def _check_card_w(card_w, n_cells: int) -> int:
+    """A latent alphabet size in [1, cells + 1]; some optimal W needs no more symbols."""
+    card_w = int(card_w)
+    if not 1 <= card_w <= n_cells + 1:
+        raise InvalidCoupling(f"card_w={card_w} outside the cardinality bound [1, {n_cells + 1}]")
+    return card_w
+
+
 def build_coupling(q_w_given_xy, joint) -> Coupling:
     """Validate a conditional table against a joint model and attach marginals."""
     q = np.asarray(q_w_given_xy, dtype=float)
@@ -149,10 +147,7 @@ def build_coupling(q_w_given_xy, joint) -> Coupling:
         raise InvalidCoupling(
             f"conditional table shape {q.shape} does not extend joint shape {pmf.shape}"
         )
-    card_w = q.shape[0]
-    bound = int(np.prod(pmf.shape)) + 1
-    if card_w > bound:
-        raise InvalidCoupling(f"card_w={card_w} exceeds the cardinality bound {bound}")
+    card_w = _check_card_w(q.shape[0], pmf.size)
     if q.min() < 0:
         raise InvalidCoupling(f"conditional table has negative entry {q.min():.3e}")
     err = np.abs(q.sum(axis=0) - 1.0).max()
@@ -474,8 +469,8 @@ class _Sweep:
     objective, relaxation, multiplier lam, restart index, iterations,
     convergence flag and recorded history. Entry 0 is the trivial coupling
     (W independent of the sources), which is always available. The joint's
-    size (against opts.max_states), card_w, restarts, threads and the size
-    of the widest backtracking round (against _MAX_ROUND_ENTRIES) are
+    size (against opts.max_states), card_w, n_lambda, restarts, threads and
+    the size of the widest backtracking round (against _MAX_ROUND_ENTRIES) are
     checked before anything is allocated. With a budget, a batch keeps only
     its runs up to the lowest multiplier that holds a run with relax <=
     budget.
@@ -483,22 +478,12 @@ class _Sweep:
 
     def __init__(self, joint: DiscreteJoint, opts: SolverOptions, budget: float | None = None):
         n_states = joint.pmf.size
-        if n_states > opts.max_states:
-            raise TooLarge(
-                f"joint alphabet has {n_states} cells > max_states={opts.max_states}"
-            )
-        card_w = n_states + 1 if opts.card_w is None else int(opts.card_w)
-        if card_w < 1:
-            raise InvalidCoupling(f"card_w must be >= 1, got {card_w}")
-        if card_w > n_states + 1:
-            raise InvalidCoupling(
-                f"card_w={card_w} exceeds the cardinality bound |X||Y|+1 = {n_states + 1}"
-            )
-        for name in ("restarts", "threads"):
+        _check_cells(n_states, opts.max_states)
+        card_w = _check_card_w(n_states + 1 if opts.card_w is None else opts.card_w, n_states)
+        for name in ("n_lambda", "restarts", "threads"):
             if getattr(opts, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(opts, name)}")
-        # an escalation batch holds one multiplier's runs even when the grid is empty
-        entries = 2 * max(opts.n_lambda, 1) * opts.restarts * card_w * n_states
+        entries = 2 * opts.n_lambda * opts.restarts * card_w * n_states
         if entries > _MAX_ROUND_ENTRIES:
             raise TooLarge(
                 f"a backtracking round needs {entries} entries (2 x n_lambda x restarts x "
@@ -612,12 +597,10 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
     would hold more than _MAX_ROUND_ENTRIES entries, Infeasible when no
     multiplier up to opts.lambda_max meets the budget, NoConvergence
     when no descent run in the cloud converged, and ValueError for
-    a negative or non-finite gamma or fewer than one restart or thread.
+    a negative or non-finite gamma or an n_lambda, restarts or threads below 1.
     """
     opts = opts or SolverOptions()
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    gamma = _check_budget(gamma)
     sweep = _Sweep(joint, opts, budget=gamma)
     i = sweep.select(gamma)
     coupling = build_coupling(sweep.q[i], joint)
@@ -674,9 +657,7 @@ def ci_curve_discrete(joint: DiscreteJoint, grid, opts: SolverOptions | None = N
     is convex in gamma). Returns [(gamma, upper_bound, achieved_gamma)].
     """
     opts = opts or SolverOptions()
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or not np.isfinite(grid).all() or grid.min() < 0 or np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be nonempty, finite, nonnegative, sorted ascending")
+    grid = _check_grid(grid)
     sweep = _Sweep(joint, opts)
     achieved = []
     for g in grid:

@@ -6,14 +6,13 @@ derivative dC/dgamma = -1/sqrt(1 - e^{-2 gamma}) does not depend on rho, so
 every active component sits at the same water level.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cca import cca_decompose
 from .errors import RhoOutOfRange, UnsortedRho
-from .model import GaussianJoint, InfoValue
+from .model import GaussianJoint, InfoValue, _check_budget, _check_grid
 from .whitening import _ZERO_RHO
 
 _ACTIVE_MARGIN = 1e-12
@@ -35,26 +34,15 @@ class GammaAllocation:
     active_count: int
 
 
-def _check_rho_scalar(rho) -> float:
-    rho = float(rho)
-    if not 0.0 <= rho < 1.0:
-        raise RhoOutOfRange(f"rho must lie in [0, 1), got {rho}")
-    return rho
-
-
-def _check_budget(rho, gamma, name: str):
-    """Validated (rho, gamma) for the one-budget entry points."""
+def _check_rho(rho) -> np.ndarray:
+    """A scalar rho or a descending spectrum as a 1-D array, entries below 1e-12 set to 0."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    if rho.size == 0:
-        raise RhoOutOfRange("rho list must be nonempty")
-    if rho.min() < 0.0 or rho.max() >= 1.0:
-        raise RhoOutOfRange(f"all rho must lie in [0, 1), got {rho}")
+    # the range test is false for NaN
+    if rho.ndim != 1 or rho.size == 0 or not np.all((rho >= 0.0) & (rho < 1.0)):
+        raise RhoOutOfRange(f"rho must lie in [0, 1) and form a nonempty 1-D spectrum, got {rho}")
     if np.any(np.diff(rho) > 0):
         raise UnsortedRho(f"rho must be sorted descending, got {rho}")
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"{name} must be finite and >= 0, got {gamma}")
-    return np.where(rho < _ZERO_RHO, 0.0, rho), gamma
+    return np.where(rho < _ZERO_RHO, 0.0, rho)
 
 
 def _info(rho):
@@ -73,7 +61,9 @@ def _relaxed_ci(rho, gamma_i):
 
 def mutual_info_rho(rho: float) -> InfoValue:
     """Mutual information of a unit-variance Gaussian pair: 0.5 ln 1/(1-rho^2)."""
-    return InfoValue(float(_info(_check_rho_scalar(rho))))
+    rho = float(rho)
+    _check_rho(rho)
+    return InfoValue(float(_info(rho)))
 
 
 def scalar_relaxed_ci(rho: float, gamma_i: float) -> InfoValue:
@@ -82,11 +72,9 @@ def scalar_relaxed_ci(rho: float, gamma_i: float) -> InfoValue:
     Evaluates 0.5 log+ of (1+rho)(1-s) / ((1-rho)(1+s)) with
     s = sqrt(1 - e^{-2 gamma_i}); exactly zero once gamma_i >= I(rho).
     """
-    rho = _check_rho_scalar(rho)
-    gamma_i = float(gamma_i)
-    if gamma_i < 0:
-        raise ValueError(f"gamma_i must be >= 0, got {gamma_i}")
-    return InfoValue(float(_relaxed_ci(rho, gamma_i)))
+    rho = float(rho)
+    _check_rho(rho)
+    return InfoValue(float(_relaxed_ci(rho, _check_budget(gamma_i, "gamma_i"))))
 
 
 def _fill(rho, gammas):
@@ -122,7 +110,7 @@ def waterfill(rho, gamma_total: float) -> GammaAllocation:
     component receives gamma_i = min(level, I(rho_i)). rho must be sorted
     descending with entries in [0, 1).
     """
-    rho, gamma_total = _check_budget(rho, gamma_total, "gamma_total")
+    rho, gamma_total = _check_rho(rho), _check_budget(gamma_total, "gamma_total")
     info, level, c_gamma, _ = _fill(rho, np.array([gamma_total]))
     level = float(level[0])
     return GammaAllocation(
@@ -152,17 +140,11 @@ def component_count(rho, gamma: float) -> int:
     sum_{i>l} I(rho_i); exact breakpoints take the smaller k, where the
     extra component's budget is saturated and contributes nothing.
     """
-    rho, gamma = _check_budget(rho, gamma, "gamma")
-    return int(_fill(rho, np.array([gamma]))[3][0])
+    return int(_fill(_check_rho(rho), np.array([_check_budget(gamma)]))[3][0])
 
 
 def ci_curve(joint: GaussianJoint, grid) -> list[tuple[float, float, int]]:
     """Evaluate (gamma, c_gamma, k) along an ascending nonnegative grid."""
-    grid = np.asarray(grid, dtype=float)
-    if (
-        grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
-        or grid.min() < 0 or np.any(np.diff(grid) < 0)
-    ):
-        raise ValueError("grid must be nonempty, finite, nonnegative, sorted ascending")
+    grid = _check_grid(grid)
     _, _, c_gamma, k = _fill(cca_decompose(joint).rho, grid)
     return [(float(g), float(c), int(kk)) for g, c, kk in zip(grid, c_gamma, k)]

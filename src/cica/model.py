@@ -4,6 +4,7 @@ All information quantities are carried in nats; display-time conversion to
 bits happens at the CLI layer only.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,7 @@ from .errors import (
     NotNormalized,
     NotPositiveDefinite,
     ShapeMismatch,
+    TooLarge,
 )
 
 LN2 = float(np.log(2.0))
@@ -30,6 +32,47 @@ def _frozen_array(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _check_budget(gamma, name: str = "gamma") -> float:
+    """A budget gamma as a float; ValueError unless it is finite and >= 0."""
+    gamma = float(gamma)
+    if not math.isfinite(gamma) or gamma < 0:
+        raise ValueError(f"{name} must be finite and >= 0, got {gamma}")
+    return gamma
+
+
+def _check_grid(grid) -> np.ndarray:
+    """A gamma grid as a float array; ValueError unless it is 1-D and ascending."""
+    grid = np.asarray(grid, dtype=float)
+    if (
+        grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
+        or grid.min() < 0 or np.any(np.diff(grid) < 0)
+    ):
+        raise ValueError("grid must be nonempty, finite, nonnegative, sorted ascending")
+    return grid
+
+
+def _check_mass(pmf) -> np.ndarray:
+    """A pmf of any shape with tiny negatives clamped to 0, under validate_discrete's rules."""
+    pmf = np.asarray(pmf, dtype=float)
+    if pmf.size == 0:
+        raise NotNormalized("empty pmf")
+    if not np.isfinite(pmf).all():
+        raise NotNormalized("pmf has non-finite entries")
+    if pmf.min() < -_PMF_NEG_TOL:
+        raise NegativeMass(f"pmf has entry {pmf.min():.3e} < -1e-14")
+    pmf = np.maximum(pmf, 0.0)
+    total = pmf.sum()
+    if abs(total - 1.0) > _PMF_SUM_TOL:
+        raise NotNormalized(f"pmf sums to {total!r}, expected 1 within 1e-12")
+    return pmf
+
+
+def _check_cells(n_cells: int, max_states: int) -> None:
+    """TooLarge when a joint table of n_cells cells exceeds max_states."""
+    if n_cells > max_states:
+        raise TooLarge(f"joint alphabet has {n_cells} cells > max_states={max_states}")
 
 
 @dataclass(frozen=True)
@@ -174,20 +217,13 @@ def validate_discrete(pmf) -> DiscreteJoint:
     sum to 1 within 1e-12 (NotNormalized otherwise) and is then
     renormalized exactly.
     """
-    pmf = np.array(pmf, dtype=float)
+    pmf = np.asarray(pmf, dtype=float)
     if pmf.ndim < 2 or pmf.size == 0:
         raise ShapeMismatch(
             f"pmf must be a nonempty table with M >= 2 axes, got shape {pmf.shape}"
         )
-    if not np.isfinite(pmf).all():
-        raise NotNormalized("pmf has non-finite entries")
-    if pmf.min() < -_PMF_NEG_TOL:
-        raise NegativeMass(f"pmf has entry {pmf.min():.3e} < -1e-14")
-    pmf = np.maximum(pmf, 0.0)
-    total = pmf.sum()
-    if abs(total - 1.0) > _PMF_SUM_TOL:
-        raise NotNormalized(f"pmf sums to {total!r}, expected 1 within 1e-12")
-    pmf /= total
+    pmf = _check_mass(pmf)
+    pmf /= pmf.sum()
     return DiscreteJoint(pmf=_frozen_array(pmf))
 
 

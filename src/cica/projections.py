@@ -13,11 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cca import CcaBasis, cca_decompose
-from .discrete_ci import Coupling
-from .errors import A0OutOfRange
+from .discrete_ci import Coupling, _check_a0
 # waterfill is unused here; the benchmark tracer patches it
-from .gaussian_ci import _check_budget, _fill, component_count, waterfill  # noqa: F401
-from .model import DiscreteJoint, GaussianJoint, InfoValue, _frozen_array, validate_discrete
+from .gaussian_ci import _fill, component_count, waterfill  # noqa: F401
+from .model import (
+    DiscreteJoint,
+    GaussianJoint,
+    InfoValue,
+    _check_budget,
+    _frozen_array,
+    validate_discrete,
+)
 
 VERSIONS = ("map", "cond_exp", "marginal")
 
@@ -59,8 +65,7 @@ def gaussian_latent(joint: GaussianJoint, gamma: float) -> GaussianLatentSpec:
     gamma >= sum_i I(rho_i) yields the empty (k = 0) spec.
     """
     basis = cca_decompose(joint)
-    rho, gamma = _check_budget(basis.rho, gamma, "gamma")
-    info, level, _, k = _fill(rho, np.array([gamma]))
+    info, level, _, k = _fill(basis.rho, np.array([_check_budget(gamma)]))
     k = int(k[0])
     rho = basis.rho[:k]
     s = np.sqrt(-np.expm1(-2.0 * np.minimum(level[0], info[:k])))
@@ -175,9 +180,7 @@ def toy_binary_example(a0: float) -> DiscreteJoint:
     lives entirely in (B1, C1). Symbols are indexed as 2*first_bit +
     second_bit.
     """
-    a0 = float(a0)
-    if not 0.0 <= a0 <= 0.5:
-        raise A0OutOfRange(f"a0 must lie in [0, 1/2], got {a0}")
+    a0 = _check_a0(a0)
     pmf = np.zeros((4, 4))
     for b1 in (0, 1):
         for b2 in (0, 1):

@@ -1,11 +1,24 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import configuration, settings
 
 from cica import validate_gaussian
 from cica.discrete_ci import _ETA_FLOOR, _ETA_GROWTH, _ETA_INIT, _ETA_MAX
 from cica.errors import NoConvergence
+
+# the same examples on every run, no example database on disk, and no
+# deadline, whose wall-clock test would make a pass depend on host load
+settings.register_profile("cica", derandomize=True, database=None, deadline=None)
+settings.load_profile("cica")
+# hypothesis caches the constants it reads from local modules even without a
+# database, at collection time; a temporary home keeps that cache out of the
+# checkout and is removed when the session's interpreter exits
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="cica-hypothesis-")
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def random_gaussian_joint(rng, dim_x, dim_y, spread=1.0):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -313,6 +314,49 @@ class TestCmdDiscrete:
         pmf.write_text("x,y,p\n0,0,0.5\n1,1,0.4\n")
         r = run_cli("discrete", "--pmf", str(pmf), "--gamma", "0", "--out", str(tmp_path / "d.json"))
         assert r.returncode == 3
+
+
+_COV = json.dumps({"k_x": [[1.0]], "k_y": [[1.0]], "k_xy": [[0.5]]})
+
+
+def _cap_address_space():
+    # a regression that sizes a table from a huge index fails fast with
+    # MemoryError instead of claiming gigabytes
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+@pytest.mark.parametrize(
+    "name, content, flags, code",
+    [
+        pytest.param("cov.json", "[1, 2]", [], 2, id="cov-list"),
+        pytest.param("cov.json", '{"k_x": {"a": 1}, "k_y": [[1.0]], "k_xy": [[0.5]]}', [], 2,
+                     id="cov-dict-matrix"),
+        pytest.param("cov.json", "", [], 2, id="cov-empty"),
+        pytest.param("cov.json", _COV, ["--curve-points", "0"], 2, id="curve-points-0"),
+        pytest.param("p.csv", "x,y,p\n0,0,0.5\n1.5,1,0.5\n", [], 2, id="index-1.5"),
+        pytest.param("p.csv", "x,y,p\n0,0,0.5\n0,1000000000,0.5\n", [], 3, id="index-1e9"),
+        pytest.param("p.csv", "", [], 2, id="empty"),
+        pytest.param("p.csv", "x,y,p\n", [], 2, id="header-only"),
+        pytest.param("p.csv", "x,y,p\n0,0,0.5\n1,1,0.25,0.25\n", [], 2, id="ragged"),
+        pytest.param("p.csv", "x,y,p\n0,0,half\n1,1,0.5\n", [], 2, id="non-numeric"),
+        pytest.param("p.csv", "x,y,p\n0,0,nan\n1,1,0.5\n", [], 3, id="nan-entry"),
+        pytest.param("p.csv", "x,y,p\n-1,0,0.5\n1,1,0.5\n", [], 2, id="negative-index"),
+        pytest.param("p.csv", "x,y,p\n0,inf,0.5\n1,1,0.5\n", [], 2, id="infinite-index"),
+    ],
+)
+def test_malformed_input_exit_code(tmp_path, name, content, flags, code):
+    path = tmp_path / name
+    path.write_text(content)
+    out, curve = tmp_path / "r.json", tmp_path / "curve.csv"
+    if name.endswith(".json"):
+        argv = ["gaussian", "--cov", str(path), "--gamma", "0.1", "--curve", str(curve)]
+    else:
+        argv = ["discrete", "--pmf", str(path), "--gamma", "0"]
+    r = subprocess.run(RUN + argv + flags + ["--out", str(out)], capture_output=True, text=True,
+                       preexec_fn=_cap_address_space)
+    assert r.returncode == code, r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists() and not curve.exists()
 
 
 class TestCmdToy:

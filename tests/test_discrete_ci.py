@@ -324,7 +324,7 @@ class TestSolveRelaxedWyner:
             assert r1.iterations == r2.iterations
             np.testing.assert_array_equal(c1.q_w_given_xy, c2.q_w_given_xy)
 
-    @pytest.mark.parametrize("field", ["restarts", "threads"])
+    @pytest.mark.parametrize("field", ["n_lambda", "restarts", "threads"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_solver_counts_below_one_rejected_before_allocation(self, monkeypatch, field, value):
         def no_engine(*args):

@@ -7,14 +7,13 @@ features.
 """
 
 from . import errors
-from .cca import CcaBasis, cca_decompose, cca_project
+from .cca import CcaBasis, WhitenedPair, canonical_matrix, cca_decompose, cca_project, inv_sqrt_psd
 from .discrete_ci import (
     Coupling,
     SolveReport,
     SolverOptions,
     build_coupling,
     ci_curve_discrete,
-    conditional_mi_given_w,
     dsbs_joint,
     dsbs_wyner,
     entropy,
@@ -39,7 +38,6 @@ from .model import (
     DiscreteJoint,
     GaussianJoint,
     InfoValue,
-    MultiDiscreteJoint,
     validate_discrete,
     validate_gaussian,
     validate_multi_discrete,
@@ -55,7 +53,6 @@ from .projections import (
     project_gaussian,
     toy_binary_example,
 )
-from .whitening import WhitenedPair, canonical_matrix, inv_sqrt_psd
 
 __version__ = "0.1.0"
 
@@ -67,7 +64,6 @@ __all__ = [
     "GaussianJoint",
     "GaussianLatentSpec",
     "InfoValue",
-    "MultiDiscreteJoint",
     "ProjectionOutputs",
     "SolveReport",
     "SolverOptions",
@@ -80,7 +76,6 @@ __all__ = [
     "ci_curve",
     "ci_curve_discrete",
     "component_count",
-    "conditional_mi_given_w",
     "dsbs_joint",
     "dsbs_wyner",
     "entropy",

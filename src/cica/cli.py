@@ -25,18 +25,12 @@ from .discrete_ci import (
 )
 from .errors import CicaError, Infeasible, NoConvergence, PerfectCorrelation
 from .estimation import estimate_gaussian
-# waterfill and component_count are unused here; the benchmark tracer patches them
-from .gaussian_ci import (  # noqa: F401
-    _fill,
-    component_count,
-    mutual_info_rho,
-    waterfill,
-)
+from .gaussian_ci import _fill, component_count, mutual_info_rho, waterfill
 from .model import (
     LN2,
-    _check_budget,
     _check_cells,
     _check_grid,
+    _check_indices,
     validate_discrete,
     validate_gaussian,
     validate_multi_discrete,  # noqa: F401  (unused here; the benchmark tracer patches it)
@@ -96,8 +90,7 @@ def _read_pmf_csv(path, multi: bool):
         )
     idx = np.asarray([[float(c) for c in row[:-1]] for row in body], dtype=float)
     prob = np.asarray([float(row[-1]) for row in body], dtype=float)
-    if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
-        raise ValueError(f"{path}: symbol indices must be nonnegative integers")
+    _check_indices(idx, f"{path}: symbol indices")
     cards = tuple(int(m) + 1 for m in idx.max(axis=0))
     # the table would be allocated here, so the solver's cell limit applies now
     _check_cells(math.prod(cards), SolverOptions().max_states)
@@ -180,16 +173,16 @@ def cmd_gaussian_cica(args, parser) -> int:
     units = args.units
     version = _VERSION_FLAGS[args.version]
     basis = cca_decompose(joint)
-    info, level, c_gamma, k = _fill(basis.rho, np.array([_check_budget(args.gamma)]))
-    level, k = float(level[0]), int(k[0])
+    k = component_count(basis.rho, args.gamma)
+    alloc = waterfill(basis.rho, args.gamma)
     proj = _gaussian_maps(basis, k, version)
     total_info = sum(float(mutual_info_rho(r)) for r in basis.rho)
     report = {
         "gamma": _scale(args.gamma, units),
-        "c_gamma": _scale(float(c_gamma[0]), units),
+        "c_gamma": _scale(float(alloc.c_gamma), units),
         "k": k,
-        "gamma_i": _scale(np.minimum(level, info), units),
-        "water_level": _scale(level, units),
+        "gamma_i": _scale(alloc.gamma_i, units),
+        "water_level": _scale(alloc.water_level, units),
         "rho": basis.rho,
         "total_mutual_information": _scale(total_info, units),
         "version": version,

@@ -187,9 +187,6 @@ def relaxation_given_w(c: Coupling) -> InfoValue:
     return InfoValue(total)
 
 
-conditional_mi_given_w = relaxation_given_w
-
-
 # ---------------------------------------------------------------------------
 # solver configuration and telemetry
 # ---------------------------------------------------------------------------

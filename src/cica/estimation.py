@@ -2,8 +2,16 @@
 
 import numpy as np
 
+from .discrete_ci import SolverOptions
 from .errors import InconsistentBlock, IndexOutOfRange, ShapeMismatch, TooFewSamples
-from .model import DiscreteJoint, GaussianJoint, validate_discrete, validate_gaussian
+from .model import (
+    DiscreteJoint,
+    GaussianJoint,
+    _check_cells,
+    _check_indices,
+    validate_discrete,
+    validate_gaussian,
+)
 
 #: auto ridge, as a fraction of the average eigenvalue of each block
 _AUTO_RIDGE = 1e-8
@@ -50,8 +58,12 @@ def estimate_gaussian(x_samples, y_samples, ridge: float | None = None) -> Gauss
 
 
 def estimate_pmf(pairs, cards, smoothing: float = 0.0) -> DiscreteJoint:
-    """Empirical joint pmf from index pairs, with additive smoothing."""
-    pairs = np.asarray(pairs, dtype=int)
+    """Empirical joint pmf from index pairs, with additive smoothing.
+
+    Indices must be integers (ValueError) in [0, card) (IndexOutOfRange); a
+    table of more than max_states cells raises TooLarge before allocation.
+    """
+    pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
         raise ShapeMismatch(f"pairs must be a nonempty N x 2 table, got {pairs.shape}")
     card_x, card_y = int(cards[0]), int(cards[1])
@@ -59,6 +71,9 @@ def estimate_pmf(pairs, cards, smoothing: float = 0.0) -> DiscreteJoint:
         raise IndexOutOfRange(
             f"symbol indices must lie in [0, {card_x}) x [0, {card_y})"
         )
+    _check_indices(pairs)
+    _check_cells(card_x * card_y, SolverOptions().max_states)
+    pairs = pairs.astype(int)
     counts = np.zeros((card_x, card_y))
     np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1.0)
     counts += float(smoothing)

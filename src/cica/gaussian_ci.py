@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import cca_decompose
+from .cca import _ZERO_RHO, cca_decompose
 from .errors import RhoOutOfRange, UnsortedRho
 from .model import GaussianJoint, InfoValue, _check_budget, _check_grid
-from .whitening import _ZERO_RHO
 
 _ACTIVE_MARGIN = 1e-12
 

@@ -63,10 +63,17 @@ def _check_mass(pmf) -> np.ndarray:
     if pmf.min() < -_PMF_NEG_TOL:
         raise NegativeMass(f"pmf has entry {pmf.min():.3e} < -1e-14")
     pmf = np.maximum(pmf, 0.0)
-    total = pmf.sum()
+    with np.errstate(over="ignore"):  # an overflowing total is reported as inf
+        total = float(pmf.sum())
     if abs(total - 1.0) > _PMF_SUM_TOL:
         raise NotNormalized(f"pmf sums to {total!r}, expected 1 within 1e-12")
     return pmf
+
+
+def _check_indices(idx, name: str = "symbol indices") -> None:
+    """ValueError unless every entry of the float array idx is a finite, nonnegative integer."""
+    if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
+        raise ValueError(f"{name} must be nonnegative integers")
 
 
 def _check_cells(n_cells: int, max_states: int) -> None:
@@ -149,9 +156,6 @@ class DiscreteJoint:
 
     def marginal_y(self) -> np.ndarray:
         return self.marginal(1)
-
-
-MultiDiscreteJoint = DiscreteJoint
 
 
 def _check_symmetric(name, k):

@@ -14,13 +14,11 @@ import numpy as np
 
 from .cca import CcaBasis, cca_decompose
 from .discrete_ci import Coupling, _check_a0
-# waterfill is unused here; the benchmark tracer patches it
-from .gaussian_ci import _fill, component_count, waterfill  # noqa: F401
+from .gaussian_ci import component_count, waterfill
 from .model import (
     DiscreteJoint,
     GaussianJoint,
     InfoValue,
-    _check_budget,
     _frozen_array,
     validate_discrete,
 )
@@ -65,10 +63,9 @@ def gaussian_latent(joint: GaussianJoint, gamma: float) -> GaussianLatentSpec:
     gamma >= sum_i I(rho_i) yields the empty (k = 0) spec.
     """
     basis = cca_decompose(joint)
-    info, level, _, k = _fill(basis.rho, np.array([_check_budget(gamma)]))
-    k = int(k[0])
+    k = component_count(basis.rho, gamma)
     rho = basis.rho[:k]
-    s = np.sqrt(-np.expm1(-2.0 * np.minimum(level[0], info[:k])))
+    s = np.sqrt(-np.expm1(-2.0 * waterfill(basis.rho, gamma).gamma_i[:k]))
     noise = (1.0 - rho * rho) * (1.0 + s) / (rho - s)
     return GaussianLatentSpec(
         u_k=_frozen_array(basis.u[:, :k]),

@@ -5,22 +5,32 @@ bare getattr, and the benchmark's own tests are not part of this suite, so a
 removed import would otherwise surface only when the benchmark runs traced.
 """
 
+import ast
+import functools
 import importlib.util
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 import cica
+from cica import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "cica").glob("*.py"))
 
 
-def _tracer_patches():
+@functools.cache
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(mod, attr) for mod, attr, _, _ in module.PATCHES]
+    return module
+
+
+def _tracer_patches():
+    return [(mod, attr) for mod, attr, _, _ in _tracing().PATCHES]
 
 
 @pytest.mark.parametrize("module, attr", _tracer_patches())
@@ -35,3 +45,39 @@ def test_readme_tour_names_are_exported():
     assert names
     missing = sorted(n for n in names if n not in cica.__all__ or not hasattr(cica, n))
     assert not missing
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_unread_imports_are_tracer_targets(path):
+    # an import that the module never reads is kept only so the tracer can patch it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    patched = {attr for mod, attr in _tracer_patches() if mod == f"cica.{path.stem}"}
+    assert sorted(imported - read - patched) == []
+
+
+def test_gaussian_cli_traces_waterfill_layer(tmp_path):
+    cov = tmp_path / "cov.json"
+    cov.write_text(
+        json.dumps({"k_x": [[1.0, 0.0], [0.0, 1.0]], "k_y": [[1.0, 0.0], [0.0, 1.0]],
+                    "k_xy": [[0.8, 0.0], [0.0, 0.5]]})
+    )
+    tracer = _tracing().Tracer()
+    with tracer.patched():
+        code = cli.main(["gaussian", "--cov", str(cov), "--gamma", "0.1",
+                         "--out", str(tmp_path / "r.json"), "--no-meta"])
+    assert code == 0
+    names = {span.name for span in tracer.take()}
+    assert {"gaussian_ci.waterfill", "gaussian_ci.component_count"} <= names

@@ -1,10 +1,16 @@
 """Sample-based model estimation tests."""
 
+import os
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cica
 from cica import cca_decompose, estimate_gaussian, estimate_pmf
 from cica.errors import (
     InconsistentBlock,
@@ -91,8 +97,33 @@ class TestEstimatePmf:
         assert j.pmf.min() > 0
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            estimate_pmf(np.array([[0, 3]]), (2, 2))
+        for bad in ([[0, 3]], [[-1, 0]]):
+            with pytest.raises(IndexOutOfRange):
+                estimate_pmf(np.array(bad), (2, 2))
+
+    def test_non_integral_index_rejected(self):
+        # 1.5 is not truncated to 1
+        with pytest.raises(ValueError, match="must be nonnegative integers"):
+            estimate_pmf([[1.5, 0], [0, 1]], (2, 2))
+
+    def test_too_many_cells_rejected_before_allocation(self):
+        # the 100000 x 100000 table would take 74.5 GiB; under a 2 GiB
+        # address-space cap only a cell check ahead of the allocation passes
+        script = (
+            "from cica import estimate_pmf\n"
+            "from cica.errors import TooLarge\n"
+            "try:\n"
+            "    estimate_pmf([[0, 0]], (100000, 100000))\n"
+            "except TooLarge:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cica.__file__).resolve().parents[1]))
+        r = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+        )
+        assert r.returncode == 0, r.stderr
 
     def test_row_permutation_bit_identical(self, rng):
         pairs = rng.integers(0, 3, size=(1000, 2))

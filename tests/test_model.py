@@ -93,6 +93,9 @@ class TestValidateDiscrete:
             validate_discrete([[0.45, 0.05], [0.05, 0.35]])
         with pytest.raises(NotNormalized):
             validate_discrete(np.full((2, 2, 2), 0.2))
+        # finite entries whose total overflows: no numpy warning, and a plain float in the message
+        with pytest.raises(NotNormalized, match=r"sums to inf, expected"):
+            validate_discrete([[1e308, 1e308]])
 
     def test_non_finite_rejected(self):
         for bad in ([[np.nan, 0.5], [0.25, 0.25]], [[np.inf, 0.5], [0.25, 0.25]]):

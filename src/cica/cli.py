@@ -11,6 +11,7 @@ import datetime
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -57,13 +58,20 @@ _VERSION_FLAGS = {"map": "map", "cond-exp": "cond_exp", "marginal": "marginal"}
 # ---------------------------------------------------------------------------
 
 def _read_csv_matrix(path):
-    """Numeric CSV with a mandatory header row; rows are observations."""
+    """Numeric CSV with a mandatory header line; rows are observations.
+
+    numpy's C reader converts each cell with the routine behind ``float()``,
+    so the values are bit-identical to parsing every cell with ``float()``.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    if len(rows) < 2:
+        handle.readline()
+        with warnings.catch_warnings():
+            # no data rows is reported below as the usual ValueError
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    if data.shape[0] == 0:
         raise ValueError(f"{path}: expected a header row plus data rows")
-    data = [[float(cell) for cell in row] for row in rows[1:] if row]
-    return np.asarray(data, dtype=float)
+    return data
 
 
 def _read_cov_json(path):
@@ -77,19 +85,14 @@ def _read_cov_json(path):
 
 def _read_pmf_csv(path, multi: bool):
     """Sparse pmf CSV: index columns then a probability column."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    if len(rows) < 2:
-        raise ValueError(f"{path}: expected a header row plus data rows")
-    body = rows[1:]
-    width = len(body[0])
+    rows = _read_csv_matrix(path)
+    width = rows.shape[1]
     if width < 3 or (not multi and width != 3):
         raise ValueError(
             f"{path}: rows must be symbol indices plus a probability "
             f"({'>= 2' if multi else 'exactly 2'} index columns)"
         )
-    idx = np.asarray([[float(c) for c in row[:-1]] for row in body], dtype=float)
-    prob = np.asarray([float(row[-1]) for row in body], dtype=float)
+    idx, prob = rows[:, :-1], rows[:, -1]
     _check_indices(idx, f"{path}: symbol indices")
     cards = tuple(int(m) + 1 for m in idx.max(axis=0))
     # the table would be allocated here, so the solver's cell limit applies now
@@ -111,6 +114,51 @@ def _jsonable(x):
     return x
 
 
+def _block(items, brackets, level):
+    """One ``indent=2`` JSON container at nesting ``level`` from encoded items."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _nest(tokens, shape, level):
+    """Group an array's flat encoded elements axis by axis into nested blocks."""
+    if len(shape) == 1:
+        return _block(tokens, "[]", level)
+    step = len(tokens) // shape[0]
+    if len(shape) == 2:
+        # the innermost rows hold nearly all the text: one join per row
+        pad = "\n" + "  " * (level + 2)
+        head, sep, tail = "[" + pad, "," + pad, "\n" + "  " * (level + 1) + "]"
+        rows = [head + sep.join(tokens[i : i + step]) + tail for i in range(0, len(tokens), step)]
+    else:
+        rows = [
+            _nest(tokens[i : i + step], shape[1:], level + 1)
+            for i in range(0, len(tokens), step)
+        ]
+    return _block(rows, "[]", level)
+
+
+def _encode(x, level=0):
+    """``json.dumps(_jsonable(x), indent=2, sort_keys=True)`` for string-keyed x.
+
+    json's indented encoder is pure Python, so a numeric array is instead
+    encoded flat by its C encoder in one call and then split and nested.
+    """
+    if isinstance(x, np.ndarray):
+        if x.size and x.ndim and x.dtype.kind in "biuf":
+            tokens = json.dumps(x.ravel().tolist())[1:-1].split(", ")
+            return _nest(tokens, x.shape, level)
+        x = x.tolist()  # empty arrays keep their nesting, e.g. [[], [], []]
+    if isinstance(x, dict):
+        items = [f"{json.dumps(k)}: {_encode(v, level + 1)}" for k, v in sorted(x.items())]
+        return _block(items, "{}", level)
+    if isinstance(x, (list, tuple)):
+        return _block([_encode(v, level + 1) for v in x], "[]", level)
+    return json.dumps(_jsonable(x))
+
+
 def _write_report(path, report: dict, no_meta: bool):
     if not no_meta:
         report = dict(report)
@@ -118,9 +166,9 @@ def _write_report(path, report: dict, no_meta: bool):
             "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "tool": f"cica {__version__}",
         }
+    text = _encode(report) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_jsonable(report), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)
 
 
 def _scale(value, units):

@@ -1,5 +1,8 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import csv
+import io
+import json
 import tempfile
 
 import numpy as np
@@ -198,6 +201,36 @@ def reference_descend(engine, q0, lam):
     obj, relax = engine._objective_relax(parts)
     history = np.array(history).T if history is not None else None
     return q, obj, relax, iters, converged, history
+
+
+def reference_read_csv_matrix(path):
+    """The sample-CSV reader before numpy's text reader: csv rows, float() per cell."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    if len(rows) < 2:
+        raise ValueError(f"{path}: expected a header row plus data rows")
+    data = [[float(cell) for cell in row] for row in rows[1:] if row]
+    return np.asarray(data, dtype=float)
+
+
+def _reference_jsonable(x):
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, (np.floating, np.integer)):
+        return x.item()
+    if isinstance(x, dict):
+        return {k: _reference_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_reference_jsonable(v) for v in x]
+    return x
+
+
+def reference_report_text(report):
+    """A report's text as json's own indented encoder writes it."""
+    buffer = io.StringIO()
+    json.dump(_reference_jsonable(report), buffer, indent=2, sort_keys=True)
+    buffer.write("\n")
+    return buffer.getvalue()
 
 
 @pytest.fixture

@@ -10,10 +10,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cica
 from cica import cca_decompose, ci_curve, cli, component_count, mutual_info_rho, waterfill
-from conftest import random_basis_joint, random_gaussian_joint, whitened_diag_joint
+from conftest import (
+    random_basis_joint,
+    random_gaussian_joint,
+    reference_read_csv_matrix,
+    reference_report_text,
+    whitened_diag_joint,
+)
 
 RUN = [sys.executable, "-m", "cica.cli"]
 
@@ -342,6 +351,16 @@ def _cap_address_space():
         pytest.param("p.csv", "x,y,p\n0,0,nan\n1,1,0.5\n", [], 3, id="nan-entry"),
         pytest.param("p.csv", "x,y,p\n-1,0,0.5\n1,1,0.5\n", [], 2, id="negative-index"),
         pytest.param("p.csv", "x,y,p\n0,inf,0.5\n1,1,0.5\n", [], 2, id="infinite-index"),
+        pytest.param("x.csv", "", [], 2, id="sample-empty"),
+        pytest.param("x.csv", "x0,x1\n", [], 2, id="sample-header-only"),
+        pytest.param("x.csv", "x0,x1\n\n\n", [], 2, id="sample-header-blank-lines"),
+        pytest.param("x.csv", "x0,x1\n1,2\n3\n4,5\n", [], 2, id="sample-ragged"),
+        pytest.param("x.csv", "x0\n1\nabc\n3\n", [], 2, id="sample-non-numeric"),
+        pytest.param("x.csv", "x0,x1\n1,2,\n3,4,\n5,6,\n", [], 2, id="sample-trailing-comma"),
+        # float() accepted digit separators; numpy's reader does not
+        pytest.param("x.csv", "x0\n1_0\n2\n3\n4\n", [], 2, id="sample-underscore"),
+        pytest.param("x.csv", "x0\n1\nnan\n3\n4\n", [], 3, id="sample-nan"),
+        pytest.param("x.csv", "x0\n1\n", [], 3, id="sample-single-row"),
     ],
 )
 def test_malformed_input_exit_code(tmp_path, name, content, flags, code):
@@ -350,6 +369,12 @@ def test_malformed_input_exit_code(tmp_path, name, content, flags, code):
     out, curve = tmp_path / "r.json", tmp_path / "curve.csv"
     if name.endswith(".json"):
         argv = ["gaussian", "--cov", str(path), "--gamma", "0.1", "--curve", str(curve)]
+    elif name == "x.csv":
+        # a valid y with as many rows as x has data lines
+        y = tmp_path / "y.csv"
+        rows = max(1, sum(1 for line in content.splitlines()[1:] if line.strip()))
+        y.write_text("y0\n" + "".join(f"{i}.5\n" for i in range(rows)))
+        argv = ["cca", "--x", str(path), "--y", str(y), "-k", "1"]
     else:
         argv = ["discrete", "--pmf", str(path), "--gamma", "0"]
     r = subprocess.run(RUN + argv + flags + ["--out", str(out)], capture_output=True, text=True,
@@ -357,6 +382,114 @@ def test_malformed_input_exit_code(tmp_path, name, content, flags, code):
     assert r.returncode == code, r.stderr
     assert "Traceback" not in r.stderr
     assert not out.exists() and not curve.exists()
+
+
+def _write_csv(path, data):
+    path.write_text(
+        ",".join(f"c{j}" for j in range(data.shape[1])) + "\n"
+        + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in data)
+    )
+
+
+def _assert_reads_like_float(path):
+    got = cli._read_csv_matrix(path)
+    want = reference_read_csv_matrix(path)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("a,b\n 1.5 , -2\n3 ,\t4e-3 \n", id="spaces"),
+        pytest.param('a,b\n"1.5","-2"\n3,"4e-3"\n', id="quoted"),
+        pytest.param("a,b\n\n1.5,-2\n\n3,4e-3\n\n", id="blank-lines"),
+        pytest.param("a,b\r\n1.5,-2\r\n3,4e-3\r\n", id="crlf"),
+        pytest.param("a,b\n1.5,-2\n3,4e-3", id="no-final-newline"),
+        pytest.param("a,b,c\nnan,inf,-inf\n-nan,Infinity,NaN\n+inf,INF,-Infinity\n", id="nan-inf"),
+    ],
+)
+def test_sample_csv_values_match_float(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    _assert_reads_like_float(path)
+
+
+def test_sample_csv_random_matrix_matches_float(tmp_path):
+    gen = np.random.default_rng(20261018)
+    data = gen.standard_normal((200, 7)) * 10.0 ** gen.uniform(-310, 300, (200, 7))
+    data[0, :2] = 0.0, -0.0
+    _write_csv(tmp_path / "s.csv", data)
+    _assert_reads_like_float(tmp_path / "s.csv")
+
+
+_SHAPES = st.sampled_from([(), (0,), (3, 0), (0, 3), (2, 3, 4), (4,), (3, 2)])
+_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, _SHAPES, elements=st.floats()),
+    hnp.arrays(np.float32, _SHAPES, elements=st.floats(width=32)),
+    hnp.arrays(np.int64, _SHAPES),
+    hnp.arrays(np.uint8, _SHAPES),
+    hnp.arrays(np.bool_, _SHAPES),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(),
+    st.sampled_from(["a, b", ", ", "\u00e4, \u00df", "\u65e5\u672c, \u8a9e"]),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+_REPORTS = st.recursive(
+    st.one_of(_ARRAYS, _SCALARS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@given(_REPORTS)
+@example({
+    "scalar": np.array(2.5),
+    "empty": [np.zeros(0), np.zeros((3, 0)), np.zeros((0, 3), dtype=int)],
+    "cube": np.arange(24).reshape(2, 3, 4),
+    "special": np.array([[np.nan, np.inf], [-np.inf, -0.0]]),
+    "flags": (np.array([True, False]), None, np.int64(3), np.float64(0.1)),
+    "text, \u00e4": "a, b \u65e5\u672c",
+})
+def test_encode_matches_json_indent(report):
+    assert cli._encode(report) + "\n" == reference_report_text(report)
+
+
+@pytest.mark.parametrize("command", ["cca", "gaussian", "discrete", "toy"])
+def test_report_text_matches_json_indent(command, dsbs_file, tmp_path, rng, monkeypatch):
+    x = rng.standard_normal((60, 3))
+    y = 0.6 * x[:, :2] + 0.8 * rng.standard_normal((60, 2))
+    _write_csv(tmp_path / "x.csv", x)
+    _write_csv(tmp_path / "y.csv", y)
+    samples = ["--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv")]
+    argv = {
+        "cca": ["cca", *samples, "-k", "2"],
+        "gaussian": ["gaussian", *samples, "--gamma", "0.1"],
+        "discrete": ["discrete", "--pmf", str(dsbs_file), "--gamma", "0.05", "--seed", "3"],
+        "toy": ["toy", "--a0", "0.1"],
+    }[command]
+    reports = []
+    write = cli._write_report
+
+    def spy(path, report, no_meta):
+        reports.append(report)
+        write(path, report, no_meta)
+
+    monkeypatch.setattr(cli, "_write_report", spy)
+    out = tmp_path / "r.json"
+    assert cli.main(argv + ["--out", str(out), "--no-meta"]) == 0
+    assert out.read_text() == reference_report_text(reports[0])
 
 
 class TestCmdToy:

@@ -127,16 +127,7 @@ def _nest(tokens, shape, level):
     if len(shape) == 1:
         return _block(tokens, "[]", level)
     step = len(tokens) // shape[0]
-    if len(shape) == 2:
-        # the innermost rows hold nearly all the text: one join per row
-        pad = "\n" + "  " * (level + 2)
-        head, sep, tail = "[" + pad, "," + pad, "\n" + "  " * (level + 1) + "]"
-        rows = [head + sep.join(tokens[i : i + step]) + tail for i in range(0, len(tokens), step)]
-    else:
-        rows = [
-            _nest(tokens[i : i + step], shape[1:], level + 1)
-            for i in range(0, len(tokens), step)
-        ]
+    rows = [_nest(tokens[i : i + step], shape[1:], level + 1) for i in range(0, len(tokens), step)]
     return _block(rows, "[]", level)
 
 

@@ -26,7 +26,7 @@ from .discrete_ci import (
 )
 from .errors import CicaError, Infeasible, NoConvergence, PerfectCorrelation
 from .estimation import estimate_gaussian
-from .gaussian_ci import _fill, component_count, mutual_info_rho, waterfill
+from .gaussian_ci import _check_curve_size, _fill, component_count, mutual_info_rho, waterfill
 from .model import (
     LN2,
     _check_cells,
@@ -236,6 +236,7 @@ def cmd_gaussian_cica(args, parser) -> int:
             "no components are retained and the projection maps are empty"
         ]
     if args.curve is not None:
+        _check_curve_size(args.curve_points, basis.rho.size)
         grid = _check_grid(np.linspace(0.0, max(total_info, args.gamma), args.curve_points))
         _, _, curve_c, ks = _fill(basis.rho, grid)
         with open(args.curve, "w", encoding="utf-8", newline="") as handle:

@@ -243,17 +243,6 @@ def _safe_log(x):
     return np.log(out, out=out)
 
 
-def _take_rows(parts, rows):
-    """The given runs' rows of every array in a _parts triple."""
-    return tuple(a[rows] for a in parts)
-
-
-def _put_rows(parts, rows, new, sel):
-    """parts[rows] = new[sel] for every array of two _parts triples, in place."""
-    for dst, src in zip(parts, new):
-        dst[rows] = src[sel]
-
-
 class _Engine:
     """Batched exponentiated-gradient descent on F = I(cells;W) + lam * relax.
 
@@ -263,11 +252,13 @@ class _Engine:
     run's outcome. One batch holds every run of a sweep: splitting it over
     threads only adds Python iteration loops that the GIL serialises.
 
-    ``_parts`` packs a batch's functionals into three arrays: log q, the
-    packed logs of q(w) and of every q(w|x_i) (per run: W entries of q(w),
-    then the (W, c_i) block of each source in row-major order), and
-    F = [J, A, B_1..B_M]. Each functional is one reduction over a
-    contiguous slice, the same one the unpacked arrays would take.
+    Every marginal comes from one product with the fixed incidence matrix
+    ``S`` of shape cells x (1 + sum_i c_i): column 0 is all ones and gives
+    q(w), and one 0/1 column per source symbol gives q(w, x_i). The
+    gradient scatters the logs of those marginals back onto the cells
+    through S^T. Each product is stacked over the run axis with one fixed
+    shape per run, so BLAS takes the same kernel for a run whatever else
+    the batch holds, and a run's bits do not depend on the batch.
     """
 
     def __init__(self, pmf, card_w: int, opts: SolverOptions):
@@ -278,47 +269,40 @@ class _Engine:
         self.opts = opts
         self.off_support = pmf <= 0
         self.tc = _total_correlation(pmf)  # relaxation of constant W
-        p_src = source_marginals(pmf)
-        ends = np.cumsum([card_w] + [card_w * p.size for p in p_src])
-        self.src_slices = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
-        self.n_packed = int(ends[-1])
-        # per packed source entry: the safe p_i denominator and the p_i weight
-        self.p_den = np.concatenate([np.tile(np.maximum(p, _TINY), card_w) for p in p_src])
-        self.p_wt = np.concatenate([np.tile(p, card_w) for p in p_src])
-        self.cell_axes = tuple(range(2, self.n_src + 2))
+        # column 0, then each source's block of symbol columns
+        self.starts = np.cumsum((0, 1) + self.cards[:-1])
+        cells = np.indices(self.cards).reshape(self.n_src, -1).T
+        self.S = np.zeros((pmf.size, 1 + sum(self.cards)))
+        self.S[:, 0] = 1.0
+        self.S[np.arange(pmf.size)[:, None], self.starts[1:] + cells] = 1.0
+        # per symbol column: the p_i weight and the safe p_i denominator
+        self.p_wt = np.concatenate(source_marginals(pmf))
+        self.p_den = np.maximum(self.p_wt, _TINY)
         self.row_axes = tuple(range(1, self.n_src + 2))  # all but the run axis
-        # (W, 1, ..., 1) and (W, 1, ..., c_i, ..., 1) for gradient assembly
-        self.lw_shape = (card_w,) + (1,) * self.n_src
-        self.src_shapes = [
-            (card_w,) + tuple(c if a == i else 1 for a, c in enumerate(self.cards))
-            for i in range(self.n_src)
-        ]
 
     # -- functionals ---------------------------------------------------
 
     def _parts(self, q):
-        """Per-run (log q, packed logs, F): J = -H(W|cells), A = -H(W), B_i = -H(W|X_i)."""
-        R, W = q.shape[0], self.card_w
+        """Per-run (log q, logs, F) with J = -H(W|cells), A = -H(W), B_i = -H(W|X_i).
+
+        logs is (R, W, 1 + sum_i c_i): log q(w), then every log q(w|x_i).
+        """
+        R = q.shape[0]
         joint_w = q * self.pmf
-        packed = np.empty((R, self.n_packed))
-        packed[:, :W] = joint_w.sum(axis=self.cell_axes)
-        for sl, num in zip(self.src_slices, source_marginals(joint_w, lead=2)):
-            packed[:, sl] = num.reshape(R, -1)
+        marg = joint_w.reshape(R, self.card_w, -1) @ self.S
         # where p_i = 0 the numerator is 0, so the ratio is the 0 a mask would give
-        src = packed[:, W:]
+        src = marg[..., 1:]
         np.divide(src, self.p_den, out=src)
-        logs = _safe_log(packed)
-        zero = packed <= 0
-        plogp = np.multiply(packed, logs, out=packed)
+        logs = _safe_log(marg)
+        zero = marg <= 0
+        plogp = np.multiply(marg, logs, out=marg)
         np.copyto(plogp, 0.0, where=zero)
         np.multiply(src, self.p_wt, out=src)
         lq = _safe_log(q)
         F = np.empty((R, 2 + self.n_src))
         np.multiply(q, lq, out=joint_w)
         F[:, 0] = np.multiply(joint_w, self.pmf, out=joint_w).sum(axis=self.row_axes)
-        F[:, 1] = plogp[:, :W].sum(axis=1)
-        for i, sl in enumerate(self.src_slices):
-            F[:, 2 + i] = plogp[:, sl].sum(axis=1)
+        F[:, 1:] = np.add.reduceat(plogp.sum(axis=1), self.starts, axis=1)
         return lq, logs, F
 
     def _objective_relax(self, parts):
@@ -335,14 +319,14 @@ class _Engine:
             - lam * sum(F[:, 2:].T)
         )
 
-    def _gradient(self, parts, lam_b):
+    def _gradient(self, parts, lam):
+        """The Lagrangian's gradient over p(cells), 0 off the support; lam has one entry per run."""
         lq, logs, _ = parts
-        R = lq.shape[0]
-        g = np.multiply(1.0 + lam_b, lq)
-        lw = logs[:, : self.card_w].reshape((R,) + self.lw_shape)
-        g += ((self.n_src - 1) * lam_b - 1.0) * lw
-        for sl, shape in zip(self.src_slices, self.src_shapes):
-            g -= lam_b * logs[:, sl].reshape((R,) + shape)
+        lam_b = np.reshape(lam, (-1, 1, 1))
+        g = np.multiply(1.0 + lam_b, lq.reshape(logs.shape[:2] + (-1,)))
+        g += ((self.n_src - 1) * lam_b - 1.0) * logs[..., :1]
+        g -= lam_b * (logs[..., 1:] @ self.S[:, 1:].T)
+        g = g.reshape(lq.shape)
         np.copyto(g, 0.0, where=self.off_support)
         return g
 
@@ -396,7 +380,7 @@ class _Engine:
             if live.size == 0:
                 break
             lq = parts[0]
-            g = self._gradient(parts, lam.reshape((live.size,) + (1,) * (self.n_src + 1)))
+            g = self._gradient(parts, lam)
             pending = np.arange(live.size)
             stuck = np.zeros(live.size, dtype=bool)
             retry = False
@@ -407,7 +391,9 @@ class _Engine:
                     two = steps * 0.5 >= _ETA_FLOOR
                     rows = np.concatenate([pending, pending[two]])
                     steps = np.concatenate([steps, steps[two] * 0.5])
-                cand = self._step(lq[rows], g[rows], steps)
+                    cand = self._step(lq[rows], g[rows], steps)
+                else:  # every live run at its own step
+                    cand = self._step(lq, g, steps)
                 cand_parts = self._parts(cand)
                 good = self._lagrangian(cand_parts, lam[rows]) <= G[rows] + 1e-12
                 fail = ~good[:n]
@@ -417,8 +403,8 @@ class _Engine:
                 # an accepted run's rows take the candidate; stuck runs keep theirs
                 sel = np.flatnonzero(good)
                 acc = rows[sel]
-                q[acc] = cand[sel]
-                _put_rows(parts, acc, cand_parts, sel)
+                for dst, src in zip((q,) + parts, (cand,) + cand_parts):
+                    dst[acc] = src[sel]
                 eta[acc] = steps[sel]
                 # a run that failed every rung halves once per rung it tried
                 pending = pending[fail]
@@ -448,7 +434,7 @@ class _Engine:
                 converged[out] = (met_tol & ~stuck)[done]
                 keep = ~done
                 live, q, G, eta, lam = live[keep], q[keep], G[keep], eta[keep], lam[keep]
-                parts, obj, relax = _take_rows(parts, keep), obj[keep], relax[keep]
+                parts, obj, relax = tuple(a[keep] for a in parts), obj[keep], relax[keep]
             eta = np.minimum(eta * _ETA_GROWTH, _ETA_MAX)
         q_out[live], obj_out[live], relax_out[live] = q, obj, relax
         history = np.array(history).T if history is not None else None

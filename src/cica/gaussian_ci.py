@@ -11,10 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cca import _ZERO_RHO, cca_decompose
-from .errors import RhoOutOfRange, UnsortedRho
+from .errors import RhoOutOfRange, TooLarge, UnsortedRho
 from .model import GaussianJoint, InfoValue, _check_budget, _check_grid
 
 _ACTIVE_MARGIN = 1e-12
+# float64 entries of one (points x components) array of _fill: 2**24 are 128 MiB
+_MAX_CURVE_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,12 @@ def _fill(rho, gammas):
     return info, level, c_gamma, k
 
 
+def _check_curve_size(points: int, components: int) -> None:
+    """TooLarge when a curve's (points x components) arrays exceed _MAX_CURVE_ENTRIES."""
+    if points * max(components, 1) > _MAX_CURVE_ENTRIES:
+        raise TooLarge(f"{points} curve points x {components} components > {_MAX_CURVE_ENTRIES}")
+
+
 def waterfill(rho, gamma_total: float) -> GammaAllocation:
     """Optimal split of gamma_total across components, in closed form.
 
@@ -145,5 +153,7 @@ def component_count(rho, gamma: float) -> int:
 def ci_curve(joint: GaussianJoint, grid) -> list[tuple[float, float, int]]:
     """Evaluate (gamma, c_gamma, k) along an ascending nonnegative grid."""
     grid = _check_grid(grid)
-    _, _, c_gamma, k = _fill(cca_decompose(joint).rho, grid)
+    rho = cca_decompose(joint).rho
+    _check_curve_size(grid.size, rho.size)
+    _, _, c_gamma, k = _fill(rho, grid)
     return [(float(g), float(c), int(kk)) for g, c, kk in zip(grid, c_gamma, k)]

@@ -12,6 +12,7 @@ from hypothesis import configuration, settings
 from cica import validate_gaussian
 from cica.discrete_ci import _ETA_FLOOR, _ETA_GROWTH, _ETA_INIT, _ETA_MAX
 from cica.errors import NoConvergence
+from cica.model import source_marginals
 
 # the same examples on every run, no example database on disk, and no
 # deadline, whose wall-clock test would make a pass depend on host load
@@ -201,6 +202,29 @@ def reference_descend(engine, q0, lam):
     obj, relax = engine._objective_relax(parts)
     history = np.array(history).T if history is not None else None
     return q, obj, relax, iters, converged, history
+
+
+def reference_functionals(pmf, q, lam):
+    """One run's F = [J, A, B_1..B_M] and Lagrangian gradient, source by source.
+
+    Each q(w, x_i) is its own marginal sum and each log q(w|x_i) is
+    broadcast back onto the cells one source at a time, as the engine did
+    before one incidence product gave every marginal. q has shape (W, *cards).
+    """
+    n_src = pmf.ndim
+    joint_w = q * pmf
+    q_w = joint_w.reshape(q.shape[0], -1).sum(axis=1)
+    l_w = np.log(np.maximum(q_w, 1e-300))
+    l_q = np.log(np.maximum(q, 1e-300))
+    F = [(pmf * q * l_q).sum(), (q_w * l_w).sum()]
+    g = (1.0 + lam) * l_q + ((n_src - 1) * lam - 1.0) * l_w.reshape((-1,) + (1,) * n_src)
+    for i, (num, p_i) in enumerate(zip(source_marginals(joint_w, lead=1), source_marginals(pmf))):
+        l_cond = np.log(np.maximum(np.where(p_i > 0, num / np.maximum(p_i, 1e-300), 0.0), 1e-300))
+        F.append((num * l_cond).sum())
+        shape = (-1,) + tuple(c if a == i else 1 for a, c in enumerate(pmf.shape))
+        g -= lam * l_cond.reshape(shape)
+    g[:, pmf <= 0] = 0.0
+    return np.array(F), g
 
 
 def reference_read_csv_matrix(path):

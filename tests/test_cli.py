@@ -326,6 +326,8 @@ class TestCmdDiscrete:
 
 
 _COV = json.dumps({"k_x": [[1.0]], "k_y": [[1.0]], "k_xy": [[0.5]]})
+_COV2 = json.dumps({"k_x": [[1.0, 0.0], [0.0, 1.0]], "k_y": [[1.0, 0.0], [0.0, 1.0]],
+                    "k_xy": [[0.5, 0.0], [0.0, 0.3]]})
 
 
 def _cap_address_space():
@@ -342,6 +344,10 @@ def _cap_address_space():
                      id="cov-dict-matrix"),
         pytest.param("cov.json", "", [], 2, id="cov-empty"),
         pytest.param("cov.json", _COV, ["--curve-points", "0"], 2, id="curve-points-0"),
+        # the curve's arrays are sized points x components before the grid is built
+        pytest.param("cov.json", _COV, ["--curve-points", "1000000000"], 3, id="curve-points-1e9"),
+        pytest.param("cov.json", _COV2, ["--curve-points", str(2**23 + 1)], 3,
+                     id="curve-points-times-components"),
         pytest.param("p.csv", "x,y,p\n0,0,0.5\n1.5,1,0.5\n", [], 2, id="index-1.5"),
         pytest.param("p.csv", "x,y,p\n0,0,0.5\n0,1000000000,0.5\n", [], 3, id="index-1e9"),
         pytest.param("p.csv", "", [], 2, id="empty"),
@@ -521,6 +527,21 @@ class TestDeterminismAndRoundTrip:
             out = tmp_path / f"t{threads}.json"
             r = run_cli("discrete", "--pmf", str(dsbs_file), "--gamma", "0.05", "--seed", "11",
                         "--threads", threads, "--out", str(out), "--no-meta")
+            assert r.returncode == 0, r.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_byte_identical_across_blas_threads(self, dsbs_file, tmp_path):
+        # the discrete engine's marginals are BLAS products
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            r = subprocess.run(
+                RUN + ["discrete", "--pmf", str(dsbs_file), "--gamma", "0.05", "--seed", "11",
+                       "--out", str(out), "--no-meta"],
+                capture_output=True, text=True, env=env,
+            )
             assert r.returncode == 0, r.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

@@ -38,7 +38,7 @@ from cica.errors import (
     NotNormalized,
     TooLarge,
 )
-from conftest import reference_descend
+from conftest import reference_descend, reference_functionals
 
 LN2 = np.log(2.0)
 H_09_01 = 0.3250829733914482
@@ -531,6 +531,79 @@ class TestDescendOracle:
         _, rep = solve_relaxed_wyner(toy_binary_example(0.1), 0.0, opts)
         assert batches == [128]
         assert rep.restarts_used == 128
+
+
+#: (pmf, card_w) of engines whose rows must not depend on the batch
+ENGINE_ROW_CASES = {
+    # one latent symbol: a flattened (runs x cells) product is gemm for a
+    # batch and gemv for one run, and the two round differently here
+    "4x4-w1": (CUT_PMFS["4x4"], 1),
+    "toy-w17": (toy_binary_example(0.1).pmf, 17),
+    "multi222": (MULTI_PMF, None),
+    "off-support-cell": (np.array([[0.5, 0.0], [0.2, 0.3]]), None),
+    "zero-mass-symbol": (np.array([[0.4, 0.0, 0.1], [0.3, 0.0, 0.2]]), None),
+}
+
+
+def assert_same_bits(a, b, name):
+    assert a.shape == b.shape and a.dtype == b.dtype, name
+    assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("case", ENGINE_ROW_CASES)
+def test_engine_rows_independent_of_batch(case):
+    # a run's functionals and gradient are the same bits alone, in any
+    # sub-batch and in the full batch, so compaction cannot move a run
+    pmf, card_w = ENGINE_ROW_CASES[case]
+    engine, q0, lam = grid_batch(validate_multi_discrete(pmf), SolverOptions(seed=5, card_w=card_w))
+    lam_b = lam.reshape((lam.size,) + (1,) * (engine.n_src + 1))
+    full = engine._parts(q0)
+    g_full = engine._gradient(full, lam_b)
+    rng = np.random.default_rng(0)
+    batches = [np.array([r]) for r in range(lam.size)] + [
+        np.sort(rng.choice(lam.size, size=k, replace=False)) for k in (2, 3, 7, 31, 64, 127)
+    ]
+    for rows in batches:
+        parts = engine._parts(q0[rows])
+        for name, got, want in zip(("log q", "logs", "F"), parts, full):
+            assert_same_bits(got, want[rows], name)
+        assert_same_bits(engine._gradient(parts, lam_b[rows]), g_full[rows], "gradient")
+
+
+@pytest.mark.parametrize("case", ENGINE_ROW_CASES)
+def test_engine_matches_source_by_source_reference(case):
+    # the incidence product sums in another order, so values agree to rounding
+    pmf, card_w = ENGINE_ROW_CASES[case]
+    engine, q0, lam = grid_batch(validate_multi_discrete(pmf), SolverOptions(seed=5, card_w=card_w))
+    parts = engine._parts(q0)
+    g = engine._gradient(parts, lam.reshape((lam.size,) + (1,) * (engine.n_src + 1)))
+    for r in range(0, lam.size, 5):
+        F, g_ref = reference_functionals(pmf, q0[r], lam[r])
+        np.testing.assert_allclose(parts[2][r], F, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(g[r], g_ref, rtol=1e-13, atol=1e-13)
+
+
+#: single-budget solves pinned to the engine before the incidence product:
+#: (joint, gamma, card_w) -> (lam, iterations, restarts_used, objective)
+QUALITY_PINS = {
+    "bench-4x4": (
+        (CUT_PMFS["4x4"], 0.05, None), (1.9905358527674863, 49, 80, 0.42761978393672484)),
+    "toy-w4": ((toy_binary_example(0.1).pmf, 0.0, 4), (50.0, 165, 128, 0.6027868413889671)),
+    "toy-w17": ((toy_binary_example(0.1).pmf, 0.0, 17), (50.0, 210, 128, 0.6027867861967278)),
+    "dsbs-0.05": ((dsbs_joint(0.05).pmf, 0.0, None), (50.0, 183, 128, 0.6522717714223363)),
+    "dsbs-0.1": ((dsbs_joint(0.1).pmf, 0.0, None), (50.0, 264, 128, 0.6027866205924635)),
+    "dsbs-0.2": ((dsbs_joint(0.2).pmf, 0.0, None), (50.0, 269, 128, 0.4834515624430602)),
+    "multi222": ((MULTI_PMF, 0.0, None), (50.0, 363, 128, 0.5157149785264278)),
+}
+
+
+@pytest.mark.parametrize("case", QUALITY_PINS)
+def test_quality_pin(case):
+    (pmf, gamma, card_w), (lam, iterations, restarts_used, objective) = QUALITY_PINS[case]
+    opts = SolverOptions(seed=7, card_w=card_w)
+    _, rep = solve_relaxed_wyner(validate_multi_discrete(pmf), gamma, opts)
+    assert (rep.lam, rep.iterations, rep.restarts_used) == (lam, iterations, restarts_used)
+    assert abs(float(rep.objective) - objective) <= 1e-12
 
 
 class TestMultiplierCut:

@@ -17,7 +17,7 @@ from cica import (
     validate_gaussian,
     waterfill,
 )
-from cica.errors import RhoOutOfRange, UnsortedRho
+from cica.errors import RhoOutOfRange, TooLarge, UnsortedRho
 from conftest import whitened_diag_joint
 
 I_05 = 0.14384103622589042  # 0.5 ln(4/3)
@@ -296,3 +296,9 @@ class TestNonFiniteBudget:
         # NaN slipped past grid.min() < 0, and inf gave a row at gamma = inf
         with pytest.raises(ValueError, match="finite"):
             ci_curve(whitened_diag_joint([0.8, 0.5]), [0.0, 0.1, bad])
+
+    def test_curve_size_checked_before_fill(self):
+        # 16 components x (2**20 + 1) points is one entry past the limit
+        grid = np.linspace(0.0, 1.0, 2**20 + 1)
+        with pytest.raises(TooLarge, match="curve points"):
+            ci_curve(whitened_diag_joint(np.full(16, 0.5)), grid)

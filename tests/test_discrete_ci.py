@@ -556,9 +556,8 @@ def test_engine_rows_independent_of_batch(case):
     # sub-batch and in the full batch, so compaction cannot move a run
     pmf, card_w = ENGINE_ROW_CASES[case]
     engine, q0, lam = grid_batch(validate_multi_discrete(pmf), SolverOptions(seed=5, card_w=card_w))
-    lam_b = lam.reshape((lam.size,) + (1,) * (engine.n_src + 1))
     full = engine._parts(q0)
-    g_full = engine._gradient(full, lam_b)
+    g_full = engine._gradient(full, lam)
     rng = np.random.default_rng(0)
     batches = [np.array([r]) for r in range(lam.size)] + [
         np.sort(rng.choice(lam.size, size=k, replace=False)) for k in (2, 3, 7, 31, 64, 127)
@@ -567,7 +566,7 @@ def test_engine_rows_independent_of_batch(case):
         parts = engine._parts(q0[rows])
         for name, got, want in zip(("log q", "logs", "F"), parts, full):
             assert_same_bits(got, want[rows], name)
-        assert_same_bits(engine._gradient(parts, lam_b[rows]), g_full[rows], "gradient")
+        assert_same_bits(engine._gradient(parts, lam[rows]), g_full[rows], "gradient")
 
 
 @pytest.mark.parametrize("case", ENGINE_ROW_CASES)
@@ -576,7 +575,7 @@ def test_engine_matches_source_by_source_reference(case):
     pmf, card_w = ENGINE_ROW_CASES[case]
     engine, q0, lam = grid_batch(validate_multi_discrete(pmf), SolverOptions(seed=5, card_w=card_w))
     parts = engine._parts(q0)
-    g = engine._gradient(parts, lam.reshape((lam.size,) + (1,) * (engine.n_src + 1)))
+    g = engine._gradient(parts, lam)
     for r in range(0, lam.size, 5):
         F, g_ref = reference_functionals(pmf, q0[r], lam[r])
         np.testing.assert_allclose(parts[2][r], F, rtol=1e-13, atol=1e-13)

@@ -297,8 +297,9 @@ class TestNonFiniteBudget:
         with pytest.raises(ValueError, match="finite"):
             ci_curve(whitened_diag_joint([0.8, 0.5]), [0.0, 0.1, bad])
 
-    def test_curve_size_checked_before_fill(self):
-        # 16 components x (2**20 + 1) points is one entry past the limit
-        grid = np.linspace(0.0, 1.0, 2**20 + 1)
-        with pytest.raises(TooLarge, match="curve points"):
-            ci_curve(whitened_diag_joint(np.full(16, 0.5)), grid)
+
+def test_curve_size_checked_before_fill():
+    # 16 components x (2**20 + 1) points exceed the 2**24-entry limit
+    grid = np.linspace(0.0, 1.0, 2**20 + 1)
+    with pytest.raises(TooLarge, match="curve points"):
+        ci_curve(whitened_diag_joint(np.full(16, 0.5)), grid)

@@ -30,7 +30,6 @@ from .gaussian_ci import (
     ci_curve,
     component_count,
     mutual_info_rho,
-    relaxed_ci_gaussian,
     scalar_relaxed_ci,
     waterfill,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "project_discrete_map",
     "project_gaussian",
     "relaxation_given_w",
-    "relaxed_ci_gaussian",
     "scalar_relaxed_ci",
     "solve_relaxed_wyner",
     "solve_relaxed_wyner_multi",

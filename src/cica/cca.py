@@ -5,6 +5,7 @@ K_y^{-1/2} (its singular values are the canonical correlations), the
 sorted decomposition with its singular-vector bases, and top-k projections.
 """
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -23,11 +24,14 @@ _ZERO_RHO = 1e-12
 
 @dataclass(frozen=True)
 class WhitenedPair:
-    """Whitening matrices and the whitened cross-covariance of a joint model."""
+    """Whitening matrices, the whitened cross-covariance and its SVD factors."""
 
     w_x: np.ndarray
     w_y: np.ndarray
     canonical: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
 
 
 def inv_sqrt_psd(k, eps_pd: float = DEFAULT_EPS_PD) -> np.ndarray:
@@ -48,11 +52,14 @@ def inv_sqrt_psd(k, eps_pd: float = DEFAULT_EPS_PD) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _whitened_svd(joint: GaussianJoint):
-    """Whitening pair plus the SVD (u, s, vh) of the whitened cross-covariance.
+def canonical_matrix(joint: GaussianJoint) -> WhitenedPair:
+    """Whiten a GaussianJoint and take the one SVD of K_x^{-1/2} K_xy K_y^{-1/2}.
 
-    The one SVD of a Gaussian problem: it owns the range check and the
-    near-one clamp that canonical_matrix documents, and returns s clamped.
+    Singular values above 1 + 1e-6 raise SingularValueOutOfRange; those
+    within 1e-6 of 1 (sample covariances can overshoot) are clamped to
+    1 - 1e-9 with a warning at the caller, past cca_decompose when it is the
+    caller, and canonical is rebuilt from the clamped s. Otherwise canonical
+    is w_x @ k_xy @ w_y. Every array is returned read-only.
     """
     w_x = inv_sqrt_psd(joint.k_x, joint.eps_pd)
     w_y = inv_sqrt_psd(joint.k_y, joint.eps_pd)
@@ -67,22 +74,14 @@ def _whitened_svd(joint: GaussianJoint):
     if near_one.any():
         warnings.warn(
             f"{int(near_one.sum())} singular value(s) within 1e-6 of 1 clamped to 1 - 1e-9",
-            stacklevel=3,
+            stacklevel=3 if sys._getframe(1).f_globals is globals() else 2,
         )
         s = np.where(near_one, _PERFECT_RHO, s)
         canonical = (u * s) @ vh
-    pair = WhitenedPair(_frozen_array(w_x), _frozen_array(w_y), _frozen_array(canonical))
-    return pair, (u, s, vh)
-
-
-def canonical_matrix(joint: GaussianJoint) -> WhitenedPair:
-    """Whiten a GaussianJoint and return K_x^{-1/2} K_xy K_y^{-1/2}.
-
-    Singular values above 1 + 1e-6 raise SingularValueOutOfRange; those
-    within 1e-6 of 1 (sample covariances can overshoot) are clamped to
-    1 - 1e-9 with a warning. Otherwise the matrix is w_x @ k_xy @ w_y.
-    """
-    return _whitened_svd(joint)[0]
+    pair = WhitenedPair(w_x, w_y, canonical, u, s, vh)
+    for a in (w_x, w_y, canonical, u, s, vh):
+        a.flags.writeable = False
+    return pair
 
 
 @dataclass(frozen=True)
@@ -115,13 +114,14 @@ def cca_decompose(joint: GaussianJoint) -> CcaBasis:
     every correlation within 1e-6 of 1, which the whitening step clamps to
     1 - 1e-9 with a warning.
     """
-    pair, (u, s, vh) = _whitened_svd(joint)
+    pair = canonical_matrix(joint)
+    u, s = pair.u, pair.s
     if s.size and s[0] >= _PERFECT_RHO:
         raise PerfectCorrelation(
             f"leading canonical correlation {s[0]:.12f} >= 1 - 1e-9"
         )
     rho = np.where(s < _ZERO_RHO, 0.0, s)
-    v = np.ascontiguousarray(vh.T)
+    v = np.ascontiguousarray(pair.vh.T)
     cols = np.arange(rho.size)
     # the sign of each column's largest-magnitude entry (argmax takes the first)
     u_signs = np.sign(u[np.abs(u).argmax(axis=0), cols])
@@ -136,10 +136,10 @@ def cca_decompose(joint: GaussianJoint) -> CcaBasis:
     )
 
 
-def _check_k(k, n: int) -> None:
-    """BadK unless 1 <= k <= n."""
-    if not 1 <= k <= n:
-        raise BadK(f"k must be in [1, {n}], got {k}")
+def _check_k(k, n: int, low: int = 1) -> None:
+    """BadK unless low <= k <= n."""
+    if not low <= k <= n:
+        raise BadK(f"k must be in [{low}, {n}], got {k}")
 
 
 def cca_project(basis: CcaBasis, k: int, x, y):

@@ -9,7 +9,6 @@ import argparse
 import csv
 import datetime
 import json
-import math
 import sys
 import warnings
 
@@ -25,11 +24,10 @@ from .discrete_ci import (
     total_correlation,
 )
 from .errors import CicaError, Infeasible, NoConvergence, PerfectCorrelation
-from .estimation import estimate_gaussian
+from .estimation import _index_table, estimate_gaussian
 from .gaussian_ci import _check_curve_size, _fill, component_count, mutual_info_rho, waterfill
 from .model import (
     LN2,
-    _check_cells,
     _check_grid,
     _check_indices,
     validate_discrete,
@@ -37,11 +35,10 @@ from .model import (
     validate_multi_discrete,  # noqa: F401  (unused here; the benchmark tracer patches it)
 )
 from .projections import (
-    _gaussian_maps,
     binary_vector_covariance,
     feature_mutual_information,
     project_discrete_map,
-    project_gaussian,  # noqa: F401  (unused here; the benchmark tracer patches it)
+    project_gaussian,
     toy_binary_example,
 )
 
@@ -94,12 +91,7 @@ def _read_pmf_csv(path, multi: bool):
         )
     idx, prob = rows[:, :-1], rows[:, -1]
     _check_indices(idx, f"{path}: symbol indices")
-    cards = tuple(int(m) + 1 for m in idx.max(axis=0))
-    # the table would be allocated here, so the solver's cell limit applies now
-    _check_cells(math.prod(cards), SolverOptions().max_states)
-    table = np.zeros(cards)
-    np.add.at(table, tuple(idx.T.astype(int)), prob)
-    return table
+    return _index_table(idx, tuple(int(m) + 1 for m in idx.max(axis=0)), prob)
 
 
 def _jsonable(x):
@@ -214,7 +206,7 @@ def cmd_gaussian_cica(args, parser) -> int:
     basis = cca_decompose(joint)
     k = component_count(basis.rho, args.gamma)
     alloc = waterfill(basis.rho, args.gamma)
-    proj = _gaussian_maps(basis, k, version)
+    proj = project_gaussian(basis, k, version)
     total_info = sum(float(mutual_info_rho(r)) for r in basis.rho)
     report = {
         "gamma": _scale(args.gamma, units),

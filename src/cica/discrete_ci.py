@@ -122,14 +122,6 @@ class Coupling:
     q_w_given_sources: tuple
     joint_ref: object
 
-    @property
-    def q_w_given_x(self) -> np.ndarray:
-        return self.q_w_given_sources[0]
-
-    @property
-    def q_w_given_y(self) -> np.ndarray:
-        return self.q_w_given_sources[1]
-
 
 def _check_card_w(card_w, n_cells: int) -> int:
     """A latent alphabet size in [1, cells + 1]; some optimal W needs no more symbols."""

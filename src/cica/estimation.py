@@ -1,5 +1,7 @@
 """Model estimation from raw samples: covariance blocks and joint pmfs."""
 
+import math
+
 import numpy as np
 
 from .discrete_ci import SolverOptions
@@ -57,24 +59,35 @@ def estimate_gaussian(x_samples, y_samples, ridge: float | None = None) -> Gauss
     return validate_gaussian(k_x, k_y, k_xy)
 
 
-def estimate_pmf(pairs, cards, smoothing: float = 0.0) -> DiscreteJoint:
-    """Empirical joint pmf from index pairs, with additive smoothing.
+def _index_table(idx, cards, weights) -> np.ndarray:
+    """Table of shape cards holding the weights summed at the integral index rows idx.
 
-    Indices must be integers (ValueError) in [0, card) (IndexOutOfRange); a
-    table of more than max_states cells raises TooLarge before allocation.
+    A table of more than the solver's max_states cells raises TooLarge
+    before it is allocated.
     """
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
-        raise ShapeMismatch(f"pairs must be a nonempty N x 2 table, got {pairs.shape}")
-    card_x, card_y = int(cards[0]), int(cards[1])
-    if pairs.min() < 0 or pairs[:, 0].max() >= card_x or pairs[:, 1].max() >= card_y:
-        raise IndexOutOfRange(
-            f"symbol indices must lie in [0, {card_x}) x [0, {card_y})"
+    _check_cells(math.prod(cards), SolverOptions().max_states)
+    table = np.zeros(cards)
+    np.add.at(table, tuple(idx.T.astype(int)), weights)
+    return table
+
+
+def estimate_pmf(rows, cards, smoothing: float = 0.0) -> DiscreteJoint:
+    """Empirical joint pmf from N x M index rows, with additive smoothing.
+
+    Column i holds the symbols of source i and cards the M >= 2 alphabet
+    sizes (ShapeMismatch otherwise); a pair is the M = 2 case. Indices
+    must lie in [0, card) (IndexOutOfRange) and be integers (ValueError);
+    a table of more than max_states cells raises TooLarge before allocation.
+    """
+    rows = np.asarray(rows, dtype=float)
+    cards = tuple(int(c) for c in cards)
+    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != len(cards) or len(cards) < 2:
+        raise ShapeMismatch(
+            f"index rows must be N x M, N >= 1, M = len(cards) >= 2; got {rows.shape}, {cards}"
         )
-    _check_indices(pairs)
-    _check_cells(card_x * card_y, SolverOptions().max_states)
-    pairs = pairs.astype(int)
-    counts = np.zeros((card_x, card_y))
-    np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1.0)
+    if rows.min() < 0 or np.any(rows.max(axis=0) >= cards):
+        raise IndexOutOfRange(f"symbol indices must lie in [0, card) for cards {cards}")
+    _check_indices(rows)
+    counts = _index_table(rows, cards, 1.0)
     counts += float(smoothing)
     return validate_discrete(counts / counts.sum())

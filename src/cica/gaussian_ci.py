@@ -86,7 +86,8 @@ def _fill(rho, gammas):
     gamma: with the m smallest I(rho_i) saturated the sum is linear in the
     level, so the level is (gamma - their sum) / (n - m) on that segment,
     and a budget of at least sum_i I(rho_i) saturates every component at
-    level max_i I(rho_i). k follows the schedule of component_count.
+    level max_i I(rho_i). k counts the components left unsaturated, those
+    with I(rho_i) above the level by more than 1e-12.
     """
     info = _info(rho)
     n = info.size
@@ -97,10 +98,7 @@ def _fill(rho, gammas):
     m = np.searchsorted(at_breaks, gammas, side="right")
     level = np.where(m == n, rising[-1], (gammas - saturated[m]) / np.maximum(n - m, 1))
     c_gamma = _relaxed_ci(rho, np.minimum(level[:, None], info)).sum(axis=1)
-    tails = np.concatenate([np.cumsum(info[::-1])[::-1], [0.0]])  # tails[m] = sum_{i>=m}
-    # lower edge of the k = ell row: (ell+1) I(rho_{ell+1}) + tail beyond it
-    reached = gammas[:, None] >= np.arange(1, n + 1) * info + tails[1:]
-    k = np.where(reached.any(axis=1), reached.argmax(axis=1), n)
+    k = (level[:, None] < info - _ACTIVE_MARGIN).sum(axis=1)
     return info, level, c_gamma, k
 
 
@@ -118,25 +116,15 @@ def waterfill(rho, gamma_total: float) -> GammaAllocation:
     descending with entries in [0, 1).
     """
     rho, gamma_total = _check_rho(rho), _check_budget(gamma_total, "gamma_total")
-    info, level, c_gamma, _ = _fill(rho, np.array([gamma_total]))
+    info, level, c_gamma, k = _fill(rho, np.array([gamma_total]))
     level = float(level[0])
     return GammaAllocation(
         gamma_total=gamma_total,
         gamma_i=np.minimum(level, info),
         c_gamma=InfoValue(float(c_gamma[0])),
         water_level=level,
-        active_count=int(np.sum(level < info - _ACTIVE_MARGIN)),
+        active_count=int(k[0]),
     )
-
-
-def relaxed_ci_gaussian(joint: GaussianJoint, gamma: float):
-    """C_gamma for a Gaussian joint: CCA decomposition plus water-filling.
-
-    Returns (GammaAllocation, CcaBasis) so callers can build projections
-    from the same basis.
-    """
-    basis = cca_decompose(joint)
-    return waterfill(basis.rho, gamma), basis
 
 
 def component_count(rho, gamma: float) -> int:
@@ -144,8 +132,9 @@ def component_count(rho, gamma: float) -> int:
 
     k = l on the half-open interval
     (l+1) I(rho_{l+1}) + sum_{i>l+1} I(rho_i) <= gamma < l I(rho_l) +
-    sum_{i>l} I(rho_i); exact breakpoints take the smaller k, where the
-    extra component's budget is saturated and contributes nothing.
+    sum_{i>l} I(rho_i), which is waterfill's active_count; exact
+    breakpoints take the smaller k, where the extra component's budget is
+    saturated and contributes nothing.
     """
     return int(_fill(_check_rho(rho), np.array([_check_budget(gamma)]))[3][0])
 

@@ -140,22 +140,8 @@ class DiscreteJoint:
     def cards(self) -> tuple:
         return self.pmf.shape
 
-    @property
-    def card_x(self) -> int:
-        return self.pmf.shape[0]
-
-    @property
-    def card_y(self) -> int:
-        return self.pmf.shape[1]
-
     def marginal(self, i: int) -> np.ndarray:
         return source_marginals(self.pmf)[i]
-
-    def marginal_x(self) -> np.ndarray:
-        return self.marginal(0)
-
-    def marginal_y(self) -> np.ndarray:
-        return self.marginal(1)
 
 
 def _check_symmetric(name, k):
@@ -195,22 +181,15 @@ def validate_gaussian(k_x, k_y, k_xy, eps_pd: float = DEFAULT_EPS_PD) -> Gaussia
             raise NotPositiveDefinite(
                 f"{name} has minimum eigenvalue {lam_min:.3e} <= eps_pd={eps_pd:.1e}"
             )
-    block = np.vstack(
-        [np.hstack([k_x, k_xy]), np.hstack([k_xy.T, k_y])]
-    )
-    lam_min = np.linalg.eigvalsh(block)[0]
+    # the symmetrized k_x and k_y are fresh arrays, frozen in place; k_xy may be the caller's
+    k_x.flags.writeable = k_y.flags.writeable = False
+    joint = GaussianJoint(dim_x, dim_y, k_x, k_y, _frozen_array(k_xy), float(eps_pd))
+    lam_min = np.linalg.eigvalsh(joint.block_covariance())[0]
     if lam_min < -_BLOCK_PSD_TOL:
         raise InconsistentBlock(
             f"stacked covariance has eigenvalue {lam_min:.3e} < -1e-9"
         )
-    return GaussianJoint(
-        dim_x=dim_x,
-        dim_y=dim_y,
-        k_x=_frozen_array(k_x),
-        k_y=_frozen_array(k_y),
-        k_xy=_frozen_array(k_xy),
-        eps_pd=float(eps_pd),
-    )
+    return joint
 
 
 def validate_discrete(pmf) -> DiscreteJoint:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import CcaBasis, cca_decompose
+from .cca import CcaBasis, _check_k, cca_decompose
 from .discrete_ci import Coupling, _check_a0
 from .gaussian_ci import component_count, waterfill
 from .model import (
@@ -75,23 +75,19 @@ def gaussian_latent(joint: GaussianJoint, gamma: float) -> GaussianLatentSpec:
     )
 
 
-def project_gaussian(joint: GaussianJoint, gamma: float, version: str) -> ProjectionOutputs:
-    """Closed-form projection maps for a Gaussian joint at budget gamma.
+def project_gaussian(basis: CcaBasis, k: int, version: str) -> ProjectionOutputs:
+    """Closed-form projection maps onto the top-k components of a CCA basis.
 
-    Every version returns rows proportional to the top-k CCA rows
-    U_k^T K_x^{-1/2} (resp. V_k^T K_y^{-1/2}). MAP and conditional
+    k is the count a budget keeps (component_count), in [0, n] (BadK
+    otherwise). Every version returns rows proportional to the top-k CCA
+    rows U_k^T K_x^{-1/2} (resp. V_k^T K_y^{-1/2}). MAP and conditional
     expectation coincide (Gaussian posterior mode = mean) and carry the
     diagonal scale 1 + rho_i from E[W|x]; marginal integration drops the
     cross term E[y_hat] = 0 and has unit scale.
     """
     if version not in VERSIONS:
         raise ValueError(f"version must be one of {VERSIONS}, got {version!r}")
-    basis = cca_decompose(joint)
-    return _gaussian_maps(basis, component_count(basis.rho, gamma), version)
-
-
-def _gaussian_maps(basis: CcaBasis, k: int, version: str) -> ProjectionOutputs:
-    """project_gaussian's maps from a decomposed basis and its component count k."""
+    _check_k(k, basis.n_components, 0)
     scale = 1.0 + basis.rho[:k] if version in ("map", "cond_exp") else np.ones(k)
     u_map = (scale[:, None] * basis.u[:, :k].T) @ basis.w_x
     v_map = (scale[:, None] * basis.v[:, :k].T) @ basis.w_y
@@ -198,8 +194,8 @@ def binary_vector_covariance(joint: DiscreteJoint):
     if joint.pmf.shape != (4, 4):
         raise ValueError("expected a 4x4 joint over two-bit symbols")
     bits = np.array([[i >> 1, i & 1] for i in range(4)], dtype=float)
-    px = joint.marginal_x()
-    py = joint.marginal_y()
+    px = joint.marginal(0)
+    py = joint.marginal(1)
     mx = bits.T @ px
     my = bits.T @ py
     exx = bits.T @ (px[:, None] * bits)

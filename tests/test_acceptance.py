@@ -136,7 +136,7 @@ def test_criterion_4_cica_equals_cca():
                 cca_u = basis.u[:, :k].T @ basis.w_x
                 cca_v = basis.v[:, :k].T @ basis.w_y
                 for version in ("map", "cond_exp", "marginal"):
-                    out = project_gaussian(joint, gamma, version)
+                    out = project_gaussian(basis, k, version)
                     for row, ref in zip(out.u_of_x, cca_u):
                         cos = row @ ref / (np.linalg.norm(row) * np.linalg.norm(ref))
                         c.check(cos >= 1 - 1e-8, f"joint {i} u-row cosine {cos}")

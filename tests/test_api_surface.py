@@ -80,4 +80,9 @@ def test_gaussian_cli_traces_waterfill_layer(tmp_path):
                          "--out", str(tmp_path / "r.json"), "--no-meta"])
     assert code == 0
     names = {span.name for span in tracer.take()}
-    assert {"gaussian_ci.waterfill", "gaussian_ci.component_count"} <= names
+    assert {
+        "gaussian_ci.waterfill",
+        "gaussian_ci.component_count",
+        "whitening.canonical_matrix",
+        "projections.gaussian",
+    } <= names

@@ -87,6 +87,13 @@ class TestCcaDecompose:
                 rho = cca_decompose(j).rho
             assert rho[0] == pytest.approx(1.0 - 1.1e-6, abs=1e-10)
 
+    def test_clamp_warning_points_at_caller(self):
+        j = validate_gaussian(np.eye(1), np.eye(1), np.array([[1.0 - 5e-7]]))
+        with pytest.raises(PerfectCorrelation):
+            with pytest.warns(UserWarning, match="clamped") as record:
+                cca_decompose(j)
+        assert record[0].filename == __file__
+
     def test_invariance_under_invertible_maps(self, rng):
         j = random_gaussian_joint(rng, 3, 3)
         rho = cca_decompose(j).rho

@@ -123,6 +123,27 @@ class TestCmdGaussian:
         assert rep["u_map"] == []
         assert rep["warnings"]
 
+    def test_gamma_at_total_information_keeps_no_component(self, tmp_path):
+        # gamma equal to the report's own total information once gave k = 1,
+        # a one-row u_map and no warning while every gamma_i was saturated
+        cov = tmp_path / "cov.json"
+        cov.write_text(json.dumps({"k_x": np.eye(3).tolist(), "k_y": np.eye(3).tolist(),
+                                   "k_xy": np.diag([0.9, 0.6, 0.3]).tolist()}))
+        out, curve = tmp_path / "r.json", tmp_path / "curve.csv"
+        gamma = "1.1006644944606558"
+        argv = ["gaussian", "--cov", str(cov), "--gamma", gamma, "--curve", str(curve),
+                "--out", str(out), "--no-meta"]
+        assert cli.main(argv) == 0
+        rep = json.loads(out.read_text())
+        assert repr(rep["total_mutual_information"]) == gamma
+        assert rep["c_gamma"] == 0.0
+        saturated = [float(mutual_info_rho(r)) for r in rep["rho"]]
+        assert rep["gamma_i"] == pytest.approx(saturated, rel=0, abs=1e-15)
+        assert rep["k"] == 0
+        assert rep["u_map"] == [] and rep["v_map"] == []
+        assert "no components are retained" in rep["warnings"][0]
+        assert curve.read_text().splitlines()[-1] == f"{gamma},0.0,0"
+
     @pytest.mark.parametrize("gamma", ["nan", "inf"])
     def test_non_finite_gamma_exit_2(self, cov_file, tmp_path, gamma):
         # NaN wrote c_gamma 0.0 and inf wrote "gamma": Infinity, which is not JSON

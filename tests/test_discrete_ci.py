@@ -247,8 +247,8 @@ class TestCoupling:
         j = dsbs_joint(0.1)
         opts = SolverOptions(seed=3, n_lambda=4, restarts=2, max_iter=2000)
         c, _ = solve_relaxed_wyner(j, 0.1, opts)
-        pwx = (c.q_w_given_xy * j.pmf[None]).sum(axis=2) / j.marginal_x()[None, :]
-        np.testing.assert_allclose(pwx, c.q_w_given_x, atol=1e-10)
+        pwx = (c.q_w_given_xy * j.pmf[None]).sum(axis=2) / j.marginal(0)[None, :]
+        np.testing.assert_allclose(pwx, c.q_w_given_sources[0], atol=1e-10)
         qw = (c.q_w_given_xy * j.pmf[None]).sum(axis=(1, 2))
         np.testing.assert_allclose(qw, c.q_w, atol=1e-10)
 
@@ -284,7 +284,7 @@ class TestSolveRelaxedWyner:
             assert float(latent_mutual_information(c)) == pytest.approx(
                 float(rep.objective), abs=1e-9
             )
-            assert c.card_w <= j.card_x * j.card_y + 1
+            assert c.card_w <= j.cards[0] * j.cards[1] + 1
 
     def test_lower_bound_property(self):
         j = dsbs_joint(0.1)

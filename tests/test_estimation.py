@@ -101,6 +101,31 @@ class TestEstimatePmf:
             with pytest.raises(IndexOutOfRange):
                 estimate_pmf(np.array(bad), (2, 2))
 
+    def test_cards_must_match_columns(self):
+        # one card for a pair raised a bare IndexError; three gave a 2 x 2 table
+        for cards in ((2,), (2, 2, 2)):
+            with pytest.raises(ShapeMismatch, match="len\\(cards\\)"):
+                estimate_pmf([[0, 1]], cards)
+        with pytest.raises(ShapeMismatch):
+            estimate_pmf([[0], [1]], (2,))
+
+    def test_error_order(self):
+        # shape, then range (-1 included), then integrality, then size
+        with pytest.raises(ShapeMismatch):
+            estimate_pmf([[-1, 0.5, 0]], (2, 2))
+        with pytest.raises(IndexOutOfRange):
+            estimate_pmf([[-1, 0.5]], (2, 2))
+        with pytest.raises(ValueError, match="must be nonnegative integers"):
+            estimate_pmf([[0.5, 0]], (100000, 100000))
+
+    def test_three_source_counts(self):
+        rows = [[0, 1, 2], [0, 1, 2], [1, 0, 0], [1, 1, 1]]
+        j = estimate_pmf(rows, (2, 2, 3))
+        want = np.zeros((2, 2, 3))
+        want[0, 1, 2], want[1, 0, 0], want[1, 1, 1] = 0.5, 0.25, 0.25
+        np.testing.assert_array_equal(j.pmf, want)
+        assert j.cards == (2, 2, 3)
+
     def test_non_integral_index_rejected(self):
         # 1.5 is not truncated to 1
         with pytest.raises(ValueError, match="must be nonnegative integers"):

@@ -76,8 +76,8 @@ class TestValidateGaussian:
 class TestValidateDiscrete:
     def test_uniform(self):
         j = validate_discrete(np.full((2, 2), 0.25))
-        assert j.card_x == j.card_y == 2
-        np.testing.assert_allclose(j.marginal_x(), [0.5, 0.5])
+        assert j.cards == (2, 2)
+        np.testing.assert_allclose(j.marginal(0), [0.5, 0.5])
         pmf = np.zeros((2, 2, 2))
         pmf[0, 0, 0] = pmf[1, 1, 1] = 0.5
         j = validate_discrete(pmf)

@@ -17,13 +17,12 @@ from cica import (
     project_discrete,
     project_discrete_map,
     project_gaussian,
-    relaxed_ci_gaussian,
     solve_relaxed_wyner,
     toy_binary_example,
     validate_gaussian,
     waterfill,
 )
-from cica.errors import A0OutOfRange
+from cica.errors import A0OutOfRange, BadK
 from conftest import gauss_cond_mi, gauss_mi, random_gaussian_joint, whitened_diag_joint
 
 LN2 = np.log(2.0)
@@ -95,7 +94,7 @@ class TestGaussianLatent:
             basis = cca_decompose(j)
             total = sum(float(mutual_info_rho(r)) for r in basis.rho)
             gamma = 0.4 * total
-            alloc, _ = relaxed_ci_gaussian(j, gamma)
+            alloc = waterfill(basis.rho, gamma)
             spec = gaussian_latent(j, gamma)
             if spec.k == 0:
                 continue
@@ -111,24 +110,26 @@ class TestGaussianLatent:
 
 class TestProjectGaussian:
     def test_cond_exp_whitened_diag(self):
-        j = whitened_diag_joint([0.8, 0.5])
-        out = project_gaussian(j, 0.4, "cond_exp")
+        basis = cca_decompose(whitened_diag_joint([0.8, 0.5]))
+        out = project_gaussian(basis, component_count(basis.rho, 0.4), "cond_exp")
         assert out.u_of_x.shape == (1, 2)
         row = out.u_of_x[0]
         np.testing.assert_allclose(row / np.linalg.norm(row), [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(out.scale, [1.8], atol=1e-12)
 
     def test_map_equals_cond_exp(self, rng):
-        j = random_gaussian_joint(rng, 3, 2)
-        m1 = project_gaussian(j, 0.05, "map")
-        m2 = project_gaussian(j, 0.05, "cond_exp")
+        basis = cca_decompose(random_gaussian_joint(rng, 3, 2))
+        k = component_count(basis.rho, 0.05)
+        m1 = project_gaussian(basis, k, "map")
+        m2 = project_gaussian(basis, k, "cond_exp")
         np.testing.assert_allclose(m1.u_of_x, m2.u_of_x, atol=1e-10)
         np.testing.assert_allclose(m1.v_of_y, m2.v_of_y, atol=1e-10)
 
     def test_marginal_proportional_to_cond_exp(self, rng):
-        j = random_gaussian_joint(rng, 3, 3)
-        m1 = project_gaussian(j, 0.05, "marginal")
-        m2 = project_gaussian(j, 0.05, "cond_exp")
+        basis = cca_decompose(random_gaussian_joint(rng, 3, 3))
+        k = component_count(basis.rho, 0.05)
+        m1 = project_gaussian(basis, k, "marginal")
+        m2 = project_gaussian(basis, k, "cond_exp")
         for r1, r2 in zip(m1.u_of_x, m2.u_of_x):
             cos = r1 @ r2 / (np.linalg.norm(r1) * np.linalg.norm(r2))
             assert cos >= 1 - 1e-10
@@ -141,7 +142,7 @@ class TestProjectGaussian:
             for gamma in (0.0, 0.3 * total, 0.8 * total):
                 k = component_count(basis.rho, gamma)
                 for version in ("map", "cond_exp", "marginal"):
-                    out = project_gaussian(j, gamma, version)
+                    out = project_gaussian(basis, k, version)
                     assert out.u_of_x.shape == (k, 3)
                     cca_u = basis.u[:, :k].T @ basis.w_x
                     cca_v = basis.v[:, :k].T @ basis.w_y
@@ -153,9 +154,16 @@ class TestProjectGaussian:
                         assert cos >= 1 - 1e-8
 
     def test_bad_version(self):
-        j = whitened_diag_joint([0.5])
+        basis = cca_decompose(whitened_diag_joint([0.5]))
         with pytest.raises(ValueError):
-            project_gaussian(j, 0.0, "argmax")
+            project_gaussian(basis, 1, "argmax")
+
+    def test_k_out_of_range(self):
+        basis = cca_decompose(whitened_diag_joint([0.8, 0.5]))
+        assert project_gaussian(basis, 0, "map").u_of_x.shape == (0, 2)
+        for k in (-1, 3):
+            with pytest.raises(BadK):
+                project_gaussian(basis, k, "map")
 
 
 class TestProjectDiscreteMap:

@@ -89,6 +89,7 @@ class TestCanonicalMatrix:
 
     def test_near_one_clamped_with_warning(self):
         j = validate_gaussian(np.eye(1), np.eye(1), np.array([[1.0 - 5e-7]]))
-        with pytest.warns(UserWarning, match="clamped"):
+        with pytest.warns(UserWarning, match="clamped") as record:
             pair = canonical_matrix(j)
+        assert record[0].filename == __file__
         assert pair.canonical[0, 0] == pytest.approx(1.0 - 1e-9, abs=1e-12)

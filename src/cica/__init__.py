@@ -7,7 +7,7 @@ features.
 """
 
 from . import errors
-from .cca import CcaBasis, WhitenedPair, canonical_matrix, cca_decompose, cca_project, inv_sqrt_psd
+from .cca import CcaBasis, canonical_matrix, cca_decompose, cca_project, inv_sqrt_psd
 from .discrete_ci import (
     Coupling,
     SolveReport,
@@ -15,7 +15,6 @@ from .discrete_ci import (
     build_coupling,
     ci_curve_discrete,
     dsbs_joint,
-    dsbs_wyner,
     entropy,
     latent_mutual_information,
     mutual_information,
@@ -30,7 +29,6 @@ from .gaussian_ci import (
     ci_curve,
     component_count,
     mutual_info_rho,
-    scalar_relaxed_ci,
     waterfill,
 )
 from .model import (
@@ -42,11 +40,9 @@ from .model import (
     validate_multi_discrete,
 )
 from .projections import (
-    GaussianLatentSpec,
     ProjectionOutputs,
     binary_vector_covariance,
     feature_mutual_information,
-    gaussian_latent,
     project_discrete,
     project_discrete_map,
     project_gaussian,
@@ -61,12 +57,10 @@ __all__ = [
     "DiscreteJoint",
     "GammaAllocation",
     "GaussianJoint",
-    "GaussianLatentSpec",
     "InfoValue",
     "ProjectionOutputs",
     "SolveReport",
     "SolverOptions",
-    "WhitenedPair",
     "binary_vector_covariance",
     "build_coupling",
     "canonical_matrix",
@@ -76,13 +70,11 @@ __all__ = [
     "ci_curve_discrete",
     "component_count",
     "dsbs_joint",
-    "dsbs_wyner",
     "entropy",
     "errors",
     "estimate_gaussian",
     "estimate_pmf",
     "feature_mutual_information",
-    "gaussian_latent",
     "inv_sqrt_psd",
     "latent_mutual_information",
     "mutual_info_rho",
@@ -91,7 +83,6 @@ __all__ = [
     "project_discrete_map",
     "project_gaussian",
     "relaxation_given_w",
-    "scalar_relaxed_ci",
     "solve_relaxed_wyner",
     "solve_relaxed_wyner_multi",
     "toy_binary_example",

@@ -22,18 +22,6 @@ _PERFECT_RHO = 1.0 - 1e-9
 _ZERO_RHO = 1e-12
 
 
-@dataclass(frozen=True)
-class WhitenedPair:
-    """Whitening matrices, the whitened cross-covariance and its SVD factors."""
-
-    w_x: np.ndarray
-    w_y: np.ndarray
-    canonical: np.ndarray
-    u: np.ndarray
-    s: np.ndarray
-    vh: np.ndarray
-
-
 def inv_sqrt_psd(k, eps_pd: float = DEFAULT_EPS_PD) -> np.ndarray:
     """Unique symmetric M > 0 with M @ k @ M = I, via eigendecomposition.
 
@@ -52,38 +40,6 @@ def inv_sqrt_psd(k, eps_pd: float = DEFAULT_EPS_PD) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def canonical_matrix(joint: GaussianJoint) -> WhitenedPair:
-    """Whiten a GaussianJoint and take the one SVD of K_x^{-1/2} K_xy K_y^{-1/2}.
-
-    Singular values above 1 + 1e-6 raise SingularValueOutOfRange; those
-    within 1e-6 of 1 (sample covariances can overshoot) are clamped to
-    1 - 1e-9 with a warning at the caller, past cca_decompose when it is the
-    caller, and canonical is rebuilt from the clamped s. Otherwise canonical
-    is w_x @ k_xy @ w_y. Every array is returned read-only.
-    """
-    w_x = inv_sqrt_psd(joint.k_x, joint.eps_pd)
-    w_y = inv_sqrt_psd(joint.k_y, joint.eps_pd)
-    canonical = w_x @ joint.k_xy @ w_y
-    u, s, vh = np.linalg.svd(canonical, full_matrices=False)
-    if s.size and s[0] > 1.0 + _CLAMP_BAND:
-        raise SingularValueOutOfRange(
-            f"whitened cross-covariance has singular value {s[0]:.8f} > 1 + 1e-6; "
-            "covariance blocks are inconsistent"
-        )
-    near_one = s >= 1.0 - _CLAMP_BAND
-    if near_one.any():
-        warnings.warn(
-            f"{int(near_one.sum())} singular value(s) within 1e-6 of 1 clamped to 1 - 1e-9",
-            stacklevel=3 if sys._getframe(1).f_globals is globals() else 2,
-        )
-        s = np.where(near_one, _PERFECT_RHO, s)
-        canonical = (u * s) @ vh
-    pair = WhitenedPair(w_x, w_y, canonical, u, s, vh)
-    for a in (w_x, w_y, canonical, u, s, vh):
-        a.flags.writeable = False
-    return pair
-
-
 @dataclass(frozen=True)
 class CcaBasis:
     """Ordered canonical correlations with their singular-vector bases.
@@ -91,7 +47,7 @@ class CcaBasis:
     Columns of u and v follow a deterministic sign convention: the entry of
     largest magnitude in each column of u is positive (ties broken by lowest
     index), and v's columns are flipped together with u's so that
-    canonical^T u_i = rho_i v_i holds with nonnegative scale.
+    (w_x K_xy w_y)^T u_i = rho_i v_i holds with nonnegative scale.
     """
 
     rho: np.ndarray
@@ -105,23 +61,33 @@ class CcaBasis:
         return self.rho.size
 
 
-def cca_decompose(joint: GaussianJoint) -> CcaBasis:
-    """Canonical correlations and sign-fixed bases from one whitened SVD.
+def canonical_matrix(joint: GaussianJoint) -> CcaBasis:
+    """Whiten a GaussianJoint and take the one SVD of K_x^{-1/2} K_xy K_y^{-1/2}.
 
     rho comes out sorted descending (LAPACK's order) with values below
-    1e-12 set to 0. Raises PerfectCorrelation when rho_1 >= 1 - 1e-9, where
-    the per-component mutual information I(rho) diverges; this includes
-    every correlation within 1e-6 of 1, which the whitening step clamps to
-    1 - 1e-9 with a warning.
+    1e-12 set to 0, and u, v follow CcaBasis's sign convention. Singular
+    values above 1 + 1e-6 raise SingularValueOutOfRange; those within 1e-6
+    of 1 (sample covariances can overshoot) are clamped to 1 - 1e-9 with a
+    warning at the caller, past cca_decompose when it is the caller. Every
+    array is returned read-only.
     """
-    pair = canonical_matrix(joint)
-    u, s = pair.u, pair.s
-    if s.size and s[0] >= _PERFECT_RHO:
-        raise PerfectCorrelation(
-            f"leading canonical correlation {s[0]:.12f} >= 1 - 1e-9"
+    w_x = inv_sqrt_psd(joint.k_x, joint.eps_pd)
+    w_y = inv_sqrt_psd(joint.k_y, joint.eps_pd)
+    u, s, vh = np.linalg.svd(w_x @ joint.k_xy @ w_y, full_matrices=False)
+    if s.size and s[0] > 1.0 + _CLAMP_BAND:
+        raise SingularValueOutOfRange(
+            f"whitened cross-covariance has singular value {s[0]:.8f} > 1 + 1e-6; "
+            "covariance blocks are inconsistent"
         )
+    near_one = s >= 1.0 - _CLAMP_BAND
+    if near_one.any():
+        warnings.warn(
+            f"{int(near_one.sum())} singular value(s) within 1e-6 of 1 clamped to 1 - 1e-9",
+            stacklevel=3 if sys._getframe(1).f_globals is globals() else 2,
+        )
+        s = np.where(near_one, _PERFECT_RHO, s)
     rho = np.where(s < _ZERO_RHO, 0.0, s)
-    v = np.ascontiguousarray(pair.vh.T)
+    v = np.ascontiguousarray(vh.T)
     cols = np.arange(rho.size)
     # the sign of each column's largest-magnitude entry (argmax takes the first)
     u_signs = np.sign(u[np.abs(u).argmax(axis=0), cols])
@@ -131,9 +97,25 @@ def cca_decompose(joint: GaussianJoint) -> CcaBasis:
         rho=_frozen_array(rho),
         u=_frozen_array(u * u_signs),
         v=_frozen_array(v * v_signs),
-        w_x=pair.w_x,
-        w_y=pair.w_y,
+        w_x=_frozen_array(w_x),
+        w_y=_frozen_array(w_y),
     )
+
+
+def cca_decompose(joint: GaussianJoint) -> CcaBasis:
+    """canonical_matrix's basis, refused when the leading correlation is perfect.
+
+    Raises PerfectCorrelation when rho_1 >= 1 - 1e-9, where the
+    per-component mutual information I(rho) diverges; this includes every
+    correlation within 1e-6 of 1, which canonical_matrix clamps to 1 - 1e-9
+    with a warning.
+    """
+    basis = canonical_matrix(joint)
+    if basis.rho.size and basis.rho[0] >= _PERFECT_RHO:
+        raise PerfectCorrelation(
+            f"leading canonical correlation {basis.rho[0]:.12f} >= 1 - 1e-9"
+        )
+    return basis
 
 
 def _check_k(k, n: int, low: int = 1) -> None:

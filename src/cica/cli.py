@@ -392,6 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toy", help="binary toy example where CCA sees nothing")
     p.add_argument("--a0", type=float, required=True, help="DSBS flip probability")
     _add_solver_flags(p)
+    # the toy's optimum needs only two latent symbols; 4 adds headroom
+    p.set_defaults(card_w=4)
     _add_common(p)
 
     return parser
@@ -400,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "toy" and args.card_w is None:
-        # the toy's optimum needs only two latent symbols; 4 adds headroom
-        args.card_w = 4
     handlers = {
         "cca": cmd_cca,
         "gaussian": cmd_gaussian_cica,

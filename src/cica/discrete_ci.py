@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import A0OutOfRange, Infeasible, InvalidCoupling, NoConvergence, TooLarge
 from .model import (
-    LN2,
+    MAX_STATES,
     DiscreteJoint,
     InfoValue,
     _check_budget,
@@ -85,21 +85,6 @@ def _check_a0(a0) -> float:
     if not 0.0 <= a0 <= 0.5:
         raise A0OutOfRange(f"a0 must lie in [0, 1/2], got {a0}")
     return a0
-
-
-def dsbs_wyner(a0: float) -> InfoValue:
-    """Closed-form Wyner common information of a DSBS with flip probability a0.
-
-    The source formula is stated in bits and converted to nats here.
-    """
-    a0 = _check_a0(a0)
-
-    def hb_bits(p):
-        return float(-(_plogp(p) + _plogp(1.0 - p)) / LN2)
-
-    a1 = (1.0 - math.sqrt(1.0 - 2.0 * a0)) / 2.0
-    bits = 1.0 + hb_bits(a0) - 2.0 * hb_bits(a1)
-    return InfoValue(max(bits, 0.0) * LN2)
 
 
 def dsbs_joint(a0: float) -> DiscreteJoint:
@@ -202,7 +187,7 @@ class SolverOptions:
     slack: float = 5e-3
     lambda_max: float = 1e4
     seed: int = 0
-    max_states: int = 64
+    max_states: int = MAX_STATES
     prob_floor: float = 1e-15
     threads: int = 1
     record_history: bool = False

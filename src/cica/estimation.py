@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 
-from .discrete_ci import SolverOptions
 from .errors import InconsistentBlock, IndexOutOfRange, ShapeMismatch, TooFewSamples
 from .model import (
     DiscreteJoint,
     GaussianJoint,
+    MAX_STATES,
     _check_cells,
     _check_indices,
     validate_discrete,
@@ -62,10 +62,10 @@ def estimate_gaussian(x_samples, y_samples, ridge: float | None = None) -> Gauss
 def _index_table(idx, cards, weights) -> np.ndarray:
     """Table of shape cards holding the weights summed at the integral index rows idx.
 
-    A table of more than the solver's max_states cells raises TooLarge
-    before it is allocated.
+    A table of more than MAX_STATES cells raises TooLarge before it is
+    allocated.
     """
-    _check_cells(math.prod(cards), SolverOptions().max_states)
+    _check_cells(math.prod(cards), MAX_STATES)
     table = np.zeros(cards)
     np.add.at(table, tuple(idx.T.astype(int)), weights)
     return table
@@ -77,7 +77,7 @@ def estimate_pmf(rows, cards, smoothing: float = 0.0) -> DiscreteJoint:
     Column i holds the symbols of source i and cards the M >= 2 alphabet
     sizes (ShapeMismatch otherwise); a pair is the M = 2 case. Indices
     must lie in [0, card) (IndexOutOfRange) and be integers (ValueError);
-    a table of more than max_states cells raises TooLarge before allocation.
+    a table of more than MAX_STATES (64) cells raises TooLarge before allocation.
     """
     rows = np.asarray(rows, dtype=float)
     cards = tuple(int(c) for c in cards)

@@ -51,31 +51,11 @@ def _info(rho):
     return -0.5 * np.log1p(-rho * rho)
 
 
-def _relaxed_ci(rho, gamma_i):
-    """C(rho, gamma_i), elementwise; exactly zero once gamma_i >= I(rho)."""
-    info = _info(rho)
-    # capping the budget at I(rho) keeps s <= rho < 1, so the logs stay finite
-    s = np.sqrt(-np.expm1(-2.0 * np.minimum(gamma_i, info)))
-    val = 0.5 * (np.log1p(rho) - np.log1p(-rho) + np.log1p(-s) - np.log1p(s))
-    return np.where(gamma_i >= info, 0.0, np.maximum(val, 0.0))
-
-
 def mutual_info_rho(rho: float) -> InfoValue:
     """Mutual information of a unit-variance Gaussian pair: 0.5 ln 1/(1-rho^2)."""
     rho = float(rho)
     _check_rho(rho)
     return InfoValue(float(_info(rho)))
-
-
-def scalar_relaxed_ci(rho: float, gamma_i: float) -> InfoValue:
-    """Relaxed common information of a scalar Gaussian pair at budget gamma_i.
-
-    Evaluates 0.5 log+ of (1+rho)(1-s) / ((1-rho)(1+s)) with
-    s = sqrt(1 - e^{-2 gamma_i}); exactly zero once gamma_i >= I(rho).
-    """
-    rho = float(rho)
-    _check_rho(rho)
-    return InfoValue(float(_relaxed_ci(rho, _check_budget(gamma_i, "gamma_i"))))
 
 
 def _fill(rho, gammas):
@@ -87,7 +67,7 @@ def _fill(rho, gammas):
     level, so the level is (gamma - their sum) / (n - m) on that segment,
     and a budget of at least sum_i I(rho_i) saturates every component at
     level max_i I(rho_i). k counts the components left unsaturated, those
-    with I(rho_i) above the level by more than 1e-12.
+    with I(rho_i) above the level by more than 1e-12; only they add to C_gamma.
     """
     info = _info(rho)
     n = info.size
@@ -97,9 +77,12 @@ def _fill(rho, gammas):
     at_breaks = saturated[:-1] + (n - np.arange(n)) * rising
     m = np.searchsorted(at_breaks, gammas, side="right")
     level = np.where(m == n, rising[-1], (gammas - saturated[m]) / np.maximum(n - m, 1))
-    c_gamma = _relaxed_ci(rho, np.minimum(level[:, None], info)).sum(axis=1)
-    k = (level[:, None] < info - _ACTIVE_MARGIN).sum(axis=1)
-    return info, level, c_gamma, k
+    # C(rho_i, gamma_i); capping gamma_i at I(rho_i) keeps s <= rho < 1, so the logs stay finite
+    s = np.sqrt(-np.expm1(-2.0 * np.minimum(level[:, None], info)))
+    c_i = 0.5 * (np.log1p(rho) - np.log1p(-rho) + np.log1p(-s) - np.log1p(s))
+    active = level[:, None] < info - _ACTIVE_MARGIN
+    c_gamma = np.where(active, np.maximum(c_i, 0.0), 0.0).sum(axis=1)
+    return info, level, c_gamma, active.sum(axis=1)
 
 
 def _check_curve_size(points: int, components: int) -> None:

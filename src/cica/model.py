@@ -76,6 +76,10 @@ def _check_indices(idx, name: str = "symbol indices") -> None:
         raise ValueError(f"{name} must be nonnegative integers")
 
 
+#: cell limit of a joint table built from index rows; SolverOptions.max_states defaults to it
+MAX_STATES = 64
+
+
 def _check_cells(n_cells: int, max_states: int) -> None:
     """TooLarge when a joint table of n_cells cells exceeds max_states."""
     if n_cells > max_states:

@@ -12,28 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import CcaBasis, _check_k, cca_decompose
+from .cca import CcaBasis, _check_k
+from .cca import cca_decompose  # noqa: F401  (unused here; the benchmark tracer patches it)
 from .discrete_ci import Coupling, _check_a0
-from .gaussian_ci import component_count, waterfill
-from .model import (
-    DiscreteJoint,
-    GaussianJoint,
-    InfoValue,
-    _frozen_array,
-    validate_discrete,
-)
+from .gaussian_ci import component_count  # noqa: F401  (unused here; the benchmark tracer patches it)
+from .gaussian_ci import waterfill  # noqa: F401  (unused here; the benchmark tracer patches it)
+from .model import DiscreteJoint, InfoValue, _frozen_array, validate_discrete
 
 VERSIONS = ("map", "cond_exp", "marginal")
-
-
-@dataclass(frozen=True)
-class GaussianLatentSpec:
-    """Latent construction W = U_k^T x_hat + V_k^T y_hat + Z for one budget."""
-
-    u_k: np.ndarray
-    v_k: np.ndarray
-    noise_cov: np.ndarray
-    k: int
 
 
 @dataclass(frozen=True)
@@ -52,27 +38,6 @@ class ProjectionOutputs:
     scale: np.ndarray | None = None
     u_ties: np.ndarray | None = None
     v_ties: np.ndarray | None = None
-
-
-def gaussian_latent(joint: GaussianJoint, gamma: float) -> GaussianLatentSpec:
-    """Latent spec achieving the water-filled budgets at compression gamma.
-
-    The per-component noise variance (1 - rho^2)(1 + s) / (rho - s) with
-    s = sqrt(1 - e^{-2 gamma_i}) makes component i attain exactly
-    I(X_i;Y_i|W_i) = gamma_i and I(X_i,Y_i;W_i) = C_{gamma_i}(rho_i).
-    gamma >= sum_i I(rho_i) yields the empty (k = 0) spec.
-    """
-    basis = cca_decompose(joint)
-    k = component_count(basis.rho, gamma)
-    rho = basis.rho[:k]
-    s = np.sqrt(-np.expm1(-2.0 * waterfill(basis.rho, gamma).gamma_i[:k]))
-    noise = (1.0 - rho * rho) * (1.0 + s) / (rho - s)
-    return GaussianLatentSpec(
-        u_k=_frozen_array(basis.u[:, :k]),
-        v_k=_frozen_array(basis.v[:, :k]),
-        noise_cov=_frozen_array(np.diag(noise)),
-        k=k,
-    )
 
 
 def project_gaussian(basis: CcaBasis, k: int, version: str) -> ProjectionOutputs:

@@ -3,13 +3,15 @@
 import csv
 import io
 import json
+import math
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import configuration, settings
 
-from cica import validate_gaussian
+from cica import cca_decompose, component_count, validate_gaussian, waterfill
 from cica.discrete_ci import _ETA_FLOOR, _ETA_GROWTH, _ETA_INIT, _ETA_MAX
 from cica.errors import NoConvergence
 from cica.model import source_marginals
@@ -97,6 +99,59 @@ def gauss_cond_mi(cov, idx_a, idx_b, idx_c):
         - logdet(idx_c)
         - logdet(idx_a + idx_b + idx_c)
     )
+
+
+def relaxed_ci_log_form(rho, gamma):
+    """C(rho, gamma) of a scalar Gaussian pair from the paper's log form, elementwise in gamma.
+
+    0.5 ln[(1+rho)(1-s) / ((1-rho)(1+s))] with s = sqrt(1 - e^{-2 gamma}),
+    clipped at 0 (the ratio is at most 1 once gamma >= I(rho)). One np.log
+    of the ratio, not a sum of log1p terms; s uses expm1, which keeps it
+    accurate for budgets below machine epsilon.
+    """
+    s = np.sqrt(-np.expm1(-2.0 * np.asarray(gamma, dtype=float)))
+    with np.errstate(divide="ignore"):  # s = 1 at very large budgets: ln 0 = -inf, clipped
+        val = 0.5 * np.log(((1 + rho) * (1 - s)) / ((1 - rho) * (1 + s)))
+    return np.maximum(val, 0.0)
+
+
+def dsbs_wyner(a0):
+    """Wyner common information of a DSBS with flip probability a0, in nats.
+
+    Wyner's closed form 1 + h(a0) - 2 h(a1), with a1 = (1 - sqrt(1 - 2 a0)) / 2
+    and h the binary entropy, is stated in bits and converted here.
+    """
+    def h_bits(p):
+        return -sum(q * math.log2(q) for q in (p, 1.0 - p) if q > 0)
+
+    a1 = (1.0 - math.sqrt(1.0 - 2.0 * a0)) / 2.0
+    return max(1.0 + h_bits(a0) - 2.0 * h_bits(a1), 0.0) * math.log(2.0)
+
+
+@dataclass(frozen=True)
+class GaussianLatentSpec:
+    """Latent construction W = U_k^T x_hat + V_k^T y_hat + Z for one budget."""
+
+    u_k: np.ndarray
+    v_k: np.ndarray
+    noise_cov: np.ndarray
+    k: int
+
+
+def gaussian_latent(joint, gamma):
+    """The paper's achievability construction for the water-filled budgets at gamma.
+
+    The per-component noise variance (1 - rho^2)(1 + s) / (rho - s) with
+    s = sqrt(1 - e^{-2 gamma_i}) makes component i attain exactly
+    I(X_i;Y_i|W_i) = gamma_i and I(X_i,Y_i;W_i) = C_{gamma_i}(rho_i).
+    gamma >= sum_i I(rho_i) yields the empty (k = 0) spec.
+    """
+    basis = cca_decompose(joint)
+    k = component_count(basis.rho, gamma)
+    rho = basis.rho[:k]
+    s = np.sqrt(-np.expm1(-2.0 * waterfill(basis.rho, gamma).gamma_i[:k]))
+    noise = (1.0 - rho * rho) * (1.0 + s) / (rho - s)
+    return GaussianLatentSpec(basis.u[:, :k], basis.v[:, :k], np.diag(noise), k)
 
 
 def leading_pair_fixed_point(canonical, tol: float = 1e-12, max_iter: int = 100_000):

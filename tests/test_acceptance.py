@@ -25,7 +25,6 @@ from cica import (
     mutual_information,
     project_discrete_map,
     project_gaussian,
-    scalar_relaxed_ci,
     solve_relaxed_wyner,
     toy_binary_example,
     validate_discrete,
@@ -78,7 +77,7 @@ def test_criterion_1_scalar_closed_form():
     with _Criterion(1, "scalar Gaussian closed form", 1.0) as c:
         for rho in np.arange(0.1, 0.95, 0.1):
             rho = round(float(rho), 1)
-            got = float(scalar_relaxed_ci(rho, 0.0))
+            got = float(waterfill([rho], 0.0).c_gamma)
             want = 0.5 * math.log((1 + rho) / (1 - rho))
             c.check(abs(got - want) < 1e-12, f"rho={rho}: {got} vs {want}")
 

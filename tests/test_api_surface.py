@@ -3,6 +3,7 @@
 bench/tracing.py patches each (module, name) pair in its PATCHES table with a
 bare getattr, and the benchmark's own tests are not part of this suite, so a
 removed import would otherwise surface only when the benchmark runs traced.
+The library's own checks must also survive ``python -O``.
 """
 
 import ast
@@ -66,6 +67,13 @@ def test_unread_imports_are_tracer_targets(path):
     }
     patched = {attr for mod, attr in _tracer_patches() if mod == f"cica.{path.stem}"}
     assert sorted(imported - read - patched) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert statements, so an invariant must raise on its own
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
 def test_gaussian_cli_traces_waterfill_layer(tmp_path):

@@ -519,7 +519,29 @@ def test_report_text_matches_json_indent(command, dsbs_file, tmp_path, rng, monk
     assert out.read_text() == reference_report_text(reports[0])
 
 
+def test_curve_k_zero_rows_read_zero(tmp_path):
+    # the last grid point is the total information, where k = 0 once read
+    # c_gamma a few 1e-16 above zero
+    rho = 0.97 * 0.95 ** np.arange(100)
+    cov = tmp_path / "cov.json"
+    eye = np.eye(100).tolist()
+    cov.write_text(json.dumps({"k_x": eye, "k_y": eye, "k_xy": np.diag(rho).tolist()}))
+    curve = tmp_path / "curve.csv"
+    argv = ["gaussian", "--cov", str(cov), "--gamma", "0.5", "--curve", str(curve),
+            "--curve-points", "200", "--out", str(tmp_path / "r.json"), "--no-meta"]
+    assert cli.main(argv) == 0
+    rows = [line.split(",") for line in curve.read_text().splitlines()[1:]]
+    assert rows[-1][2] == "0"
+    assert all(c == "0.0" for _, c, k in rows if k == "0")
+
+
 class TestCmdToy:
+    def test_card_w_defaults_to_4(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["toy", "--a0", "0.1", "--out", "t.json"]).card_w == 4
+        assert parser.parse_args(["toy", "--a0", "0.1", "--card-w", "9", "--out", "t.json"]).card_w == 9
+        assert parser.parse_args(["discrete", "--pmf", "p.csv", "--gamma", "0", "--out", "d.json"]).card_w is None
+
     def test_comparison_block(self, tmp_path):
         out = tmp_path / "toy.json"
         r = run_cli("toy", "--a0", "0.1", "--seed", "7", "--threads", "1", "--out", str(out))

@@ -2,23 +2,26 @@
 
 Frozen expected values were computed independently from the defining
 formulas I(rho) = 0.5 ln 1/(1-rho^2) and the gamma_i = 0 special case
-0.5 ln (1+rho)/(1-rho) before wiring them to the implementation.
+0.5 ln (1+rho)/(1-rho) before wiring them to the implementation. Scalar
+values C(rho, gamma) come from the paper's log form (relaxed_ci_log_form),
+which shares no code with water-filling.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cica import (
     cca_decompose,
     ci_curve,
     component_count,
     mutual_info_rho,
-    scalar_relaxed_ci,
     validate_gaussian,
     waterfill,
 )
 from cica.errors import RhoOutOfRange, TooLarge, UnsortedRho
-from conftest import whitened_diag_joint
+from conftest import relaxed_ci_log_form, whitened_diag_joint
 
 I_05 = 0.14384103622589042  # 0.5 ln(4/3)
 I_08 = 0.5108256237659906  # 0.5 ln(1/0.36)
@@ -29,37 +32,28 @@ def grid_search_allocation(rho, gamma, step):
     """Brute-force minimum of the separable objective over the simplex."""
     rho = np.asarray(rho, dtype=float)
     if rho.size == 1:
-        return float(scalar_relaxed_ci(rho[0], gamma))
+        return float(relaxed_ci_log_form(rho[0], gamma))
     best = np.inf
     g1_grid = np.arange(0.0, gamma + step, step)
     if rho.size == 2:
         for g1 in g1_grid:
-            val = float(scalar_relaxed_ci(rho[0], g1)) + float(
-                scalar_relaxed_ci(rho[1], max(gamma - g1, 0.0))
+            val = float(relaxed_ci_log_form(rho[0], g1)) + float(
+                relaxed_ci_log_form(rho[1], max(gamma - g1, 0.0))
             )
             best = min(best, val)
         return best
     assert rho.size == 3
-    c0 = _scalar_curve(rho[0], g1_grid)
+    c0 = relaxed_ci_log_form(rho[0], g1_grid)
     for i1, g1 in enumerate(g1_grid):
         rest = gamma - g1
         g2_grid = np.arange(0.0, rest + step, step)
         vals = (
             c0[i1]
-            + _scalar_curve(rho[1], g2_grid)
-            + _scalar_curve(rho[2], np.maximum(rest - g2_grid, 0.0))
+            + relaxed_ci_log_form(rho[1], g2_grid)
+            + relaxed_ci_log_form(rho[2], np.maximum(rest - g2_grid, 0.0))
         )
         best = min(best, vals.min())
     return best
-
-
-def _scalar_curve(rho, gammas):
-    """Vectorized scalar relaxed-CI evaluation used only by the grid oracle."""
-    gammas = np.asarray(gammas, dtype=float)
-    s = np.sqrt(-np.expm1(-2.0 * gammas))
-    with np.errstate(divide="ignore"):
-        val = 0.5 * np.log(((1 + rho) * (1 - s)) / ((1 - rho) * (1 + s)))
-    return np.maximum(val, 0.0)
 
 
 def bisection_allocation(rho, gamma):
@@ -75,7 +69,7 @@ def bisection_allocation(rho, gamma):
         else:
             hi = mid
     level = 0.5 * (lo + hi)
-    return level, sum(float(scalar_relaxed_ci(r, min(level, i))) for r, i in zip(rho, info))
+    return level, sum(float(relaxed_ci_log_form(r, min(level, i))) for r, i in zip(rho, info))
 
 
 def loop_component_count(rho, gamma):
@@ -113,20 +107,35 @@ class TestMutualInfoRho:
                 mutual_info_rho(bad)
 
 
-class TestScalarRelaxedCi:
+def single_ci(rho, gamma):
+    """C_gamma of one component: waterfill's one-component case."""
+    return float(waterfill([rho], gamma).c_gamma)
+
+
+class TestSingleComponent:
     def test_gamma_zero_is_wyner(self):
-        assert float(scalar_relaxed_ci(0.5, 0.0)) == pytest.approx(WYNER_05, abs=1e-15)
+        assert single_ci(0.5, 0.0) == pytest.approx(WYNER_05, abs=1e-15)
 
     def test_zero_at_full_budget(self):
         for rho in (0.3, 0.5, 0.8):
-            assert float(scalar_relaxed_ci(rho, float(mutual_info_rho(rho)))) == 0.0
-            assert float(scalar_relaxed_ci(rho, 2.0)) == 0.0
+            assert single_ci(rho, float(mutual_info_rho(rho))) == 0.0
+            assert single_ci(rho, 2.0) == 0.0
 
     def test_strictly_decreasing_in_gamma(self):
         gammas = np.linspace(0.0, float(mutual_info_rho(0.8)), 50)
-        vals = [float(scalar_relaxed_ci(0.8, g)) for g in gammas]
+        vals = [single_ci(0.8, g) for g in gammas]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert 0.0 < vals[25] < 0.5 * np.log(9.0)
+
+
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 20.0))
+def test_single_component_matches_log_form(rho, gamma):
+    c = single_ci(rho, gamma)
+    if gamma >= float(mutual_info_rho(rho)) - 1e-12:
+        # within 1e-12 of saturation the component does not count toward k
+        assert c == 0.0
+    else:
+        assert abs(c - float(relaxed_ci_log_form(rho, gamma))) <= 1e-12
 
 
 class TestWaterfill:
@@ -145,13 +154,19 @@ class TestWaterfill:
         assert alloc.active_count == 0
         assert alloc.water_level == pytest.approx(I_08, abs=1e-12)
 
+    def test_within_margin_of_saturation_is_zero(self):
+        # both components lie within 1e-12 of saturation, so neither counts toward k
+        alloc = waterfill([0.9, 0.5], float(mutual_info_rho(0.9)) + float(mutual_info_rho(0.5)) - 1e-13)
+        assert alloc.active_count == 0
+        assert float(alloc.c_gamma) == 0.0
+
     def test_singleton(self):
         for gamma in (0.0, 0.05, 0.2):
             alloc = waterfill([0.6], gamma)
             expected = min(gamma, float(mutual_info_rho(0.6)))
             assert alloc.gamma_i[0] == pytest.approx(expected, abs=1e-9)
             assert float(alloc.c_gamma) == pytest.approx(
-                float(scalar_relaxed_ci(0.6, expected)), abs=1e-12
+                float(relaxed_ci_log_form(0.6, expected)), abs=1e-12
             )
 
     def test_budget_sum_invariant(self, rng):
@@ -185,8 +200,8 @@ class TestWaterfill:
         derivs = []
         for rho, g in zip([0.9, 0.7, 0.6], alloc.gamma_i):
             d = (
-                float(scalar_relaxed_ci(rho, g + eps))
-                - float(scalar_relaxed_ci(rho, g - eps))
+                float(relaxed_ci_log_form(rho, g + eps))
+                - float(relaxed_ci_log_form(rho, g - eps))
             ) / (2 * eps)
             derivs.append(d)
         assert max(derivs) - min(derivs) < 1e-6
@@ -238,7 +253,7 @@ class TestRelaxedCiGaussian:
 
     def test_diag_sum_of_scalars(self):
         alloc = waterfill(cca_decompose(whitened_diag_joint([0.8, 0.5])).rho, 0.2)
-        expected = float(scalar_relaxed_ci(0.8, 0.1)) + float(scalar_relaxed_ci(0.5, 0.1))
+        expected = float(relaxed_ci_log_form(0.8, 0.1)) + float(relaxed_ci_log_form(0.5, 0.1))
         assert float(alloc.c_gamma) == pytest.approx(expected, abs=1e-9)
         oracle = grid_search_allocation([0.8, 0.5], 0.2, 1e-4)
         assert float(alloc.c_gamma) <= oracle + 1e-6
@@ -249,7 +264,7 @@ class TestCiCurve:
         j = whitened_diag_joint([0.8, 0.5])
         ((gamma, c, k),) = ci_curve(j, [0.0])
         assert gamma == 0.0 and k == 2
-        expected = float(scalar_relaxed_ci(0.8, 0.0)) + float(scalar_relaxed_ci(0.5, 0.0))
+        expected = float(relaxed_ci_log_form(0.8, 0.0)) + float(relaxed_ci_log_form(0.5, 0.0))
         assert c == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_and_convex(self):
@@ -269,6 +284,15 @@ class TestCiCurve:
         j = whitened_diag_joint([0.8, 0.5])
         rows = ci_curve(j, [I_08 + I_05 + 0.1])
         assert rows[0][1] == 0.0 and rows[0][2] == 0
+
+    def test_k_zero_rows_read_zero(self):
+        # at gamma = sum_i I(rho_i) the level can land an ulp below max_i I(rho_i),
+        # which left C_gamma a few 1e-16 above zero beside k = 0
+        j = whitened_diag_joint(0.97 * 0.95 ** np.arange(100))
+        total = sum(float(mutual_info_rho(r)) for r in cca_decompose(j).rho)
+        rows = ci_curve(j, np.linspace(0.0, total, 200))
+        assert rows[-1][2] == 0
+        assert all(c == 0.0 for _, c, k in rows if k == 0)
 
 
 class TestNonFiniteBudget:

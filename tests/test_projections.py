@@ -9,9 +9,7 @@ from cica import (
     cca_decompose,
     component_count,
     dsbs_joint,
-    dsbs_wyner,
     feature_mutual_information,
-    gaussian_latent,
     mutual_info_rho,
     mutual_information,
     project_discrete,
@@ -23,7 +21,14 @@ from cica import (
     waterfill,
 )
 from cica.errors import A0OutOfRange, BadK
-from conftest import gauss_cond_mi, gauss_mi, random_gaussian_joint, whitened_diag_joint
+from conftest import (
+    dsbs_wyner,
+    gauss_cond_mi,
+    gauss_mi,
+    gaussian_latent,
+    random_gaussian_joint,
+    whitened_diag_joint,
+)
 
 LN2 = np.log(2.0)
 I_08 = 0.5108256237659906
@@ -32,11 +37,9 @@ I_05 = 0.14384103622589042
 
 def latent_block_covariance(joint, spec):
     """Covariance of (X, Y, W) for W = U_k^T x_hat + V_k^T y_hat + Z."""
-    import cica
-
-    pair = cica.canonical_matrix(joint)
-    a = spec.u_k.T @ pair.w_x  # W = a X + b Y + Z
-    b = spec.v_k.T @ pair.w_y
+    basis = cca_decompose(joint)
+    a = spec.u_k.T @ basis.w_x  # W = a X + b Y + Z
+    b = spec.v_k.T @ basis.w_y
     k_wx = a @ joint.k_x + b @ joint.k_xy.T
     k_wy = a @ joint.k_xy + b @ joint.k_y
     k_ww = (

@@ -23,7 +23,6 @@ from cica import (
     dsbs_joint,
     entropy,
     mutual_info_rho,
-    scalar_relaxed_ci,
     validate_discrete,
     waterfill,
 )
@@ -120,10 +119,10 @@ def test_scalar_functions(rho, gamma):
     ok = 0.0 <= rho < 1.0
     info = outcome(mutual_info_rho, rho)
     assert (info is not None) == ok
-    value = outcome(scalar_relaxed_ci, rho, gamma)
-    assert (value is not None) == (ok and valid_budget(gamma))
-    for v in (info, value):
-        assert v is None or math.isfinite(float(v))
+    alloc = outcome(waterfill, [rho], gamma)
+    assert (alloc is not None) == (ok and valid_budget(gamma))
+    assert info is None or math.isfinite(float(info))
+    assert alloc is None or math.isfinite(float(alloc.c_gamma))
 
 
 @given(pmfs(min_dims=1))

@@ -46,36 +46,37 @@ class TestInvSqrtPsd:
 class TestCanonicalMatrix:
     def test_zero_cross(self):
         j = validate_gaussian(np.eye(2), np.eye(2), np.zeros((2, 2)))
-        pair = canonical_matrix(j)
-        np.testing.assert_array_equal(pair.canonical, np.zeros((2, 2)))
+        basis = canonical_matrix(j)
+        np.testing.assert_array_equal(basis.w_x @ j.k_xy @ basis.w_y, np.zeros((2, 2)))
+        np.testing.assert_array_equal(basis.rho, [0.0, 0.0])
 
     def test_already_whitened(self):
         j = validate_gaussian(np.eye(2), np.eye(2), np.diag([0.8, 0.5]))
-        pair = canonical_matrix(j)
-        np.testing.assert_allclose(pair.canonical, np.diag([0.8, 0.5]), atol=1e-14)
+        basis = canonical_matrix(j)
+        np.testing.assert_allclose(basis.w_x @ j.k_xy @ basis.w_y, np.diag([0.8, 0.5]), atol=1e-14)
+        np.testing.assert_allclose(basis.rho, [0.8, 0.5], atol=1e-14)
 
     def test_whitening_property(self, rng):
         j = random_gaussian_joint(rng, 3, 4)
-        pair = canonical_matrix(j)
-        np.testing.assert_allclose(pair.w_x @ j.k_x @ pair.w_x, np.eye(3), atol=1e-8)
-        np.testing.assert_allclose(pair.w_y @ j.k_y @ pair.w_y, np.eye(4), atol=1e-8)
+        basis = canonical_matrix(j)
+        np.testing.assert_allclose(basis.w_x @ j.k_x @ basis.w_x, np.eye(3), atol=1e-8)
+        np.testing.assert_allclose(basis.w_y @ j.k_y @ basis.w_y, np.eye(4), atol=1e-8)
 
     def test_singular_values_at_most_one(self, rng):
         for _ in range(20):
             j = random_gaussian_joint(rng, 3, 3)
-            pair = canonical_matrix(j)
-            s = np.linalg.svd(pair.canonical, compute_uv=False)
+            basis = canonical_matrix(j)
+            s = np.linalg.svd(basis.w_x @ j.k_xy @ basis.w_y, compute_uv=False)
             assert s.max() <= 1.0 + 1e-8
 
     def test_monte_carlo_sampling_oracle(self, rng):
         j = random_gaussian_joint(rng, 2, 2)
-        pair = canonical_matrix(j)
-        s = np.linalg.svd(pair.canonical, compute_uv=False)
+        basis = canonical_matrix(j)
         x, y = sample_joint(j, 100_000, rng)
-        xh = x @ pair.w_x
-        yh = y @ pair.w_y
+        xh = x @ basis.w_x
+        yh = y @ basis.w_y
         emp = np.linalg.svd(xh.T @ yh / len(xh), compute_uv=False)
-        np.testing.assert_allclose(emp, s, atol=2e-2)
+        np.testing.assert_allclose(emp, basis.rho, atol=2e-2)
 
     def test_out_of_range_singular_value(self):
         # bypass model validation to feed an inconsistent block directly
@@ -90,6 +91,6 @@ class TestCanonicalMatrix:
     def test_near_one_clamped_with_warning(self):
         j = validate_gaussian(np.eye(1), np.eye(1), np.array([[1.0 - 5e-7]]))
         with pytest.warns(UserWarning, match="clamped") as record:
-            pair = canonical_matrix(j)
+            basis = canonical_matrix(j)
         assert record[0].filename == __file__
-        assert pair.canonical[0, 0] == pytest.approx(1.0 - 1e-9, abs=1e-12)
+        assert basis.rho[0] == 1.0 - 1e-9

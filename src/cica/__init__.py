@@ -7,7 +7,7 @@ features.
 """
 
 from . import errors
-from .cca import CcaBasis, canonical_matrix, cca_decompose, cca_project, inv_sqrt_psd
+from .cca import CcaBasis, canonical_matrix, cca_decompose, cca_project
 from .discrete_ci import (
     Coupling,
     SolveReport,
@@ -35,6 +35,7 @@ from .model import (
     DiscreteJoint,
     GaussianJoint,
     InfoValue,
+    inv_sqrt_psd,
     validate_discrete,
     validate_gaussian,
     validate_multi_discrete,

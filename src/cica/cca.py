@@ -1,8 +1,9 @@
 """Classical CCA on a validated Gaussian joint model.
 
-Whitening, the one SVD of the whitened cross-covariance K_x^{-1/2} K_xy
-K_y^{-1/2} (its singular values are the canonical correlations), the
-sorted decomposition with its singular-vector bases, and top-k projections.
+The one SVD of the cross-covariance K_x^{-1/2} K_xy K_y^{-1/2}, whitened
+by the matrices the validated joint carries (its singular values are the
+canonical correlations), the sorted decomposition with its singular-vector
+bases, and top-k projections.
 """
 
 import sys
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadK, NotPositiveDefinite, PerfectCorrelation, SingularValueOutOfRange
-from .model import DEFAULT_EPS_PD, GaussianJoint, _frozen_array
+from .errors import BadK, PerfectCorrelation, SingularValueOutOfRange
+from .model import GaussianJoint, _frozen_array
 
 # singular values in [1 - CLAMP_BAND, 1 + CLAMP_BAND] are pulled to _PERFECT_RHO
 _CLAMP_BAND = 1e-6
@@ -20,24 +21,6 @@ _CLAMP_BAND = 1e-6
 _PERFECT_RHO = 1.0 - 1e-9
 #: canonical correlations below this are SVD noise and read as exact zeros
 _ZERO_RHO = 1e-12
-
-
-def inv_sqrt_psd(k, eps_pd: float = DEFAULT_EPS_PD) -> np.ndarray:
-    """Unique symmetric M > 0 with M @ k @ M = I, via eigendecomposition.
-
-    Eigenvalues lambda are mapped to lambda^{-1/2}; the result does not
-    depend on eigenvector sign choices. Raises NotPositiveDefinite when the
-    smallest eigenvalue is <= eps_pd.
-    """
-    k = np.asarray(k, dtype=float)
-    k = 0.5 * (k + k.T)
-    lam, q = np.linalg.eigh(k)
-    if lam[0] <= eps_pd:
-        raise NotPositiveDefinite(
-            f"matrix has minimum eigenvalue {lam[0]:.3e} <= eps_pd={eps_pd:.1e}"
-        )
-    m = (q * (1.0 / np.sqrt(lam))) @ q.T
-    return 0.5 * (m + m.T)
 
 
 @dataclass(frozen=True)
@@ -62,18 +45,16 @@ class CcaBasis:
 
 
 def canonical_matrix(joint: GaussianJoint) -> CcaBasis:
-    """Whiten a GaussianJoint and take the one SVD of K_x^{-1/2} K_xy K_y^{-1/2}.
+    """The one SVD of K_x^{-1/2} K_xy K_y^{-1/2}, whitened by the joint's w_x and w_y.
 
     rho comes out sorted descending (LAPACK's order) with values below
     1e-12 set to 0, and u, v follow CcaBasis's sign convention. Singular
     values above 1 + 1e-6 raise SingularValueOutOfRange; those within 1e-6
     of 1 (sample covariances can overshoot) are clamped to 1 - 1e-9 with a
     warning at the caller, past cca_decompose when it is the caller. Every
-    array is returned read-only.
+    array is returned read-only; w_x and w_y are the joint's own.
     """
-    w_x = inv_sqrt_psd(joint.k_x, joint.eps_pd)
-    w_y = inv_sqrt_psd(joint.k_y, joint.eps_pd)
-    u, s, vh = np.linalg.svd(w_x @ joint.k_xy @ w_y, full_matrices=False)
+    u, s, vh = np.linalg.svd(joint.w_x @ joint.k_xy @ joint.w_y, full_matrices=False)
     if s.size and s[0] > 1.0 + _CLAMP_BAND:
         raise SingularValueOutOfRange(
             f"whitened cross-covariance has singular value {s[0]:.8f} > 1 + 1e-6; "
@@ -97,8 +78,8 @@ def canonical_matrix(joint: GaussianJoint) -> CcaBasis:
         rho=_frozen_array(rho),
         u=_frozen_array(u * u_signs),
         v=_frozen_array(v * v_signs),
-        w_x=_frozen_array(w_x),
-        w_y=_frozen_array(w_y),
+        w_x=joint.w_x,
+        w_y=joint.w_y,
     )
 
 

@@ -25,9 +25,11 @@ from .discrete_ci import (
 )
 from .errors import CicaError, Infeasible, NoConvergence, PerfectCorrelation
 from .estimation import _index_table, estimate_gaussian
-from .gaussian_ci import _check_curve_size, _fill, component_count, mutual_info_rho, waterfill
+from .gaussian_ci import _check_curve_size, _fill, _info, waterfill
+from .gaussian_ci import component_count  # noqa: F401  (unused here; the benchmark tracer patches it)
 from .model import (
     LN2,
+    _check_budget,
     _check_grid,
     _check_indices,
     validate_discrete,
@@ -94,18 +96,6 @@ def _read_pmf_csv(path, multi: bool):
     return _index_table(idx, tuple(int(m) + 1 for m in idx.max(axis=0)), prob)
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def _block(items, brackets, level):
     """One ``indent=2`` JSON container at nesting ``level`` from encoded items."""
     if not items:
@@ -124,8 +114,9 @@ def _nest(tokens, shape, level):
 
 
 def _encode(x, level=0):
-    """``json.dumps(_jsonable(x), indent=2, sort_keys=True)`` for string-keyed x.
+    """``json.dumps(x, indent=2, sort_keys=True)`` for string-keyed x holding numpy values.
 
+    Arrays are written as nested lists and numpy scalars as Python numbers.
     json's indented encoder is pure Python, so a numeric array is instead
     encoded flat by its C encoder in one call and then split and nested.
     """
@@ -139,7 +130,7 @@ def _encode(x, level=0):
         return _block(items, "{}", level)
     if isinstance(x, (list, tuple)):
         return _block([_encode(v, level + 1) for v in x], "[]", level)
-    return json.dumps(_jsonable(x))
+    return json.dumps(x.item() if isinstance(x, np.generic) else x)
 
 
 def _write_report(path, report: dict, no_meta: bool):
@@ -204,10 +195,12 @@ def cmd_gaussian_cica(args, parser) -> int:
     units = args.units
     version = _VERSION_FLAGS[args.version]
     basis = cca_decompose(joint)
-    k = component_count(basis.rho, args.gamma)
-    alloc = waterfill(basis.rho, args.gamma)
+    # checked here so that a bad budget is reported as gamma, not waterfill's gamma_total
+    alloc = waterfill(basis.rho, _check_budget(args.gamma))
+    k = alloc.active_count
     proj = project_gaussian(basis, k, version)
-    total_info = sum(float(mutual_info_rho(r)) for r in basis.rho)
+    # a sum in order, as per-component sums were; numpy's pairwise sum would change the bits
+    total_info = sum(_info(basis.rho).tolist())
     report = {
         "gamma": _scale(args.gamma, units),
         "c_gamma": _scale(float(alloc.c_gamma), units),
@@ -414,7 +407,7 @@ def main(argv=None) -> int:
         print(f"cica: solver failed: {exc}", file=sys.stderr)
         details = getattr(exc, "details", None)
         if details:
-            print(f"cica: telemetry: {json.dumps(_jsonable(details), sort_keys=True)}", file=sys.stderr)
+            print(f"cica: telemetry: {json.dumps(details, sort_keys=True)}", file=sys.stderr)
         return _EXIT_SOLVER
     except PerfectCorrelation as exc:
         print(f"cica: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ class PerfectCorrelation(CicaError):
 
 
 class BadK(CicaError):
-    """Requested component count is outside [1, n]."""
+    """Requested component count is outside [1, n], or [0, n] for project_gaussian."""
 
 
 class NoConvergence(CicaError):

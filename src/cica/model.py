@@ -20,9 +20,8 @@ from .errors import (
 
 LN2 = float(np.log(2.0))
 
-#: PD floor used when none is given; guards downstream K^{-1/2} computations.
-DEFAULT_EPS_PD = 1e-10
-
+# a covariance block needs every eigenvalue above this floor to be whitened
+_EPS_PD = 1e-10
 _BLOCK_PSD_TOL = 1e-9
 _PMF_SUM_TOL = 1e-12
 _PMF_NEG_TOL = 1e-14
@@ -115,7 +114,9 @@ class GaussianJoint:
     k_x: np.ndarray
     k_y: np.ndarray
     k_xy: np.ndarray
-    eps_pd: float = DEFAULT_EPS_PD
+    #: the whitening matrices K_x^{-1/2} and K_y^{-1/2}
+    w_x: np.ndarray
+    w_y: np.ndarray
 
     def block_covariance(self) -> np.ndarray:
         """Stacked (dim_x + dim_y) covariance of the concatenated vector."""
@@ -156,12 +157,29 @@ def _check_symmetric(name, k):
         raise ShapeMismatch(f"{name} is not symmetric")
 
 
-def validate_gaussian(k_x, k_y, k_xy, eps_pd: float = DEFAULT_EPS_PD) -> GaussianJoint:
+def inv_sqrt_psd(k, name: str = "matrix") -> np.ndarray:
+    """Unique symmetric M > 0 with M @ k @ M = I, via eigendecomposition.
+
+    Eigenvalues lambda are mapped to lambda^{-1/2}; the result does not
+    depend on eigenvector sign choices. Raises NotPositiveDefinite, naming
+    the matrix as name, when the smallest eigenvalue is <= 1e-10.
+    """
+    k = np.asarray(k, dtype=float)
+    k = 0.5 * (k + k.T)
+    lam, q = np.linalg.eigh(k)
+    if lam[0] <= _EPS_PD:
+        raise NotPositiveDefinite(f"{name} has minimum eigenvalue {lam[0]:.3e} <= 1e-10")
+    m = (q * (1.0 / np.sqrt(lam))) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def validate_gaussian(k_x, k_y, k_xy) -> GaussianJoint:
     """Validate covariance blocks and build an immutable GaussianJoint.
 
-    Raises NotPositiveDefinite if k_x or k_y has an eigenvalue <= eps_pd,
-    InconsistentBlock if a block has a non-finite entry or the stacked
-    covariance has an eigenvalue below -1e-9, and ShapeMismatch on
+    The joint carries the whitening matrices, from one eigendecomposition
+    per block. Raises NotPositiveDefinite if k_x or k_y has an eigenvalue
+    <= 1e-10, InconsistentBlock if a block has a non-finite entry or the
+    stacked covariance has an eigenvalue below -1e-9, and ShapeMismatch on
     dimension errors.
     """
     k_x = np.asarray(k_x, dtype=float)
@@ -176,18 +194,15 @@ def validate_gaussian(k_x, k_y, k_xy, eps_pd: float = DEFAULT_EPS_PD) -> Gaussia
         raise ShapeMismatch(
             f"k_xy must have shape ({dim_x}, {dim_y}), got {k_xy.shape}"
         )
-    # symmetrize before eigenvalue checks so ulp-level asymmetry cannot bias them
+    # symmetrize before the eigendecompositions so ulp-level asymmetry cannot bias them
     k_x = 0.5 * (k_x + k_x.T)
     k_y = 0.5 * (k_y + k_y.T)
-    for name, k in (("k_x", k_x), ("k_y", k_y)):
-        lam_min = np.linalg.eigvalsh(k)[0]
-        if lam_min <= eps_pd:
-            raise NotPositiveDefinite(
-                f"{name} has minimum eigenvalue {lam_min:.3e} <= eps_pd={eps_pd:.1e}"
-            )
-    # the symmetrized k_x and k_y are fresh arrays, frozen in place; k_xy may be the caller's
-    k_x.flags.writeable = k_y.flags.writeable = False
-    joint = GaussianJoint(dim_x, dim_y, k_x, k_y, _frozen_array(k_xy), float(eps_pd))
+    w_x = inv_sqrt_psd(k_x, "k_x")
+    w_y = inv_sqrt_psd(k_y, "k_y")
+    # all four are fresh arrays, frozen in place; k_xy may be the caller's
+    for a in (k_x, k_y, w_x, w_y):
+        a.flags.writeable = False
+    joint = GaussianJoint(dim_x, dim_y, k_x, k_y, _frozen_array(k_xy), w_x, w_y)
     lam_min = np.linalg.eigvalsh(joint.block_covariance())[0]
     if lam_min < -_BLOCK_PSD_TOL:
         raise InconsistentBlock(

@@ -15,6 +15,7 @@ import numpy as np
 from .cca import CcaBasis, _check_k
 from .cca import cca_decompose  # noqa: F401  (unused here; the benchmark tracer patches it)
 from .discrete_ci import Coupling, _check_a0
+from .errors import ShapeMismatch
 from .gaussian_ci import component_count  # noqa: F401  (unused here; the benchmark tracer patches it)
 from .gaussian_ci import waterfill  # noqa: F401  (unused here; the benchmark tracer patches it)
 from .model import DiscreteJoint, InfoValue, _frozen_array, validate_discrete
@@ -64,11 +65,19 @@ def project_gaussian(basis: CcaBasis, k: int, version: str) -> ProjectionOutputs
     )
 
 
+def _check_pair(m: int, name: str) -> None:
+    """ShapeMismatch unless a model has M = 2 sources."""
+    if m != 2:
+        raise ShapeMismatch(f"{name} needs a pair of sources (M = 2), got M = {m}")
+
+
 def project_discrete_map(c: Coupling) -> ProjectionOutputs:
     """Per-symbol MAP features u(x) = argmax_w p(w|x), v(y) = argmax_w p(w|y).
 
     Ties are broken toward the smallest w and flagged in u_ties / v_ties.
+    Raises ShapeMismatch unless c couples a pair (M = 2).
     """
+    _check_pair(len(c.q_w_given_sources), "project_discrete_map")
     qx = np.asarray(c.q_w_given_sources[0])
     qy = np.asarray(c.q_w_given_sources[1])
     u = qx.argmax(axis=0)
@@ -89,10 +98,11 @@ def project_discrete(c: Coupling, version: str = "map", w_values=None) -> Projec
 
     Conditional expectation and marginal integration are undefined for
     unordered latent labels, so they require w_values, one real value per
-    latent symbol.
+    latent symbol. Raises ShapeMismatch unless c couples a pair (M = 2).
     """
     if version not in VERSIONS:
         raise ValueError(f"version must be one of {VERSIONS}, got {version!r}")
+    _check_pair(len(c.q_w_given_sources), "project_discrete")
     if version == "map":
         return project_discrete_map(c)
     if w_values is None:
@@ -118,9 +128,13 @@ def project_discrete(c: Coupling, version: str = "map", w_values=None) -> Projec
 
 
 def feature_mutual_information(joint: DiscreteJoint, u_of_x, v_of_y) -> InfoValue:
-    """I(u(X); v(Y)) for deterministic symbol-relabeling feature maps."""
+    """I(u(X); v(Y)) for deterministic symbol-relabeling feature maps of a pair joint.
+
+    Raises ShapeMismatch unless joint has M = 2 sources.
+    """
     from .discrete_ci import mutual_information
 
+    _check_pair(joint.pmf.ndim, "feature_mutual_information")
     u = np.asarray(u_of_x, dtype=int)
     v = np.asarray(v_of_y, dtype=int)
     table = np.zeros((u.max() + 1, v.max() + 1))

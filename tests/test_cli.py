@@ -202,15 +202,26 @@ class TestCmdGaussian:
             assert not (tmp_path / "near.json").exists()
 
     def test_one_svd_per_call(self, cov_file, tmp_path, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        # validation whitens each block (one eigh each) and checks the stacked
+        # covariance (one eigvalsh); the one SVD reuses the joint's whitening
+        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         argv = ["gaussian", "--cov", str(cov_file), "--gamma", "0.2", "--curve",
                 str(tmp_path / "curve.csv"), "--out", str(tmp_path / "r.json")]
         assert cli.main(argv) == 0
-        assert len(calls) == 1
-        ci_curve(whitened_diag_joint([0.8, 0.5]), np.linspace(0.0, 1.0, 50))
-        assert len(calls) == 2
+        assert calls == {"eigh": 2, "eigvalsh": 1, "svd": 1}
+        joint = whitened_diag_joint([0.8, 0.5])
+        assert calls == {"eigh": 4, "eigvalsh": 2, "svd": 1}
+        ci_curve(joint, np.linspace(0.0, 1.0, 50))
+        assert calls == {"eigh": 4, "eigvalsh": 2, "svd": 2}
 
     def test_report_matches_separate_waterfill_and_count(self, tmp_path, rng):
         # one water-filling call must give what waterfill plus component_count gave

@@ -5,6 +5,8 @@ import pytest
 
 from cica import (
     InfoValue,
+    canonical_matrix,
+    inv_sqrt_psd,
     validate_discrete,
     validate_gaussian,
     validate_multi_discrete,
@@ -34,8 +36,21 @@ class TestValidateGaussian:
         np.testing.assert_allclose(np.sort(svals)[::-1], [0.8, 0.5])
 
     def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match="^k_x has minimum eigenvalue"):
             validate_gaussian(np.diag([1.0, 0.0]), np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(NotPositiveDefinite, match="^k_y has minimum eigenvalue"):
+            validate_gaussian(np.eye(2), np.diag([1.0, -0.5]), np.zeros((2, 2)))
+
+    def test_whitening_is_frozen_inverse_sqrt_of_blocks(self, rng):
+        b = rng.standard_normal((3, 3))
+        c = rng.standard_normal((2, 2))
+        j = validate_gaussian(b @ b.T + np.eye(3), c @ c.T + np.eye(2), np.zeros((3, 2)))
+        for w, k in ((j.w_x, j.k_x), (j.w_y, j.k_y)):
+            assert not w.flags.writeable
+            np.testing.assert_array_equal(w, inv_sqrt_psd(k))
+        # the basis shares the joint's whitening instead of recomputing it
+        basis = canonical_matrix(j)
+        assert basis.w_x is j.w_x and basis.w_y is j.w_y
 
     def test_non_finite_rejected(self):
         with pytest.raises(InconsistentBlock):

@@ -20,7 +20,7 @@ from cica import (
     validate_gaussian,
     waterfill,
 )
-from cica.errors import A0OutOfRange, BadK
+from cica.errors import A0OutOfRange, BadK, ShapeMismatch
 from conftest import (
     dsbs_wyner,
     gauss_cond_mi,
@@ -213,6 +213,27 @@ class TestProjectDiscreteMap:
         marg = project_discrete(c, "marginal", w_values=[0.0, 1.0])
         np.testing.assert_allclose(marg.u_of_x, [0.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(marg.v_of_y, [0.5, 0.5], atol=1e-12)
+
+    @staticmethod
+    def _triple_coupling():
+        from cica import build_coupling, validate_discrete
+
+        j = validate_discrete(np.full((2, 2, 2), 1 / 8))
+        return build_coupling(np.full((2, 2, 2, 2), 1 / 2), j)
+
+    def test_map_refuses_three_sources(self):
+        # the third source's map was silently dropped
+        with pytest.raises(ShapeMismatch, match="M = 3"):
+            project_discrete_map(self._triple_coupling())
+
+    def test_embeddings_refuse_three_sources(self):
+        with pytest.raises(ShapeMismatch, match="M = 3"):
+            project_discrete(self._triple_coupling(), "marginal", w_values=[0.0, 1.0])
+
+    def test_feature_mi_refuses_three_sources(self):
+        c = self._triple_coupling()
+        with pytest.raises(ShapeMismatch, match="M = 3"):
+            feature_mutual_information(c.joint_ref, [0, 1], [0, 1])
 
 
 class TestToyBinaryExample:

@@ -83,7 +83,8 @@ class TestCanonicalMatrix:
         from cica import GaussianJoint
 
         j = GaussianJoint(
-            dim_x=1, dim_y=1, k_x=np.eye(1), k_y=np.eye(1), k_xy=np.array([[1.5]])
+            dim_x=1, dim_y=1, k_x=np.eye(1), k_y=np.eye(1), k_xy=np.array([[1.5]]),
+            w_x=np.eye(1), w_y=np.eye(1),
         )
         with pytest.raises(SingularValueOutOfRange):
             canonical_matrix(j)

@@ -247,17 +247,10 @@ def cmd_discrete_cica(args, parser) -> int:
     joint = validate_discrete(_read_pmf_csv(args.pmf, multi=args.multi))
     coupling, rep = solve_relaxed_wyner(joint, args.gamma, _solver_options(args))
     baseline = float(total_correlation(joint))
-    features = {
-        "per_source_map": [
-            np.asarray(c).argmax(axis=0) for c in coupling.q_w_given_sources
-        ],
-    }
+    proj = project_discrete_map(coupling)
+    features = {"per_source_map": list(proj.maps)}
     if joint.pmf.ndim == 2:
-        proj = project_discrete_map(coupling)
-        features["u"] = proj.u_of_x
-        features["v"] = proj.v_of_y
-        features["u_ties"] = proj.u_ties
-        features["v_ties"] = proj.v_ties
+        features.update(u=proj.u_of_x, v=proj.v_of_y, u_ties=proj.ties[0], v_ties=proj.ties[1])
     report = {
         "gamma": args.gamma,
         "upper_bound": float(rep.objective),
@@ -286,7 +279,7 @@ def cmd_toy(args, parser) -> int:
     opts = _solver_options(args)
     coupling, rep = solve_relaxed_wyner(joint, 0.0, opts)
     proj = project_discrete_map(coupling)
-    feat_mi = float(feature_mutual_information(joint, proj.u_of_x, proj.v_of_y))
+    feat_mi = float(feature_mutual_information(joint, *proj.maps))
     report = {
         "a0": args.a0,
         "pmf": joint.pmf,

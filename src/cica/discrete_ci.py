@@ -422,27 +422,45 @@ class _Engine:
 # sweep orchestration and selection
 # ---------------------------------------------------------------------------
 
+def _check_options(opts: SolverOptions) -> None:
+    """ValueError unless every number in opts is finite and in the sweep's range."""
+    for name, value in vars(opts).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    for name in ("n_lambda", "restarts", "threads", "max_iter"):
+        if getattr(opts, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(opts, name)}")
+    if not 0 < opts.lambda_min <= opts.lambda_grid_max <= opts.lambda_max:
+        raise ValueError(
+            "need 0 < lambda_min <= lambda_grid_max <= lambda_max, got "
+            f"{opts.lambda_min}, {opts.lambda_grid_max}, {opts.lambda_max}"
+        )
+    if not (opts.tol > 0 and opts.slack >= 0 and 0 <= opts.prob_floor < 1):
+        raise ValueError(
+            "need tol > 0, slack >= 0 and 0 <= prob_floor < 1, got "
+            f"tol={opts.tol}, slack={opts.slack}, prob_floor={opts.prob_floor}"
+        )
+
+
 class _Sweep:
     """Run cloud for one joint pmf, grown lazily by lambda escalation.
 
     Each field holds one entry per run in execution order: coupling q,
     objective, relaxation, multiplier lam, restart index, iterations,
     convergence flag and recorded history. Entry 0 is the trivial coupling
-    (W independent of the sources), which is always available. The joint's
-    size (against opts.max_states), card_w, n_lambda, restarts, threads and
-    the size of the widest backtracking round (against _MAX_ROUND_ENTRIES) are
+    (W independent of the sources), which is always available. The numbers
+    in opts, the joint's size (against opts.max_states), card_w and the size
+    of the widest backtracking round (against _MAX_ROUND_ENTRIES) are
     checked before anything is allocated. With a budget, a batch keeps only
     its runs up to the lowest multiplier that holds a run with relax <=
     budget.
     """
 
     def __init__(self, joint: DiscreteJoint, opts: SolverOptions, budget: float | None = None):
+        _check_options(opts)
         n_states = joint.pmf.size
         _check_cells(n_states, opts.max_states)
         card_w = _check_card_w(n_states + 1 if opts.card_w is None else opts.card_w, n_states)
-        for name in ("n_lambda", "restarts", "threads"):
-            if getattr(opts, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(opts, name)}")
         entries = 2 * opts.n_lambda * opts.restarts * card_w * n_states
         if entries > _MAX_ROUND_ENTRIES:
             raise TooLarge(

@@ -4,8 +4,8 @@ For Gaussian models the latent W = U_k^T x_hat + V_k^T y_hat + Z admits
 closed-form projections: all three extraction rules (MAP, conditional
 expectation, marginal integration) are linear maps proportional to the
 top-k CCA rows, differing only in a per-component diagonal scale. For
-discrete couplings the MAP rule applies directly to the induced
-conditionals p(w|x) and p(w|y).
+discrete couplings of M >= 2 sources every rule reads one feature map per
+source off the induced conditionals p(w|x_i); a pair is the M = 2 case.
 """
 
 from dataclasses import dataclass
@@ -14,31 +14,40 @@ import numpy as np
 
 from .cca import CcaBasis, _check_k
 from .cca import cca_decompose  # noqa: F401  (unused here; the benchmark tracer patches it)
-from .discrete_ci import Coupling, _check_a0
+from .discrete_ci import Coupling, _check_a0, total_correlation
 from .errors import ShapeMismatch
 from .gaussian_ci import component_count  # noqa: F401  (unused here; the benchmark tracer patches it)
 from .gaussian_ci import waterfill  # noqa: F401  (unused here; the benchmark tracer patches it)
-from .model import DiscreteJoint, InfoValue, _frozen_array, validate_discrete
+from .model import DiscreteJoint, InfoValue, _check_indices, _frozen_array
+from .model import source_marginals, validate_discrete
 
 VERSIONS = ("map", "cond_exp", "marginal")
 
 
 @dataclass(frozen=True)
 class ProjectionOutputs:
-    """Per-source feature maps produced by one projection rule.
+    """Feature maps produced by one projection rule, one per source.
 
-    Gaussian models: u_of_x / v_of_y are (k x dim) linear maps and scale
-    holds the per-component diagonal applied on top of the raw CCA rows.
-    Discrete couplings: u_of_x / v_of_y are symbol-to-label tables and
-    u_ties / v_ties flag argmax ties (broken toward the smallest label).
+    Gaussian models: maps holds the (k x dim) linear maps of x and y, and
+    scale the per-component diagonal applied on top of the raw CCA rows.
+    Discrete couplings: maps[i] gives the feature of each symbol of source
+    i, and for MAP ties[i] flags the symbols whose argmax was tied (broken
+    toward the smallest label). u_of_x and v_of_y are the first two maps,
+    the pair's u(x) and v(y).
     """
 
     version: str
-    u_of_x: np.ndarray
-    v_of_y: np.ndarray
+    maps: tuple
     scale: np.ndarray | None = None
-    u_ties: np.ndarray | None = None
-    v_ties: np.ndarray | None = None
+    ties: tuple | None = None
+
+    @property
+    def u_of_x(self) -> np.ndarray:
+        return self.maps[0]
+
+    @property
+    def v_of_y(self) -> np.ndarray:
+        return self.maps[1]
 
 
 def project_gaussian(basis: CcaBasis, k: int, version: str) -> ProjectionOutputs:
@@ -59,50 +68,34 @@ def project_gaussian(basis: CcaBasis, k: int, version: str) -> ProjectionOutputs
     v_map = (scale[:, None] * basis.v[:, :k].T) @ basis.w_y
     return ProjectionOutputs(
         version=version,
-        u_of_x=_frozen_array(u_map),
-        v_of_y=_frozen_array(v_map),
+        maps=(_frozen_array(u_map), _frozen_array(v_map)),
         scale=_frozen_array(scale),
     )
 
 
-def _check_pair(m: int, name: str) -> None:
-    """ShapeMismatch unless a model has M = 2 sources."""
-    if m != 2:
-        raise ShapeMismatch(f"{name} needs a pair of sources (M = 2), got M = {m}")
-
-
 def project_discrete_map(c: Coupling) -> ProjectionOutputs:
-    """Per-symbol MAP features u(x) = argmax_w p(w|x), v(y) = argmax_w p(w|y).
+    """Per-symbol MAP features argmax_w p(w|x_i), one map per source.
 
-    Ties are broken toward the smallest w and flagged in u_ties / v_ties.
-    Raises ShapeMismatch unless c couples a pair (M = 2).
+    Ties are broken toward the smallest w and flagged in ties[i].
     """
-    _check_pair(len(c.q_w_given_sources), "project_discrete_map")
-    qx = np.asarray(c.q_w_given_sources[0])
-    qy = np.asarray(c.q_w_given_sources[1])
-    u = qx.argmax(axis=0)
-    v = qy.argmax(axis=0)
-    u_ties = (qx == qx.max(axis=0, keepdims=True)).sum(axis=0) > 1
-    v_ties = (qy == qy.max(axis=0, keepdims=True)).sum(axis=0) > 1
-    return ProjectionOutputs(
-        version="map",
-        u_of_x=_frozen_array(u, dtype=int),
-        v_of_y=_frozen_array(v, dtype=int),
-        u_ties=_frozen_array(u_ties, dtype=bool),
-        v_ties=_frozen_array(v_ties, dtype=bool),
-    )
+    maps, ties = [], []
+    for q in c.q_w_given_sources:
+        maps.append(_frozen_array(q.argmax(axis=0), dtype=int))
+        ties.append(_frozen_array((q == q.max(axis=0)).sum(axis=0) > 1, dtype=bool))
+    return ProjectionOutputs(version="map", maps=tuple(maps), ties=tuple(ties))
 
 
 def project_discrete(c: Coupling, version: str = "map", w_values=None) -> ProjectionOutputs:
     """Discrete projections; versions beyond MAP need a numeric embedding.
 
     Conditional expectation and marginal integration are undefined for
-    unordered latent labels, so they require w_values, one real value per
-    latent symbol. Raises ShapeMismatch unless c couples a pair (M = 2).
+    unordered latent labels, so they require w_values, one finite real
+    value per latent symbol. Conditional expectation maps x_i to
+    E[W|x_i]; marginal integration averages E[W|x_1..x_M] over the
+    marginals of the other sources.
     """
     if version not in VERSIONS:
         raise ValueError(f"version must be one of {VERSIONS}, got {version!r}")
-    _check_pair(len(c.q_w_given_sources), "project_discrete")
     if version == "map":
         return project_discrete_map(c)
     if w_values is None:
@@ -112,34 +105,44 @@ def project_discrete(c: Coupling, version: str = "map", w_values=None) -> Projec
     vals = np.asarray(w_values, dtype=float)
     if vals.shape != (c.card_w,):
         raise ValueError(f"w_values must have shape ({c.card_w},), got {vals.shape}")
+    if not np.isfinite(vals).all():
+        raise ValueError("w_values must be finite")
     if version == "cond_exp":
-        u = vals @ np.asarray(c.q_w_given_sources[0])
-        v = vals @ np.asarray(c.q_w_given_sources[1])
-    else:  # marginal integration: average E[W|x,y] over the opposite marginal
-        pmf = c.joint_ref.pmf
-        cond_mean = np.einsum("w,wxy->xy", vals, c.q_w_given_xy)
-        u = cond_mean @ pmf.sum(axis=0)
-        v = pmf.sum(axis=1) @ cond_mean
-    return ProjectionOutputs(
-        version=version,
-        u_of_x=_frozen_array(u),
-        v_of_y=_frozen_array(v),
-    )
+        maps = [vals @ q for q in c.q_w_given_sources]
+    else:
+        marginals = source_marginals(c.joint_ref.pmf)
+        cond_mean = np.tensordot(vals, c.q_w_given_xy, axes=1)
+        maps = []
+        for i in range(cond_mean.ndim):
+            table = cond_mean
+            for j in reversed(range(cond_mean.ndim)):  # the axes below j keep their place
+                if j != i:
+                    table = np.tensordot(table, marginals[j], axes=([j], [0]))
+            maps.append(table)
+    return ProjectionOutputs(version=version, maps=tuple(_frozen_array(m) for m in maps))
 
 
-def feature_mutual_information(joint: DiscreteJoint, u_of_x, v_of_y) -> InfoValue:
-    """I(u(X); v(Y)) for deterministic symbol-relabeling feature maps of a pair joint.
+def feature_mutual_information(joint: DiscreteJoint, *maps) -> InfoValue:
+    """Total correlation of the features (f_1(X_1), ..., f_M(X_M)); I(u(X); v(Y)) for a pair.
 
-    Raises ShapeMismatch unless joint has M = 2 sources.
+    Takes one deterministic symbol-relabeling map per source: map i lists
+    a nonnegative integer label for each of the cards[i] symbols of
+    source i. Raises ShapeMismatch for a wrong count or length of maps and
+    ValueError for a label that is not a nonnegative integer.
     """
-    from .discrete_ci import mutual_information
-
-    _check_pair(joint.pmf.ndim, "feature_mutual_information")
-    u = np.asarray(u_of_x, dtype=int)
-    v = np.asarray(v_of_y, dtype=int)
-    table = np.zeros((u.max() + 1, v.max() + 1))
-    np.add.at(table, (u[:, None], v[None, :]), joint.pmf)
-    return mutual_information(validate_discrete(table))
+    cards = joint.pmf.shape
+    if len(maps) != len(cards):
+        raise ShapeMismatch(f"need one feature map per source ({len(cards)}), got {len(maps)}")
+    labels = []
+    for i, (f, card) in enumerate(zip(maps, cards)):
+        f = np.asarray(f, dtype=float)
+        if f.shape != (card,):
+            raise ShapeMismatch(f"feature map {i} must have shape ({card},), got {f.shape}")
+        _check_indices(f, f"feature map {i} labels")
+        labels.append(f.astype(int))
+    table = np.zeros([f.max() + 1 for f in labels])
+    np.add.at(table, np.ix_(*labels), joint.pmf)
+    return total_correlation(validate_discrete(table))
 
 
 def toy_binary_example(a0: float) -> DiscreteJoint:

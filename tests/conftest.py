@@ -154,6 +154,27 @@ def gaussian_latent(joint, gamma):
     return GaussianLatentSpec(basis.u[:, :k], basis.v[:, :k], np.diag(noise), k)
 
 
+def discrete_embedding_oracle(pmf, q, w_values, version):
+    """Per-source discrete embedding features by loops over the joint's cells.
+
+    q is p(w | x_1..x_M). "cond_exp" gives E[W | x_i] = sum over the other
+    symbols of p(x | x_i) E[W | x]; "marginal" weights E[W | x] by the
+    product of the other sources' marginals instead.
+    """
+    m = pmf.ndim
+    marginals = [pmf.sum(axis=tuple(j for j in range(m) if j != i)) for i in range(m)]
+    maps = [np.zeros(card) for card in pmf.shape]
+    for cell in np.ndindex(*pmf.shape):
+        mean = sum(w_values[w] * q[(w,) + cell] for w in range(q.shape[0]))
+        for i in range(m):
+            if version == "cond_exp":
+                weight = pmf[cell] / marginals[i][cell[i]]
+            else:
+                weight = math.prod(marginals[j][cell[j]] for j in range(m) if j != i)
+            maps[i][cell[i]] += weight * mean
+    return maps
+
+
 def leading_pair_fixed_point(canonical, tol: float = 1e-12, max_iter: int = 100_000):
     """Leading singular triple by alternating Cauchy-Schwarz updates.
 

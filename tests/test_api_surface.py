@@ -11,6 +11,7 @@ import functools
 import importlib.util
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,18 @@ def test_readme_tour_names_are_exported():
     assert names
     missing = sorted(n for n in names if n not in cica.__all__ or not hasattr(cica, n))
     assert not missing
+
+
+def test_readme_command_lines_parse():
+    # a renamed or dropped flag fails here instead of leaving the README stale
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("cica ")]
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 @pytest.mark.parametrize(

@@ -278,6 +278,22 @@ class TestCmdDiscrete:
         assert abs(rep["upper_bound"] - math.log(2.0)) < 2e-2
         assert len(rep["map_features"]["per_source_map"]) == 3
 
+    def test_multi_per_source_map_is_the_library_map(self, tmp_path, rng):
+        pmf = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
+        path = tmp_path / "m.csv"
+        rows = [f"{a},{b},{c},{float(pmf[a, b, c])!r}" for a, b, c in np.ndindex(2, 2, 2)]
+        path.write_text("x1,x2,x3,p\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "m.json"
+        code = cli.main(["discrete", "--pmf", str(path), "--gamma", "0", "--multi",
+                         "--seed", "7", "--restarts", "2", "--out", str(out), "--no-meta"])
+        assert code == 0
+        coupling, _ = cica.solve_relaxed_wyner(
+            cica.validate_discrete(pmf), 0.0, cica.SolverOptions(seed=7, restarts=2)
+        )
+        features = json.loads(out.read_text())["map_features"]
+        maps = cica.project_discrete_map(coupling).maps
+        assert features["per_source_map"] == [m.tolist() for m in maps]
+
     def test_solver_failure_exit_5(self, dsbs_file, tmp_path):
         r = run_cli("discrete", "--pmf", str(dsbs_file), "--gamma", "0", "--seed", "1",
                     "--restarts", "1", "--threads", "1", "--out", str(tmp_path / "d.json"),

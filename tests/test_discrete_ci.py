@@ -406,7 +406,7 @@ class TestSolveRelaxedWyner:
             solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
 
     def test_no_convergence(self):
-        opts = SolverOptions(seed=1, max_iter=1, tol=0.0, n_lambda=2, restarts=2)
+        opts = SolverOptions(seed=1, max_iter=1, n_lambda=2, restarts=2)
         with pytest.raises(NoConvergence):
             solve_relaxed_wyner(dsbs_joint(0.1), 0.2, opts)
 

@@ -22,6 +22,7 @@ from cica import (
 )
 from cica.errors import A0OutOfRange, BadK, ShapeMismatch
 from conftest import (
+    discrete_embedding_oracle,
     dsbs_wyner,
     gauss_cond_mi,
     gauss_mi,
@@ -177,14 +178,14 @@ class TestProjectDiscreteMap:
         c = build_coupling(np.full((3, 2, 2), 1 / 3), j)
         out = project_discrete_map(c)
         assert np.all(out.u_of_x == out.u_of_x[0])
-        assert np.all(out.u_ties) and np.all(out.v_ties)
+        assert np.all(out.ties[0]) and np.all(out.ties[1])
 
     def test_dsbs_optimum_partitions(self):
         j = dsbs_joint(0.1)
         c, _ = solve_relaxed_wyner(j, 0.0, SolverOptions(seed=7))
         out = project_discrete_map(c)
         assert out.u_of_x[0] != out.u_of_x[1]  # two symbols separated
-        assert not out.u_ties.any()
+        assert not out.ties[0].any()
         mi = float(feature_mutual_information(j, out.u_of_x, out.v_of_y))
         assert mi > 0.3
 
@@ -214,26 +215,76 @@ class TestProjectDiscreteMap:
         np.testing.assert_allclose(marg.u_of_x, [0.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(marg.v_of_y, [0.5, 0.5], atol=1e-12)
 
-    @staticmethod
-    def _triple_coupling():
+    @pytest.mark.parametrize("version, bad", [("cond_exp", np.nan), ("marginal", np.inf)])
+    def test_embeddings_refuse_non_finite_values(self, version, bad):
+        from cica import build_coupling
+
+        c = build_coupling(np.full((3, 2, 2), 1 / 3), dsbs_joint(0.1))
+        with pytest.raises(ValueError, match="finite"):
+            project_discrete(c, version, w_values=[bad, 1.0, 2.0])
+
+    def test_map_per_source_on_three_sources(self):
         from cica import build_coupling, validate_discrete
 
-        j = validate_discrete(np.full((2, 2, 2), 1 / 8))
-        return build_coupling(np.full((2, 2, 2, 2), 1 / 2), j)
+        # X2 copies X1 with probability 0.8, X3 is an independent fair bit
+        pmf = np.zeros((2, 2, 2))
+        for x1 in (0, 1):
+            for x2 in (0, 1):
+                pmf[x1, x2, :] = 0.5 * (0.8 if x1 == x2 else 0.2) * 0.5
+        q = np.zeros((2, 2, 2, 2))
+        q[0, 0] = q[1, 1] = 1.0  # w copies x1
+        out = project_discrete_map(build_coupling(q, validate_discrete(pmf)))
+        assert len(out.maps) == len(out.ties) == 3
+        np.testing.assert_array_equal(out.maps[0], [0, 1])
+        np.testing.assert_array_equal(out.maps[1], [0, 1])
+        np.testing.assert_array_equal(out.maps[2], [0, 0])  # p(w|x3) is flat
+        np.testing.assert_array_equal(out.ties[0], [False, False])
+        np.testing.assert_array_equal(out.ties[1], [False, False])
+        np.testing.assert_array_equal(out.ties[2], [True, True])
 
-    def test_map_refuses_three_sources(self):
-        # the third source's map was silently dropped
-        with pytest.raises(ShapeMismatch, match="M = 3"):
-            project_discrete_map(self._triple_coupling())
+    @pytest.mark.parametrize("version", ["cond_exp", "marginal"])
+    def test_embeddings_match_loop_oracle_on_three_sources(self, rng, version):
+        from cica import build_coupling, validate_discrete
 
-    def test_embeddings_refuse_three_sources(self):
-        with pytest.raises(ShapeMismatch, match="M = 3"):
-            project_discrete(self._triple_coupling(), "marginal", w_values=[0.0, 1.0])
+        pmf = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)
+        q = rng.dirichlet(np.ones(4), size=12).T.reshape(4, 2, 2, 3)
+        w_values = rng.standard_normal(4)
+        out = project_discrete(build_coupling(q, validate_discrete(pmf)), version, w_values)
+        assert len(out.maps) == 3
+        for got, want in zip(out.maps, discrete_embedding_oracle(pmf, q, w_values, version)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
-    def test_feature_mi_refuses_three_sources(self):
-        c = self._triple_coupling()
-        with pytest.raises(ShapeMismatch, match="M = 3"):
-            feature_mutual_information(c.joint_ref, [0, 1], [0, 1])
+    def test_feature_mi_of_identity_maps_is_total_correlation(self, rng):
+        from cica import total_correlation, validate_discrete
+
+        j = validate_discrete(rng.dirichlet(np.ones(12)).reshape(2, 2, 3))
+        mi = feature_mutual_information(j, *(np.arange(card) for card in j.cards))
+        assert float(mi) == pytest.approx(float(total_correlation(j)), rel=1e-12)
+
+
+class TestFeatureMutualInformationInputs:
+    def test_negative_label_is_refused(self):
+        # indexing would wrap -1 around onto label 0
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            feature_mutual_information(dsbs_joint(0.1), [-1, 0], [0, 1])
+
+    def test_fractional_label_is_refused(self):
+        # an integer cast would truncate 0.5 to 0
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            feature_mutual_information(dsbs_joint(0.1), [0.5, 1], [0, 1])
+
+    def test_wrong_length_map(self):
+        with pytest.raises(ShapeMismatch, match="feature map 1"):
+            feature_mutual_information(dsbs_joint(0.1), [0, 1], [0, 1, 2])
+
+    def test_empty_maps(self):
+        with pytest.raises(ShapeMismatch, match="feature map 0"):
+            feature_mutual_information(dsbs_joint(0.1), [], [])
+
+    @pytest.mark.parametrize("maps", [([0, 1],), ([0, 1], [0, 1], [0, 1])])
+    def test_one_map_per_source(self, maps):
+        with pytest.raises(ShapeMismatch, match="one feature map per source"):
+            feature_mutual_information(dsbs_joint(0.1), *maps)
 
 
 class TestToyBinaryExample:

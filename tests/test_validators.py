@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cica import (
+    SolverOptions,
     ci_curve,
     ci_curve_discrete,
     component_count,
@@ -23,6 +24,7 @@ from cica import (
     dsbs_joint,
     entropy,
     mutual_info_rho,
+    solve_relaxed_wyner,
     validate_discrete,
     waterfill,
 )
@@ -174,3 +176,35 @@ def test_ci_curve_discrete(grid):
         except Reached:
             reached = True
     assert reached == valid_grid(grid)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("lambda_min", -1.0),
+        ("lambda_min", 0.0),
+        ("lambda_min", math.nan),
+        ("lambda_grid_max", 0.01),  # below lambda_min: a descending grid
+        ("lambda_grid_max", 2e4),  # above lambda_max
+        ("lambda_max", math.inf),
+        ("tol", 0.0),
+        ("tol", math.nan),
+        ("slack", -1e-3),
+        ("slack", math.nan),
+        ("max_iter", 0),
+        ("prob_floor", -1e-15),
+        ("prob_floor", 1.0),
+        ("prob_floor", math.inf),
+    ],
+)
+def test_solver_options_out_of_range(name, value):
+    # each used to fail deep in the sweep (NoConvergence, Infeasible, a numpy error) or not at all
+    opts = SolverOptions(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
+
+
+@pytest.mark.parametrize("opts", [SolverOptions(), SolverOptions(seed=7, threads=2)])
+def test_solver_options_in_range(opts):
+    _, report = solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
+    assert math.isfinite(float(report.objective))

@@ -1,9 +1,9 @@
 """Classical CCA on a validated Gaussian joint model.
 
-The one SVD of the cross-covariance K_x^{-1/2} K_xy K_y^{-1/2}, whitened
-by the matrices the validated joint carries (its singular values are the
-canonical correlations), the sorted decomposition with its singular-vector
-bases, and top-k projections.
+The canonical correlations are the singular values of the whitened
+cross-covariance K_x^{-1/2} K_xy K_y^{-1/2}, whose one SVD the validated
+joint carries. This module turns it into the sorted, sign-fixed basis and
+gives top-k projections.
 """
 
 import sys
@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadK, PerfectCorrelation, SingularValueOutOfRange
-from .model import GaussianJoint, _frozen_array
+from .errors import BadK, PerfectCorrelation
+from .model import _CLAMP_BAND, GaussianJoint, _frozen_array
 
-# singular values in [1 - CLAMP_BAND, 1 + CLAMP_BAND] are pulled to _PERFECT_RHO
-_CLAMP_BAND = 1e-6
-#: canonical correlations at or above this are perfect: I(rho) diverges
+#: canonical correlations at or above this are perfect: I(rho) diverges; singular
+#: values within _CLAMP_BAND of 1 are clamped to it
 _PERFECT_RHO = 1.0 - 1e-9
 #: canonical correlations below this are SVD noise and read as exact zeros
 _ZERO_RHO = 1e-12
@@ -45,21 +44,16 @@ class CcaBasis:
 
 
 def canonical_matrix(joint: GaussianJoint) -> CcaBasis:
-    """The one SVD of K_x^{-1/2} K_xy K_y^{-1/2}, whitened by the joint's w_x and w_y.
+    """The CcaBasis of the joint's SVD of K_x^{-1/2} K_xy K_y^{-1/2}; no decomposition runs.
 
     rho comes out sorted descending (LAPACK's order) with values below
     1e-12 set to 0, and u, v follow CcaBasis's sign convention. Singular
-    values above 1 + 1e-6 raise SingularValueOutOfRange; those within 1e-6
-    of 1 (sample covariances can overshoot) are clamped to 1 - 1e-9 with a
-    warning at the caller, past cca_decompose when it is the caller. Every
-    array is returned read-only; w_x and w_y are the joint's own.
+    values within 1e-6 of 1 (sample covariances can overshoot; validation
+    refused any above) are clamped to 1 - 1e-9 with a warning at the caller,
+    past cca_decompose when it is the caller. Every array is returned
+    read-only; w_x and w_y are the joint's own.
     """
-    u, s, vh = np.linalg.svd(joint.w_x @ joint.k_xy @ joint.w_y, full_matrices=False)
-    if s.size and s[0] > 1.0 + _CLAMP_BAND:
-        raise SingularValueOutOfRange(
-            f"whitened cross-covariance has singular value {s[0]:.8f} > 1 + 1e-6; "
-            "covariance blocks are inconsistent"
-        )
+    u, s, vh = joint.cross_svd
     near_one = s >= 1.0 - _CLAMP_BAND
     if near_one.any():
         warnings.warn(

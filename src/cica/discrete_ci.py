@@ -422,14 +422,23 @@ class _Engine:
 # sweep orchestration and selection
 # ---------------------------------------------------------------------------
 
+_OPTION_MINIMA = {"n_lambda": 1, "restarts": 1, "threads": 1, "max_iter": 1, "seed": 0}
+
+
 def _check_options(opts: SolverOptions) -> None:
-    """ValueError unless every number in opts is finite and in the sweep's range."""
+    """ValueError unless every number in opts is finite, of its field's kind and in range."""
     for name, value in vars(opts).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    for name in ("n_lambda", "restarts", "threads", "max_iter"):
-        if getattr(opts, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(opts, name)}")
+    for name in ("card_w", "n_lambda", "restarts", "max_iter", "threads", "seed", "max_states"):
+        value = getattr(opts, name)
+        if (name != "card_w" or value is not None) and (
+            isinstance(value, bool) or not isinstance(value, (int, np.integer))
+        ):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name, low in _OPTION_MINIMA.items():
+        if getattr(opts, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(opts, name)}")
     if not 0 < opts.lambda_min <= opts.lambda_grid_max <= opts.lambda_max:
         raise ValueError(
             "need 0 < lambda_min <= lambda_grid_max <= lambda_max, got "

@@ -14,7 +14,11 @@ class NotPositiveDefinite(CicaError):
 
 
 class InconsistentBlock(CicaError):
-    """The stacked covariance [[K_x, K_xy], [K_xy^T, K_y]] is not PSD."""
+    """A block is non-finite, or [[K_x, K_xy], [K_xy^T, K_y]] is not PSD.
+
+    validate_gaussian requires sigma <= 1 + 1e-6 for every singular value
+    sigma of K_x^{-1/2} K_xy K_y^{-1/2} (PSD exactly when all are <= 1).
+    """
 
 
 class NotNormalized(CicaError):
@@ -23,10 +27,6 @@ class NotNormalized(CicaError):
 
 class NegativeMass(CicaError):
     """A probability table contains a negative entry beyond tolerance."""
-
-
-class SingularValueOutOfRange(CicaError):
-    """A whitened cross-covariance has a singular value above 1 + 1e-6."""
 
 
 class PerfectCorrelation(CicaError):

@@ -9,6 +9,7 @@ from .model import (
     DiscreteJoint,
     GaussianJoint,
     MAX_STATES,
+    _check_budget,
     _check_cells,
     _check_indices,
     validate_discrete,
@@ -24,14 +25,16 @@ def estimate_gaussian(x_samples, y_samples, ridge: float | None = None) -> Gauss
 
     Rows are observations; x and y rows are paired. Means are always
     removed. ridge*I is added to k_x and k_y before validation; ridge=None
-    picks 1e-8 * trace/dim per block. Requires N >= dim_x + dim_y + 1;
-    non-finite samples raise InconsistentBlock.
+    picks 1e-8 * trace/dim per block, and any other ridge must be finite
+    and >= 0 (ValueError). Requires N >= dim_x + dim_y + 1 and at least one
+    column per block (ShapeMismatch); non-finite samples raise
+    InconsistentBlock.
     """
     x = np.atleast_2d(np.asarray(x_samples, dtype=float))
     y = np.atleast_2d(np.asarray(y_samples, dtype=float))
-    if x.shape[0] != y.shape[0]:
+    if x.shape[0] != y.shape[0] or 0 in (x.shape[1], y.shape[1]):
         raise ShapeMismatch(
-            f"x and y must have equal row counts, got {x.shape[0]} and {y.shape[0]}"
+            f"x and y need equal row counts and at least one column, got {x.shape} and {y.shape}"
         )
     n = x.shape[0]
     if n < x.shape[1] + y.shape[1] + 1:
@@ -53,7 +56,7 @@ def estimate_gaussian(x_samples, y_samples, ridge: float | None = None) -> Gauss
         r_x = _AUTO_RIDGE * np.trace(k_x) / k_x.shape[0]
         r_y = _AUTO_RIDGE * np.trace(k_y) / k_y.shape[0]
     else:
-        r_x = r_y = float(ridge)
+        r_x = r_y = _check_budget(ridge, "ridge")
     k_x = k_x + r_x * np.eye(k_x.shape[0])
     k_y = k_y + r_y * np.eye(k_y.shape[0])
     return validate_gaussian(k_x, k_y, k_xy)
@@ -78,7 +81,9 @@ def estimate_pmf(rows, cards, smoothing: float = 0.0) -> DiscreteJoint:
     sizes (ShapeMismatch otherwise); a pair is the M = 2 case. Indices
     must lie in [0, card) (IndexOutOfRange) and be integers (ValueError);
     a table of more than MAX_STATES (64) cells raises TooLarge before allocation.
+    smoothing, added to every cell's count, must be finite and >= 0 (ValueError).
     """
+    smoothing = _check_budget(smoothing, "smoothing")
     rows = np.asarray(rows, dtype=float)
     cards = tuple(int(c) for c in cards)
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != len(cards) or len(cards) < 2:
@@ -89,5 +94,5 @@ def estimate_pmf(rows, cards, smoothing: float = 0.0) -> DiscreteJoint:
         raise IndexOutOfRange(f"symbol indices must lie in [0, card) for cards {cards}")
     _check_indices(rows)
     counts = _index_table(rows, cards, 1.0)
-    counts += float(smoothing)
+    counts += smoothing
     return validate_discrete(counts / counts.sum())

@@ -22,7 +22,8 @@ LN2 = float(np.log(2.0))
 
 # a covariance block needs every eigenvalue above this floor to be whitened
 _EPS_PD = 1e-10
-_BLOCK_PSD_TOL = 1e-9
+# singular values above 1 + this are inconsistent; cca clamps those within it of 1
+_CLAMP_BAND = 1e-6
 _PMF_SUM_TOL = 1e-12
 _PMF_NEG_TOL = 1e-14
 
@@ -117,12 +118,8 @@ class GaussianJoint:
     #: the whitening matrices K_x^{-1/2} and K_y^{-1/2}
     w_x: np.ndarray
     w_y: np.ndarray
-
-    def block_covariance(self) -> np.ndarray:
-        """Stacked (dim_x + dim_y) covariance of the concatenated vector."""
-        top = np.hstack([self.k_x, self.k_xy])
-        bottom = np.hstack([self.k_xy.T, self.k_y])
-        return np.vstack([top, bottom])
+    #: (u, s, vh), the thin SVD of w_x @ k_xy @ w_y; s descends and s[0] <= 1 + 1e-6
+    cross_svd: tuple
 
 
 def source_marginals(table, lead: int = 0) -> list:
@@ -150,8 +147,8 @@ class DiscreteJoint:
 
 
 def _check_symmetric(name, k):
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ShapeMismatch(f"{name} must be square, got shape {k.shape}")
+    if k.ndim != 2 or k.shape[0] != k.shape[1] or k.size == 0:
+        raise ShapeMismatch(f"{name} must be square and nonempty, got shape {k.shape}")
     scale = max(np.abs(k).max(), 1.0)
     if np.abs(k - k.T).max() > 1e-8 * scale:
         raise ShapeMismatch(f"{name} is not symmetric")
@@ -177,10 +174,11 @@ def validate_gaussian(k_x, k_y, k_xy) -> GaussianJoint:
     """Validate covariance blocks and build an immutable GaussianJoint.
 
     The joint carries the whitening matrices, from one eigendecomposition
-    per block. Raises NotPositiveDefinite if k_x or k_y has an eigenvalue
-    <= 1e-10, InconsistentBlock if a block has a non-finite entry or the
-    stacked covariance has an eigenvalue below -1e-9, and ShapeMismatch on
-    dimension errors.
+    per block, and the one SVD of K_x^{-1/2} K_xy K_y^{-1/2}, which is the
+    consistency check. Raises NotPositiveDefinite if k_x or k_y has an
+    eigenvalue <= 1e-10, InconsistentBlock if a block has a non-finite entry
+    or a singular value exceeds 1 + 1e-6, and ShapeMismatch on dimension
+    errors, an empty block included.
     """
     k_x = np.asarray(k_x, dtype=float)
     k_y = np.asarray(k_y, dtype=float)
@@ -199,16 +197,16 @@ def validate_gaussian(k_x, k_y, k_xy) -> GaussianJoint:
     k_y = 0.5 * (k_y + k_y.T)
     w_x = inv_sqrt_psd(k_x, "k_x")
     w_y = inv_sqrt_psd(k_y, "k_y")
-    # all four are fresh arrays, frozen in place; k_xy may be the caller's
-    for a in (k_x, k_y, w_x, w_y):
-        a.flags.writeable = False
-    joint = GaussianJoint(dim_x, dim_y, k_x, k_y, _frozen_array(k_xy), w_x, w_y)
-    lam_min = np.linalg.eigvalsh(joint.block_covariance())[0]
-    if lam_min < -_BLOCK_PSD_TOL:
+    k_xy = _frozen_array(k_xy)
+    u, s, vh = np.linalg.svd(w_x @ k_xy @ w_y, full_matrices=False)
+    if s[0] > 1.0 + _CLAMP_BAND:
         raise InconsistentBlock(
-            f"stacked covariance has eigenvalue {lam_min:.3e} < -1e-9"
+            f"whitened cross-covariance has singular value {s[0]:.10g} > 1 + 1e-6"
         )
-    return joint
+    # all fresh arrays (k_xy, which may be the caller's, was copied), frozen in place
+    for a in (k_x, k_y, w_x, w_y, u, s, vh):
+        a.flags.writeable = False
+    return GaussianJoint(dim_x, dim_y, k_x, k_y, k_xy, w_x, w_y, (u, s, vh))
 
 
 def validate_discrete(pmf) -> DiscreteJoint:

@@ -64,9 +64,14 @@ def random_basis_joint(rng, rho):
     return validate_gaussian(a @ a.T, b @ b.T, k_xy)
 
 
+def block_covariance(joint):
+    """Stacked (dim_x + dim_y) covariance [[K_x, K_xy], [K_xy^T, K_y]] of a GaussianJoint."""
+    return np.block([[joint.k_x, joint.k_xy], [joint.k_xy.T, joint.k_y]])
+
+
 def sample_joint(joint, n, rng):
     """Draw n paired samples from a GaussianJoint via Cholesky."""
-    cov = joint.block_covariance()
+    cov = block_covariance(joint)
     chol = np.linalg.cholesky(cov)
     z = rng.standard_normal((n, cov.shape[0])) @ chol.T
     return z[:, : joint.dim_x], z[:, joint.dim_x :]

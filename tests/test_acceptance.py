@@ -32,7 +32,7 @@ from cica import (
     waterfill,
 )
 from cica.projections import binary_vector_covariance
-from conftest import random_gaussian_joint
+from conftest import block_covariance, random_gaussian_joint
 from test_gaussian_ci import grid_search_allocation
 
 LN2 = math.log(2.0)
@@ -218,7 +218,7 @@ def test_criterion_7_toy_example():
     with _Criterion(7, "toy example: CCA blind, CICA not", 60.0) as c:
         joint = toy_binary_example(0.1)
         k_x, k_y, k_xy = binary_vector_covariance(joint)
-        blk = validate_gaussian(k_x, k_y, k_xy).block_covariance()
+        blk = block_covariance(validate_gaussian(k_x, k_y, k_xy))
         c.check(
             np.abs(blk - 0.25 * np.eye(4)).max() < 1e-12,
             "covariance is not a scaled identity",

@@ -105,3 +105,19 @@ def test_gaussian_cli_traces_waterfill_layer(tmp_path):
     # the report's k is the allocation's active_count: one fill, no component_count
     assert names.count("gaussian_ci.waterfill") == 1
     assert "gaussian_ci.component_count" not in names
+
+
+def test_every_error_type_is_raised():
+    # an error type that no module raises is dead surface, e.g. one whose check moved elsewhere
+    errors = cica.errors
+    raised = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    defined = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.CicaError)
+    } - {"CicaError"}
+    assert sorted(defined - raised) == []

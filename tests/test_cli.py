@@ -76,6 +76,20 @@ class TestCmdCca:
         rep = json.loads(out.read_text())
         assert len(rep["projections"]["u"]) == n
 
+    @pytest.mark.parametrize("ridge", ["-0.05", "nan"])
+    def test_bad_ridge_exit_2(self, tmp_path, rng, ridge, capsys):
+        x = tmp_path / "x.csv"
+        y = tmp_path / "y.csv"
+        for path, cols in ((x, rng.standard_normal((20, 2))), (y, rng.standard_normal((20, 1)))):
+            header = ",".join("ab"[: cols.shape[1]])
+            np.savetxt(path, cols, delimiter=",", header=header, comments="")
+        out = tmp_path / "r.json"
+        for command, flags in (("cca", ["-k", "1"]), ("gaussian", ["--gamma", "0.1"])):
+            argv = [command, "--x", str(x), "--y", str(y), "--ridge", ridge, *flags]
+            assert cli.main([*argv, "--out", str(out)]) == 2
+            assert "ridge must be finite and >= 0" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_missing_inputs_exit_2(self, tmp_path):
         r = run_cli("cca", "-k", "1", "--out", str(tmp_path / "r.json"))
         assert r.returncode == 2
@@ -202,8 +216,8 @@ class TestCmdGaussian:
             assert not (tmp_path / "near.json").exists()
 
     def test_one_svd_per_call(self, cov_file, tmp_path, monkeypatch):
-        # validation whitens each block (one eigh each) and checks the stacked
-        # covariance (one eigvalsh); the one SVD reuses the joint's whitening
+        # validation whitens each block (one eigh each) and takes the one SVD,
+        # which also decides consistency; the basis and the curve reuse it
         calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
 
         def counted(name, fn):
@@ -217,11 +231,10 @@ class TestCmdGaussian:
         argv = ["gaussian", "--cov", str(cov_file), "--gamma", "0.2", "--curve",
                 str(tmp_path / "curve.csv"), "--out", str(tmp_path / "r.json")]
         assert cli.main(argv) == 0
-        assert calls == {"eigh": 2, "eigvalsh": 1, "svd": 1}
+        assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 1}
         joint = whitened_diag_joint([0.8, 0.5])
-        assert calls == {"eigh": 4, "eigvalsh": 2, "svd": 1}
         ci_curve(joint, np.linspace(0.0, 1.0, 50))
-        assert calls == {"eigh": 4, "eigvalsh": 2, "svd": 2}
+        assert calls == {"eigh": 4, "eigvalsh": 0, "svd": 2}
 
     def test_report_matches_separate_waterfill_and_count(self, tmp_path, rng):
         # one water-filling call must give what waterfill plus component_count gave

@@ -61,6 +61,28 @@ class TestEstimateGaussian:
         est = estimate_gaussian(x, y, ridge=0.1)
         np.testing.assert_allclose(est.k_x, 1.1 * np.eye(2), atol=2e-2)
 
+    def test_negative_ridge_rejected(self, rng):
+        # ridge=-0.05 used to shrink the blocks' diagonals and inflate every rho
+        x, y = sample_joint(whitened_diag_joint([0.95, 0.75]), 200, rng)
+        with pytest.raises(ValueError, match="ridge must be finite and >= 0, got -0.05"):
+            estimate_gaussian(x, y, ridge=-0.05)
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    def test_non_finite_ridge_rejected(self, rng, ridge):
+        # nan used to surface as "covariance blocks have non-finite entries"
+        x, y = sample_joint(whitened_diag_joint([0.5]), 50, rng)
+        with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+            estimate_gaussian(x, y, ridge=ridge)
+
+    def test_empty_block_rejected(self, rng):
+        # a zero-column block used to warn, then raise a numpy reduction error
+        for x, y in ((np.zeros((5, 0)), rng.standard_normal((5, 1))),
+                     (rng.standard_normal((5, 1)), np.zeros((5, 0)))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ShapeMismatch, match="at least one column"):
+                    estimate_gaussian(x, y)
+
     def test_row_permutation_bit_identical(self, rng):
         truth = whitened_diag_joint([0.6, 0.2])
         x, y = sample_joint(truth, 501, rng)
@@ -95,6 +117,12 @@ class TestEstimatePmf:
         pairs = np.array([[0, 0], [1, 1]])
         j = estimate_pmf(pairs, (2, 2), smoothing=1.0)
         assert j.pmf.min() > 0
+
+    @pytest.mark.parametrize("smoothing", [-1.0, np.nan, np.inf])
+    def test_bad_smoothing_rejected(self, smoothing):
+        # -1.0 used to return [[0, 0.5], [0.5, 0]], the opposite dependence
+        with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
+            estimate_pmf([[0, 0], [1, 1]], (2, 2), smoothing=smoothing)
 
     def test_index_out_of_range(self):
         for bad in ([[0, 3]], [[-1, 0]]):

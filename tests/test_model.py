@@ -18,6 +18,7 @@ from cica.errors import (
     NotPositiveDefinite,
     ShapeMismatch,
 )
+from conftest import block_covariance
 
 
 class TestValidateGaussian:
@@ -51,6 +52,7 @@ class TestValidateGaussian:
         # the basis shares the joint's whitening instead of recomputing it
         basis = canonical_matrix(j)
         assert basis.w_x is j.w_x and basis.w_y is j.w_y
+        assert not any(a.flags.writeable for a in j.cross_svd)
 
     def test_non_finite_rejected(self):
         with pytest.raises(InconsistentBlock):
@@ -64,9 +66,16 @@ class TestValidateGaussian:
         with pytest.raises(ShapeMismatch):
             validate_gaussian(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2), np.zeros((2, 2)))
 
+    def test_empty_block_rejected(self):
+        # each used to raise numpy's "zero-size array to reduction operation maximum"
+        with pytest.raises(ShapeMismatch, match="k_x must be square and nonempty"):
+            validate_gaussian(np.zeros((0, 0)), np.eye(1), np.zeros((0, 1)))
+        with pytest.raises(ShapeMismatch, match="k_y must be square and nonempty"):
+            validate_gaussian(np.eye(1), np.zeros((0, 0)), np.zeros((1, 0)))
+
     def test_block_covariance_roundtrip(self):
         j = validate_gaussian(np.eye(2), np.eye(3), np.full((2, 3), 0.1))
-        blk = j.block_covariance()
+        blk = block_covariance(j)
         assert blk.shape == (5, 5)
         np.testing.assert_array_equal(blk[:2, 2:], j.k_xy)
 

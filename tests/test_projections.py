@@ -22,6 +22,7 @@ from cica import (
 )
 from cica.errors import A0OutOfRange, BadK, ShapeMismatch
 from conftest import (
+    block_covariance,
     discrete_embedding_oracle,
     dsbs_wyner,
     gauss_cond_mi,
@@ -50,10 +51,8 @@ def latent_block_covariance(joint, spec):
         + b @ joint.k_xy.T @ a.T
         + spec.noise_cov
     )
-    top = np.hstack([joint.k_x, joint.k_xy, k_wx.T])
-    mid = np.hstack([joint.k_xy.T, joint.k_y, k_wy.T])
-    bot = np.hstack([k_wx, k_wy, k_ww])
-    return np.vstack([top, mid, bot])
+    k_w_xy = np.hstack([k_wx, k_wy])
+    return np.block([[block_covariance(joint), k_w_xy.T], [k_w_xy, k_ww]])
 
 
 class TestGaussianLatent:

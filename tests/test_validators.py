@@ -195,6 +195,19 @@ def test_ci_curve_discrete(grid):
         ("prob_floor", -1e-15),
         ("prob_floor", 1.0),
         ("prob_floor", math.inf),
+        # integer fields: 2.5 was truncated or gave restart index 0.5, True read as 1,
+        # and a float n_lambda, max_iter or seed raised a bare TypeError
+        ("card_w", 2.5),
+        ("card_w", True),
+        ("n_lambda", 2.5),
+        ("restarts", 2.5),
+        ("restarts", np.float64(2.0)),
+        ("max_iter", 2.5),
+        ("threads", 1.5),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("seed", np.bool_(True)),
+        ("max_states", 64.0),
     ],
 )
 def test_solver_options_out_of_range(name, value):
@@ -204,7 +217,10 @@ def test_solver_options_out_of_range(name, value):
         solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
 
 
-@pytest.mark.parametrize("opts", [SolverOptions(), SolverOptions(seed=7, threads=2)])
+@pytest.mark.parametrize(
+    "opts",
+    [SolverOptions(), SolverOptions(seed=7, threads=2), SolverOptions(card_w=np.int64(2), seed=np.int32(3))],
+)
 def test_solver_options_in_range(opts):
     _, report = solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
     assert math.isfinite(float(report.objective))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cica import canonical_matrix, inv_sqrt_psd, validate_gaussian
-from cica.errors import NotPositiveDefinite, SingularValueOutOfRange
+from cica import canonical_matrix, cca_decompose, inv_sqrt_psd, validate_gaussian
+from cica.errors import InconsistentBlock, NotPositiveDefinite, PerfectCorrelation
 from conftest import random_gaussian_joint, sample_joint
 
 
@@ -78,16 +78,22 @@ class TestCanonicalMatrix:
         emp = np.linalg.svd(xh.T @ yh / len(xh), compute_uv=False)
         np.testing.assert_allclose(emp, basis.rho, atol=2e-2)
 
-    def test_out_of_range_singular_value(self):
-        # bypass model validation to feed an inconsistent block directly
-        from cica import GaussianJoint
-
-        j = GaussianJoint(
-            dim_x=1, dim_y=1, k_x=np.eye(1), k_y=np.eye(1), k_xy=np.array([[1.5]]),
-            w_x=np.eye(1), w_y=np.eye(1),
-        )
-        with pytest.raises(SingularValueOutOfRange):
-            canonical_matrix(j)
+    @pytest.mark.parametrize("sigma", [1.001, 1.0 + 5e-7, 1.0 - 5e-7])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e4])
+    def test_verdict_does_not_depend_on_units(self, scale, sigma):
+        # K_xy = L_x diag(sigma, 0.5) L_y^T has canonical correlations (sigma, 0.5)
+        # for Cholesky factors L, at every scale of the three blocks
+        k_x = np.array([[2.0, 0.5], [0.5, 1.0]])
+        k_y = np.array([[1.0, 0.3], [0.3, 3.0]])
+        k_xy = np.linalg.cholesky(k_x) @ np.diag([sigma, 0.5]) @ np.linalg.cholesky(k_y).T
+        blocks = (scale * k_x, scale * k_y, scale * k_xy)
+        if sigma > 1.0 + 1e-6:
+            with pytest.raises(InconsistentBlock, match="singular value 1.001 > 1 \\+ 1e-6"):
+                validate_gaussian(*blocks)
+        else:
+            j = validate_gaussian(*blocks)
+            with pytest.warns(UserWarning, match="clamped"), pytest.raises(PerfectCorrelation):
+                cca_decompose(j)
 
     def test_near_one_clamped_with_warning(self):
         j = validate_gaussian(np.eye(1), np.eye(1), np.array([[1.0 - 5e-7]]))

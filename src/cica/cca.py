@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadK, PerfectCorrelation
+from .errors import BadK, InconsistentBlock, PerfectCorrelation, ShapeMismatch
 from .model import _CLAMP_BAND, GaussianJoint, _frozen_array
 
 #: canonical correlations at or above this are perfect: I(rho) diverges; singular
@@ -103,11 +103,18 @@ def cca_project(basis: CcaBasis, k: int, x, y):
     """Top-k CCA components of raw observations x and y.
 
     Returns (U_k^T W_x x, V_k^T W_y y). x and y may be single vectors or
-    arrays of row observations. Raises BadK unless 1 <= k <= n.
+    arrays of row observations. Raises BadK unless 1 <= k <= n,
+    ShapeMismatch when an observation's width is not its block's dimension
+    and InconsistentBlock for non-finite samples.
     """
     _check_k(k, basis.n_components)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    for name, a, w in (("x", x, basis.w_x), ("y", y, basis.w_y)):
+        if a.ndim == 0 or a.shape[-1] != w.shape[0]:
+            raise ShapeMismatch(f"{name} rows need {w.shape[0]} entries, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise InconsistentBlock("samples have non-finite entries")
     u_feat = x @ basis.w_x @ basis.u[:, :k]
     v_feat = y @ basis.w_y @ basis.v[:, :k]
     return u_feat, v_feat

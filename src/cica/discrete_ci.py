@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import A0OutOfRange, Infeasible, InvalidCoupling, NoConvergence, TooLarge
 from .model import (
-    MAX_STATES,
     DiscreteJoint,
     InfoValue,
     _check_budget,
@@ -41,6 +40,13 @@ _ETA_FLOOR = 1e-12
 # rungs for every grid run: 2**24 entries are 128 MiB, and the engine holds a
 # few arrays of that size at once (the default options reach about 2**20)
 _MAX_ROUND_ENTRIES = 2**24
+# the multiplier grid spans [_LAMBDA_MIN, _LAMBDA_GRID_MAX]; an infeasible budget
+# escalates to _LAMBDA_MAX and bisects in between
+_LAMBDA_MIN = 0.05
+_LAMBDA_GRID_MAX = 50.0
+_LAMBDA_MAX = 1e4
+# every entry of a descent step's q(w|cells) is floored here before renormalizing
+_PROB_FLOOR = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +125,8 @@ def _check_card_w(card_w, n_cells: int) -> int:
 def build_coupling(q_w_given_xy, joint) -> Coupling:
     """Validate a conditional table against a joint model and attach marginals."""
     q = np.asarray(q_w_given_xy, dtype=float)
+    if not np.isfinite(q).all():
+        raise InvalidCoupling("conditional table has non-finite entries")
     pmf = joint.pmf
     if q.ndim != pmf.ndim + 1 or q.shape[1:] != pmf.shape:
         raise InvalidCoupling(
@@ -172,25 +180,21 @@ def relaxation_given_w(c: Coupling) -> InfoValue:
 class SolverOptions:
     """Tuning knobs for the Lagrangian sweep; defaults suit alphabets <= 8x8.
 
-    All randomness flows from ``seed``. ``threads`` is validated (it must be
-    at least 1) but does not change how the solve runs: every multiplier
-    sweep is one batch on the calling thread, so results do not depend on it.
+    n_lambda multipliers from 0.05 to 50 get restarts random starts each,
+    and the joint may have at most model.MAX_STATES cells. All randomness
+    flows from ``seed``. ``threads`` is validated (it must be at least 1)
+    but does not change how the solve runs: every multiplier sweep is one
+    batch on the calling thread, so results do not depend on it.
     """
 
     card_w: int | None = None
-    lambda_min: float = 0.05
-    lambda_grid_max: float = 50.0
     n_lambda: int = 16
     restarts: int = 8
     max_iter: int = 20_000
     tol: float = 1e-9
     slack: float = 5e-3
-    lambda_max: float = 1e4
     seed: int = 0
-    max_states: int = MAX_STATES
-    prob_floor: float = 1e-15
     threads: int = 1
-    record_history: bool = False
 
 
 @dataclass(frozen=True)
@@ -199,7 +203,8 @@ class SolveReport:
 
     restarts_used counts the descent runs in the solve's run cloud: a
     single-budget solve keeps the grid's runs up to the first multiplier
-    that meets gamma, plus any escalation and bisection runs.
+    that meets gamma, plus any escalation and bisection runs. lam,
+    iterations and converged describe the selected run.
     """
 
     achieved_gamma: InfoValue
@@ -208,7 +213,6 @@ class SolveReport:
     iterations: int
     restarts_used: int
     converged: bool
-    history: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +316,7 @@ class _Engine:
         np.subtract(lq, z, out=z)
         z -= z.max(axis=1, keepdims=True)
         np.exp(z, out=z)
-        np.maximum(z, self.opts.prob_floor, out=z)
+        np.maximum(z, _PROB_FLOOR, out=z)
         z /= z.sum(axis=1, keepdims=True)
         return z
 
@@ -334,9 +338,7 @@ class _Engine:
         accept. With a budget, a run that freezes with relax <= budget at
         multiplier lam_c cuts every live run with lam > lam_c: it leaves
         the batch unconverged, at its current iterate. Returns per-run
-        arrays (q, obj, relax, iters, converged, history); history is None
-        unless recorded, and repeats a frozen run's final value until the
-        last run freezes.
+        arrays (q, obj, relax, iters, converged).
         """
         opts = self.opts
         q = np.array(q0, dtype=float)
@@ -352,7 +354,6 @@ class _Engine:
         parts = self._parts(q)
         G = self._lagrangian(parts, lam)
         obj, relax = self._objective_relax(parts)
-        history = [obj + lam * relax] if opts.record_history else None
         for it in range(opts.max_iter):
             if live.size == 0:
                 break
@@ -396,9 +397,6 @@ class _Engine:
                 raise NoConvergence("Lagrangian increased within a run")
             rel = (G - G_new) / np.maximum(np.abs(G), 1.0)
             obj, relax = self._objective_relax(parts)
-            if history is not None:
-                history.append(history[-1].copy())
-                history[-1][live] = obj + lam * relax
             met_tol = rel < opts.tol
             done = stuck | met_tol
             G = G_new
@@ -414,8 +412,7 @@ class _Engine:
                 parts, obj, relax = tuple(a[keep] for a in parts), obj[keep], relax[keep]
             eta = np.minimum(eta * _ETA_GROWTH, _ETA_MAX)
         q_out[live], obj_out[live], relax_out[live] = q, obj, relax
-        history = np.array(history).T if history is not None else None
-        return q_out, obj_out, relax_out, iters, converged, history
+        return q_out, obj_out, relax_out, iters, converged
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +427,7 @@ def _check_options(opts: SolverOptions) -> None:
     for name, value in vars(opts).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    for name in ("card_w", "n_lambda", "restarts", "max_iter", "threads", "seed", "max_states"):
+    for name in ("card_w", "n_lambda", "restarts", "max_iter", "threads", "seed"):
         value = getattr(opts, name)
         if (name != "card_w" or value is not None) and (
             isinstance(value, bool) or not isinstance(value, (int, np.integer))
@@ -439,36 +436,28 @@ def _check_options(opts: SolverOptions) -> None:
     for name, low in _OPTION_MINIMA.items():
         if getattr(opts, name) < low:
             raise ValueError(f"{name} must be >= {low}, got {getattr(opts, name)}")
-    if not 0 < opts.lambda_min <= opts.lambda_grid_max <= opts.lambda_max:
-        raise ValueError(
-            "need 0 < lambda_min <= lambda_grid_max <= lambda_max, got "
-            f"{opts.lambda_min}, {opts.lambda_grid_max}, {opts.lambda_max}"
-        )
-    if not (opts.tol > 0 and opts.slack >= 0 and 0 <= opts.prob_floor < 1):
-        raise ValueError(
-            "need tol > 0, slack >= 0 and 0 <= prob_floor < 1, got "
-            f"tol={opts.tol}, slack={opts.slack}, prob_floor={opts.prob_floor}"
-        )
+    if not (opts.tol > 0 and opts.slack >= 0):
+        raise ValueError(f"need tol > 0 and slack >= 0, got tol={opts.tol}, slack={opts.slack}")
 
 
 class _Sweep:
     """Run cloud for one joint pmf, grown lazily by lambda escalation.
 
     Each field holds one entry per run in execution order: coupling q,
-    objective, relaxation, multiplier lam, restart index, iterations,
-    convergence flag and recorded history. Entry 0 is the trivial coupling
-    (W independent of the sources), which is always available. The numbers
-    in opts, the joint's size (against opts.max_states), card_w and the size
-    of the widest backtracking round (against _MAX_ROUND_ENTRIES) are
-    checked before anything is allocated. With a budget, a batch keeps only
-    its runs up to the lowest multiplier that holds a run with relax <=
-    budget.
+    objective, relaxation, multiplier lam, iterations and convergence flag.
+    Entry 0 is the trivial coupling (W independent of the sources), which
+    is always available. No two batches share a multiplier, and a batch
+    runs each multiplier's restarts in order. The numbers in opts, the
+    joint's size (against MAX_STATES), card_w and the size of the widest
+    backtracking round (against _MAX_ROUND_ENTRIES) are checked before
+    anything is allocated. With a budget, a batch keeps only its runs up to
+    the lowest multiplier that holds a run with relax <= budget.
     """
 
     def __init__(self, joint: DiscreteJoint, opts: SolverOptions, budget: float | None = None):
         _check_options(opts)
         n_states = joint.pmf.size
-        _check_cells(n_states, opts.max_states)
+        _check_cells(n_states)
         card_w = _check_card_w(n_states + 1 if opts.card_w is None else opts.card_w, n_states)
         entries = 2 * opts.n_lambda * opts.restarts * card_w * n_states
         if entries > _MAX_ROUND_ENTRIES:
@@ -484,44 +473,38 @@ class _Sweep:
         self.obj = np.zeros(1)
         self.relax = np.array([self.engine.tc])
         self.lam = np.zeros(1)
-        self.restart = np.array([-1])
         self.iters = np.zeros(1, dtype=int)
         self.converged = np.ones(1, dtype=bool)
-        self.history = [None]
         self.runs_executed = 0
-        self._run_lambdas(np.geomspace(opts.lambda_min, opts.lambda_grid_max, opts.n_lambda))
+        self._run_lambdas(np.geomspace(_LAMBDA_MIN, _LAMBDA_GRID_MAX, opts.n_lambda))
 
     def _run_lambdas(self, lambdas):
-        opts = self.opts
-        lam = np.repeat(np.asarray(lambdas, dtype=float), opts.restarts)
+        lam = np.repeat(np.asarray(lambdas, dtype=float), self.opts.restarts)
         q0 = self.rng.random((lam.size, self.engine.card_w) + self.engine.cards)
         q0 /= q0.sum(axis=1, keepdims=True)
         runs = self.engine.descend(q0, lam, self.budget)
         if self.budget is not None:
             # lam ascends, so the runs up to the first multiplier that met the budget are a prefix
             n = np.searchsorted(lam, lam[runs[2] <= self.budget].min(initial=np.inf), side="right")
-            runs, lam = [None if a is None else a[:n] for a in runs], lam[:n]
-        q, obj, relax, iters, converged, history = runs
+            runs, lam = [a[:n] for a in runs], lam[:n]
+        q, obj, relax, iters, converged = runs
         self.q = np.concatenate([self.q, q])
         self.obj = np.concatenate([self.obj, obj])
         self.relax = np.concatenate([self.relax, relax])
         self.lam = np.concatenate([self.lam, lam])
-        self.restart = np.concatenate([self.restart, np.arange(lam.size) % opts.restarts])
         self.iters = np.concatenate([self.iters, iters])
         self.converged = np.concatenate([self.converged, converged])
-        self.history += [None] * lam.size if history is None else list(history)
         self.runs_executed += lam.size
 
     def _feasible(self, gamma):
         return self.relax <= gamma + self.opts.slack
 
     def ensure_feasible(self, gamma):
-        """Escalate lambda toward opts.lambda_max until some run is feasible."""
+        """Escalate lambda to _LAMBDA_MAX unless some run is feasible, then bisect down from it."""
         opts = self.opts
         if self._feasible(gamma).any():
             return
-        lo = opts.lambda_grid_max
-        hi = opts.lambda_max
+        lo, hi = _LAMBDA_GRID_MAX, _LAMBDA_MAX
         self._run_lambdas([hi])
         if not self._feasible(gamma).any():
             best = float(self.relax.min())
@@ -548,10 +531,11 @@ class _Sweep:
     def select(self, gamma) -> int:
         """Index of the best feasible run under a slope-penalized score.
 
-        The score obj + lambda_grid_max * max(0, relax - gamma) charges a
+        The score obj + _LAMBDA_GRID_MAX * max(0, relax - gamma) charges a
         run's constraint overshoot back at the steepest swept slope, so
         near-tight frontier points beat ones that merely exploit the slack.
-        Ties go to lower lambda, then lower restart index, then earlier run.
+        Ties go to lower lambda, then to the earlier run, which at one lambda
+        is the lower restart index.
         """
         self.ensure_feasible(gamma)
         if not self.converged[1:].any():  # the trivial coupling does not count
@@ -559,11 +543,11 @@ class _Sweep:
                 f"no descent run met tol={self.opts.tol:g} within "
                 f"{self.opts.max_iter} iterations"
             )
-        score = self.obj + self.opts.lambda_grid_max * np.maximum(0.0, self.relax - gamma)
+        score = self.obj + _LAMBDA_GRID_MAX * np.maximum(0.0, self.relax - gamma)
         feasible = np.flatnonzero(self._feasible(gamma))
         best = None
         best_score = np.inf
-        for i in feasible[np.lexsort((self.restart[feasible], self.lam[feasible]))]:
+        for i in feasible[np.argsort(self.lam[feasible], kind="stable")]:
             if score[i] < best_score - 1e-15:
                 best = i
                 best_score = score[i]
@@ -579,12 +563,12 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
     C at achieved_gamma <= gamma + opts.slack. The grid sweep stops at the
     first multiplier that holds a run with relaxation <= gamma: the runs at
     higher multipliers are cut from the batch and never enter the run cloud
-    that selection scores. Raises TooLarge when the
-    joint has more than opts.max_states cells or a backtracking round
-    would hold more than _MAX_ROUND_ENTRIES entries, Infeasible when no
-    multiplier up to opts.lambda_max meets the budget, NoConvergence
-    when no descent run in the cloud converged, and ValueError for
-    a negative or non-finite gamma or an n_lambda, restarts or threads below 1.
+    that selection scores. Raises TooLarge when the joint has more than
+    MAX_STATES cells or a backtracking round would hold more than
+    _MAX_ROUND_ENTRIES entries, Infeasible when no multiplier up to 1e4
+    meets the budget, NoConvergence when no descent run in the cloud
+    converged, and ValueError for a negative or non-finite gamma or an
+    option out of range.
     """
     opts = opts or SolverOptions()
     gamma = _check_budget(gamma)
@@ -598,7 +582,6 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
         iterations=int(sweep.iters[i]),
         restarts_used=sweep.runs_executed,
         converged=bool(sweep.converged[i]),
-        history=sweep.history[i],
     )
     return coupling, report
 
@@ -641,7 +624,9 @@ def ci_curve_discrete(joint: DiscreteJoint, grid, opts: SolverOptions | None = N
     One multiplier sweep serves the whole grid; the reported upper bound at
     each grid point is the lower convex envelope of all achieved
     (I(X;Y|W), I(X,Y;W)) sweep points (valid by time sharing, since C_gamma
-    is convex in gamma). Returns [(gamma, upper_bound, achieved_gamma)].
+    is convex in gamma). Returns [(gamma, upper_bound, achieved_gamma)]:
+    achieved_gamma is the relaxation of the single run that select picks
+    for gamma, not the abscissa of the envelope point behind upper_bound.
     """
     opts = opts or SolverOptions()
     grid = _check_grid(grid)

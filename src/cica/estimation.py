@@ -8,7 +8,6 @@ from .errors import InconsistentBlock, IndexOutOfRange, ShapeMismatch, TooFewSam
 from .model import (
     DiscreteJoint,
     GaussianJoint,
-    MAX_STATES,
     _check_budget,
     _check_cells,
     _check_indices,
@@ -26,12 +25,15 @@ def estimate_gaussian(x_samples, y_samples, ridge: float | None = None) -> Gauss
     Rows are observations; x and y rows are paired. Means are always
     removed. ridge*I is added to k_x and k_y before validation; ridge=None
     picks 1e-8 * trace/dim per block, and any other ridge must be finite
-    and >= 0 (ValueError). Requires N >= dim_x + dim_y + 1 and at least one
-    column per block (ShapeMismatch); non-finite samples raise
-    InconsistentBlock.
+    and >= 0 (ValueError). A 1-D array holds N samples of one column.
+    Requires N >= dim_x + dim_y + 1 (TooFewSamples), and at most two
+    dimensions and at least one column per block (ShapeMismatch);
+    non-finite samples raise InconsistentBlock.
     """
-    x = np.atleast_2d(np.asarray(x_samples, dtype=float))
-    y = np.atleast_2d(np.asarray(y_samples, dtype=float))
+    x, y = (np.asarray(a, dtype=float) for a in (x_samples, y_samples))
+    if x.ndim > 2 or y.ndim > 2:
+        raise ShapeMismatch(f"samples must be 1-D or 2-D arrays, got {x.shape} and {y.shape}")
+    x, y = (a.reshape(-1, 1) if a.ndim == 1 else np.atleast_2d(a) for a in (x, y))
     if x.shape[0] != y.shape[0] or 0 in (x.shape[1], y.shape[1]):
         raise ShapeMismatch(
             f"x and y need equal row counts and at least one column, got {x.shape} and {y.shape}"
@@ -68,7 +70,7 @@ def _index_table(idx, cards, weights) -> np.ndarray:
     A table of more than MAX_STATES cells raises TooLarge before it is
     allocated.
     """
-    _check_cells(math.prod(cards), MAX_STATES)
+    _check_cells(math.prod(cards))
     table = np.zeros(cards)
     np.add.at(table, tuple(idx.T.astype(int)), weights)
     return table

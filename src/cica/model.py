@@ -76,14 +76,14 @@ def _check_indices(idx, name: str = "symbol indices") -> None:
         raise ValueError(f"{name} must be nonnegative integers")
 
 
-#: cell limit of a joint table built from index rows; SolverOptions.max_states defaults to it
+#: cell limit of a joint table built from index rows and of a discrete solve
 MAX_STATES = 64
 
 
-def _check_cells(n_cells: int, max_states: int) -> None:
-    """TooLarge when a joint table of n_cells cells exceeds max_states."""
-    if n_cells > max_states:
-        raise TooLarge(f"joint alphabet has {n_cells} cells > max_states={max_states}")
+def _check_cells(n_cells: int) -> None:
+    """TooLarge when a joint table of n_cells cells exceeds MAX_STATES."""
+    if n_cells > MAX_STATES:
+        raise TooLarge(f"joint alphabet has {n_cells} cells > MAX_STATES={MAX_STATES}")
 
 
 @dataclass(frozen=True)

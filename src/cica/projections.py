@@ -139,7 +139,8 @@ def feature_mutual_information(joint: DiscreteJoint, *maps) -> InfoValue:
         if f.shape != (card,):
             raise ShapeMismatch(f"feature map {i} must have shape ({card},), got {f.shape}")
         _check_indices(f, f"feature map {i} labels")
-        labels.append(f.astype(int))
+        # compact labels to 0..distinct-1, so the table has one cell per distinct label tuple
+        labels.append(np.unique(f, return_inverse=True)[1])
     table = np.zeros([f.max() + 1 for f in labels])
     np.add.at(table, np.ix_(*labels), joint.pmf)
     return total_correlation(validate_discrete(table))

@@ -224,7 +224,7 @@ def reference_descend(engine, q0, lam):
     Every iteration evaluates every run, frozen or not, and every
     backtracking round evaluates the whole batch; the accepted step is then
     recomputed. Runs are independent, so the compacting engine must return
-    exactly these arrays (q, obj, relax, iters, converged, history).
+    exactly these arrays (q, obj, relax, iters, converged).
     """
     opts = engine.opts
     q = np.array(q0, dtype=float)
@@ -236,10 +236,6 @@ def reference_descend(engine, q0, lam):
     iters = np.zeros(R, dtype=int)
     parts = engine._parts(q)
     G = engine._lagrangian(parts, lam)
-    history = [] if opts.record_history else None
-    if history is not None:
-        obj, relax = engine._objective_relax(parts)
-        history.append(obj + lam * relax)
     for it in range(opts.max_iter):
         if frozen.all():
             break
@@ -275,14 +271,10 @@ def reference_descend(engine, q0, lam):
         G = G_new
         frozen = converged_now
         eta = np.where(frozen, eta, np.minimum(eta * _ETA_GROWTH, _ETA_MAX))
-        if history is not None:
-            obj, relax = engine._objective_relax(parts)
-            history.append(obj + lam * relax)
     converged = frozen.copy()
     iters[~frozen] = opts.max_iter
     obj, relax = engine._objective_relax(parts)
-    history = np.array(history).T if history is not None else None
-    return q, obj, relax, iters, converged, history
+    return q, obj, relax, iters, converged
 
 
 def reference_functionals(pmf, q, lam):

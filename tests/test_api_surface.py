@@ -7,6 +7,7 @@ The library's own checks must also survive ``python -O``.
 """
 
 import ast
+import dataclasses
 import functools
 import importlib.util
 import json
@@ -59,6 +60,14 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def test_readme_names_every_solver_option():
+    # a removed knob must leave the README, and a new one must enter it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    fields = {f.name for f in dataclasses.fields(cica.SolverOptions)}
+    assert sorted(f for f in fields if f"`{f}`" not in readme) == []
+    assert sorted(set(re.findall(r"\bSolverOptions\.(\w+)", readme)) - fields) == []
 
 
 @pytest.mark.parametrize(

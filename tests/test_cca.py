@@ -10,7 +10,7 @@ from cica import (
     cca_project,
     validate_gaussian,
 )
-from cica.errors import BadK, PerfectCorrelation
+from cica.errors import BadK, InconsistentBlock, PerfectCorrelation, ShapeMismatch
 from conftest import (
     leading_pair_fixed_point,
     random_basis_joint,
@@ -123,6 +123,26 @@ class TestCcaProject:
             cca_project(basis, 0, np.zeros(2), np.zeros(2))
         with pytest.raises(BadK):
             cca_project(basis, 3, np.zeros(2), np.zeros(2))
+
+    def test_wrong_width_refused(self):
+        # numpy's matmul used to report the mismatch
+        basis = cca_decompose(whitened_diag_joint([0.8, 0.5]))
+        with pytest.raises(ShapeMismatch, match="x rows need 2"):
+            cca_project(basis, 1, np.zeros((4, 3)), np.zeros((4, 2)))
+        with pytest.raises(ShapeMismatch, match="y rows need 2"):
+            cca_project(basis, 1, np.zeros(2), np.zeros(1))
+
+    @pytest.mark.parametrize("bad", ["x", "y"])
+    def test_non_finite_sample_refused(self, bad):
+        # a NaN sample used to come back as NaN features
+        basis = cca_decompose(whitened_diag_joint([0.8, 0.5]))
+        x, y = [[0.0, 1.0]], [[1.0, 0.0]]
+        if bad == "x":
+            x = [[np.nan, 1.0]]
+        else:
+            y = [[1.0, np.inf]]
+        with pytest.raises(InconsistentBlock, match="non-finite"):
+            cca_project(basis, 1, x, y)
 
     def test_feature_correlations_match_rho(self, rng):
         j = random_gaussian_joint(rng, 3, 3)

@@ -56,7 +56,7 @@ def product_joint(px, py):
 def grid_batch(joint, opts):
     """The engine and the first batch (q0, lam) that a sweep over joint draws."""
     card_w = opts.card_w or joint.pmf.size + 1
-    grid = np.geomspace(opts.lambda_min, opts.lambda_grid_max, opts.n_lambda)
+    grid = np.geomspace(discrete_ci._LAMBDA_MIN, discrete_ci._LAMBDA_GRID_MAX, opts.n_lambda)
     lam = np.repeat(grid, opts.restarts)
     q0 = np.random.default_rng(opts.seed).random((lam.size, card_w) + joint.pmf.shape)
     q0 /= q0.sum(axis=1, keepdims=True)
@@ -64,10 +64,9 @@ def grid_batch(joint, opts):
 
 
 def assert_same_runs(got, want):
-    for name, a, b in zip(("q", "obj", "relax", "iters", "converged", "history"), got, want):
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert len(got) == len(want) == 5
+    for name, a, b in zip(("q", "obj", "relax", "iters", "converged"), got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 MULTI_PMF = np.random.default_rng(1).dirichlet(np.ones(8)).reshape(2, 2, 2)
@@ -216,6 +215,14 @@ class TestCoupling:
         with pytest.raises(InvalidCoupling):
             build_coupling(np.full((6, 2, 2), 1.0 / 6.0), j)
 
+    @pytest.mark.parametrize("all_nan", [True, False])
+    def test_non_finite_entry(self, all_nan):
+        # NaN failed no comparison, so the coupling carried a NaN q(w) into the features
+        q = np.full((2, 2, 2), np.nan if all_nan else 0.5)
+        q[0, 0, 0] = np.nan
+        with pytest.raises(InvalidCoupling, match="non-finite"):
+            build_coupling(q, dsbs_joint(0.1))
+
     def test_unnormalized_slice(self):
         j = dsbs_joint(0.1)
         q = np.full((3, 2, 2), 1.0 / 3.0)
@@ -293,12 +300,6 @@ class TestSolveRelaxedWyner:
             _, rep = solve_relaxed_wyner(j, gamma, SolverOptions(seed=5))
             assert float(rep.objective) >= i_xy - gamma - 2e-2
 
-    def test_monotone_descent_history(self):
-        opts = SolverOptions(seed=2, n_lambda=4, restarts=2, record_history=True)
-        _, rep = solve_relaxed_wyner(dsbs_joint(0.1), 0.05, opts)
-        assert rep.history is not None and rep.history.size > 1
-        assert np.all(np.diff(rep.history) <= 1e-12)
-
     def test_permutation_invariance(self):
         pmf = np.array([[0.30, 0.05], [0.05, 0.30], [0.05, 0.25]])
         j = validate_discrete(pmf)
@@ -340,11 +341,13 @@ class TestSolveRelaxedWyner:
         with pytest.raises(ValueError, match=field):
             solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(**{field: value}))
 
-    def test_infeasible(self):
-        opts = SolverOptions(seed=1, slack=1e-9, lambda_max=55.0, n_lambda=4, restarts=2)
+    def test_infeasible(self, monkeypatch):
+        monkeypatch.setattr(discrete_ci, "_LAMBDA_MAX", 55.0)
+        opts = SolverOptions(seed=1, slack=1e-9, n_lambda=4, restarts=2)
         with pytest.raises(Infeasible) as excinfo:
             solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
         assert "best_achieved_gamma" in excinfo.value.details
+        assert excinfo.value.details["lambda_max"] == 55.0
 
     def test_too_large_pair_before_allocation(self, monkeypatch):
         def no_engine(*args):
@@ -430,8 +433,8 @@ class TestDescendOracle:
     )
     @pytest.mark.parametrize(
         "extra",
-        [{}, {"record_history": True}, {"record_history": True, "max_iter": 5}],
-        ids=["plain", "history", "capped"],
+        [{}, {"max_iter": 5}],
+        ids=["plain", "capped"],
     )
     def test_matches_reference(self, joint, card_w, extra):
         opts = SolverOptions(seed=3, card_w=card_w, **extra)
@@ -441,10 +444,11 @@ class TestDescendOracle:
             assert not want[4].all()  # some runs hit the cap
         assert_same_runs(engine.descend(q0, lam), want)
 
-    def test_matches_reference_with_stuck_runs(self):
+    def test_matches_reference_with_stuck_runs(self, monkeypatch):
         # concentrated starts under a high probability floor: the floored step
         # raises the Lagrangian at every step size, so some runs freeze stuck
-        opts = SolverOptions(prob_floor=0.2, record_history=True)
+        monkeypatch.setattr(discrete_ci, "_PROB_FLOOR", 0.2)
+        opts = SolverOptions()
         engine, _, lam = grid_batch(dsbs_joint(0.1), opts)
         q0 = np.random.default_rng(0).random((lam.size, engine.card_w, 2, 2)) ** 8
         q0 /= q0.sum(axis=1, keepdims=True)
@@ -455,7 +459,7 @@ class TestDescendOracle:
         # field is the reference's
         stuck = np.all(got[0] == q0, axis=(1, 2, 3))
         assert stuck.any() and np.all(got[3][stuck] == 1) and want[4][stuck].all()
-        assert_same_runs(got, want[:4] + (want[4] & ~stuck,) + want[5:])
+        assert_same_runs(got, want[:4] + (want[4] & ~stuck,))
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
@@ -629,7 +633,7 @@ class TestMultiplierCut:
         cut = discrete_ci._Sweep(joint, CUT_OPTS, budget=gamma)
         keep = uncut.lam <= uncut.lam[uncut.relax <= gamma].min()
         assert cut.runs_executed == keep.sum() - 1  # less the trivial coupling
-        for name in ("q", "obj", "relax", "lam", "restart", "iters", "converged"):
+        for name in ("q", "obj", "relax", "lam", "iters", "converged"):
             got, want = getattr(cut, name), getattr(uncut, name)[keep]
             assert got.tobytes() == want.tobytes(), name
 
@@ -639,7 +643,7 @@ class TestMultiplierCut:
         got = engine.descend(q0, lam, 0.05)
         lam_star = lam[want[2] <= 0.05].min()
         low = lam <= lam_star
-        assert_same_runs([a[low] for a in got[:5]] + [None], [a[low] for a in want[:5]] + [None])
+        assert_same_runs([a[low] for a in got], [a[low] for a in want])
         # every higher run stopped by the time the first run at lam_star met the budget
         first = want[3][low & (lam == lam_star) & (want[2] <= 0.05)].min()
         assert got[3][~low].max() <= first < want[3][~low].max()
@@ -679,7 +683,7 @@ class TestSolveMulti:
         pmf = np.ones((5, 5, 5)) / 125.0
         jm = validate_multi_discrete(pmf)
         with pytest.raises(TooLarge):
-            solve_relaxed_wyner_multi(jm, 0.0, SolverOptions(max_states=64))
+            solve_relaxed_wyner_multi(jm, 0.0)
 
 
 class TestCiCurveDiscrete:
@@ -694,11 +698,12 @@ class TestCiCurveDiscrete:
         rows = ci_curve_discrete(j, [float(mutual_information(j))], SolverOptions(seed=7))
         assert rows[0][1] <= 1e-3
 
-    def test_escalation_within_curve(self):
+    def test_escalation_within_curve(self, monkeypatch):
         # the two-point grid is infeasible at gamma = 0, so selecting the first
         # curve point escalates lambda and grows the run cloud mid-curve
+        monkeypatch.setattr(discrete_ci, "_LAMBDA_GRID_MAX", 2.0)
         j = dsbs_joint(0.1)
-        opts = SolverOptions(seed=3, n_lambda=2, restarts=1, lambda_grid_max=2.0)
+        opts = SolverOptions(seed=3, n_lambda=2, restarts=1)
         rows = ci_curve_discrete(j, [0.0, 0.2], opts)
         _, rep = solve_relaxed_wyner(j, 0.0, opts)
         assert rep.restarts_used > opts.n_lambda * opts.restarts

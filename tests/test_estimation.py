@@ -44,6 +44,23 @@ class TestEstimateGaussian:
                 with pytest.raises(InconsistentBlock):
                     estimate_gaussian(xs, ys)
 
+    def test_one_dimensional_samples_are_one_column(self, rng):
+        # a 1-D array was read as one row of N columns and refused as too few samples
+        x = rng.standard_normal(20)
+        y = 0.5 * x + rng.standard_normal(20)
+        j = estimate_gaussian(x, y)
+        want = estimate_gaussian(x[:, None], y[:, None])
+        for got, ref in ((j.k_x, want.k_x), (j.k_y, want.k_y), (j.k_xy, want.k_xy)):
+            assert got.shape == (1, 1) and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("three_d", ["x", "y"])
+    def test_three_dimensional_samples_refused(self, rng, three_d):
+        # np.hstack used to fail on the mismatched dimensions
+        x = rng.standard_normal((20, 2, 2) if three_d == "x" else (20, 2))
+        y = rng.standard_normal((20, 2, 2) if three_d == "y" else (20, 2))
+        with pytest.raises(ShapeMismatch, match="1-D or 2-D"):
+            estimate_gaussian(x, y)
+
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
             estimate_gaussian(np.zeros((10, 2)), np.zeros((9, 2)))

@@ -262,6 +262,23 @@ class TestProjectDiscreteMap:
 
 
 class TestFeatureMutualInformationInputs:
+    def test_large_label_is_compacted(self, monkeypatch):
+        # the table was sized by the largest label: 10**6 + 1 rows for two symbols
+        from cica import projections
+
+        shapes = []
+        validate = projections.validate_discrete
+
+        def recorded(table):
+            shapes.append(table.shape)
+            return validate(table)
+
+        monkeypatch.setattr(projections, "validate_discrete", recorded)
+        j = dsbs_joint(0.1)
+        big = float(feature_mutual_information(j, [0, 10**6], [0, 1]))
+        assert shapes == [(2, 2)]
+        assert big == pytest.approx(float(feature_mutual_information(j, [0, 1], [0, 1])), abs=1e-12)
+
     def test_negative_label_is_refused(self):
         # indexing would wrap -1 around onto label 0
         with pytest.raises(ValueError, match="nonnegative integers"):

@@ -96,6 +96,10 @@ def _read_pmf_csv(path, multi: bool):
     return _index_table(idx, tuple(int(m) + 1 for m in idx.max(axis=0)), prob)
 
 
+#: outer rows of a numeric array encoded per C-encoder call; bounds the writer's working set
+_REPORT_BLOCK_ROWS = 512
+
+
 def _block(items, brackets, level):
     """One ``indent=2`` JSON container at nesting ``level`` from encoded items."""
     if not items:
@@ -113,36 +117,73 @@ def _nest(tokens, shape, level):
     return _block(rows, "[]", level)
 
 
-def _encode(x, level=0):
-    """``json.dumps(x, indent=2, sort_keys=True)`` for string-keyed x holding numpy values.
+def _encode_array(x, level):
+    """Pieces of a non-empty numeric array's ``indent=2`` text, one per block of outer rows.
 
-    Arrays are written as nested lists and numpy scalars as Python numbers.
-    json's indented encoder is pure Python, so a numeric array is instead
-    encoded flat by its C encoder in one call and then split and nested.
+    json's indented encoder is pure Python, so each block is encoded flat by
+    its C encoder in one call and then split and nested; the text of the
+    whole array is never held at once.
+    """
+    pad = "\n" + "  " * (level + 1)
+    opening = "["
+    for start in range(0, x.shape[0], _REPORT_BLOCK_ROWS):
+        block = x[start : start + _REPORT_BLOCK_ROWS]
+        items = json.dumps(block.ravel().tolist())[1:-1].split(", ")
+        if x.ndim > 1:
+            step = len(items) // block.shape[0]
+            items = [_nest(items[i : i + step], x.shape[1:], level + 1)
+                     for i in range(0, len(items), step)]
+        yield opening + pad + ("," + pad).join(items)
+        opening = ","
+    yield "\n" + "  " * level + "]"
+
+
+def _encode(x, level=0):
+    """Pieces of ``json.dumps(x, indent=2, sort_keys=True)``, x string-keyed with numpy values.
+
+    Arrays are written as nested lists and numpy scalars as Python numbers;
+    joined, the pieces are exactly json's text. A numeric array comes in
+    pieces of _REPORT_BLOCK_ROWS outer rows (_encode_array).
     """
     if isinstance(x, np.ndarray):
         if x.size and x.ndim and x.dtype.kind in "biuf":
-            tokens = json.dumps(x.ravel().tolist())[1:-1].split(", ")
-            return _nest(tokens, x.shape, level)
+            yield from _encode_array(x, level)
+            return
         x = x.tolist()  # empty arrays keep their nesting, e.g. [[], [], []]
     if isinstance(x, dict):
-        items = [f"{json.dumps(k)}: {_encode(v, level + 1)}" for k, v in sorted(x.items())]
-        return _block(items, "{}", level)
-    if isinstance(x, (list, tuple)):
-        return _block([_encode(v, level + 1) for v in x], "[]", level)
-    return json.dumps(x.item() if isinstance(x, np.generic) else x)
+        brackets, items = "{}", [(json.dumps(k) + ": ", v) for k, v in sorted(x.items())]
+    elif isinstance(x, (list, tuple)):
+        brackets, items = "[]", [("", v) for v in x]
+    else:
+        yield json.dumps(x.item() if isinstance(x, np.generic) else x)
+        return
+    if not items:
+        yield brackets
+        return
+    pad = "\n" + "  " * (level + 1)
+    opening = brackets[0]
+    for key, value in items:
+        yield opening + pad + key
+        yield from _encode(value, level + 1)
+        opening = ","
+    yield "\n" + "  " * level + brackets[1]
 
 
 def _write_report(path, report: dict, no_meta: bool):
+    """Write report as ``indent=2`` JSON, streaming _encode's pieces to the file.
+
+    The report is complete before the file is opened, so an input error
+    writes nothing; a numeric array is never held as text whole.
+    """
     if not no_meta:
         report = dict(report)
         report["meta"] = {
             "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "tool": f"cica {__version__}",
         }
-    text = _encode(report) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(_encode(report))
+        handle.write("\n")
 
 
 def _scale(value, units):
@@ -184,7 +225,10 @@ def cmd_cca(args, parser) -> int:
         "units": "nats",
     }
     if x is not None:
-        u_feat, v_feat = cca_project(basis, args.k, x - x.mean(axis=0), y - y.mean(axis=0))
+        # centred in place: the same arithmetic as x - x.mean(axis=0), without a second copy
+        x -= x.mean(axis=0)
+        y -= y.mean(axis=0)
+        u_feat, v_feat = cca_project(basis, args.k, x, y)
         report["projections"] = {"u": u_feat, "v": v_feat}
     _write_report(args.out, report, args.no_meta)
     return 0

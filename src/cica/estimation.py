@@ -29,6 +29,10 @@ def estimate_gaussian(x_samples, y_samples, ridge: float | None = None) -> Gauss
     Requires N >= dim_x + dim_y + 1 (TooFewSamples), and at most two
     dimensions and at least one column per block (ShapeMismatch);
     non-finite samples raise InconsistentBlock.
+
+    Rows are first put in a canonical order, so permuting them changes no
+    output bit. The sorted rows are the one copy of the samples made; it is
+    centred in place, and the caller's arrays are left as they were.
     """
     x, y = (np.asarray(a, dtype=float) for a in (x_samples, y_samples))
     if x.ndim > 2 or y.ndim > 2:
@@ -45,15 +49,19 @@ def estimate_gaussian(x_samples, y_samples, ridge: float | None = None) -> Gauss
         )
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InconsistentBlock("samples have non-finite entries")
-    # canonical row order: permuting input rows must not change any output bit
-    order = np.lexsort(np.hstack([x, y]).T[::-1])
-    x = x[order]
-    y = y[order]
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    k_x = xc.T @ xc / (n - 1)
-    k_y = yc.T @ yc / (n - 1)
-    k_xy = xc.T @ yc / (n - 1)
+    # canonical row order, so that permuting input rows changes no output bit: that of
+    # np.lexsort over every column, x's first leading, which a stable argsort of that
+    # column alone gives when it holds no tie (== ties -0.0 with 0.0)
+    order = np.argsort(x[:, 0], kind="stable")
+    lead = x[order, 0]
+    if (lead[1:] == lead[:-1]).any():
+        order = np.lexsort([*x.T, *y.T][::-1])
+    x, y = x[order], y[order]
+    x -= x.mean(axis=0)
+    y -= y.mean(axis=0)
+    k_x = x.T @ x / (n - 1)
+    k_y = y.T @ y / (n - 1)
+    k_xy = x.T @ y / (n - 1)
     if ridge is None:
         r_x = _AUTO_RIDGE * np.trace(k_x) / k_x.shape[0]
         r_y = _AUTO_RIDGE * np.trace(k_y) / k_y.shape[0]

@@ -77,6 +77,22 @@ def sample_joint(joint, n, rng):
     return z[:, : joint.dim_x], z[:, joint.dim_x :]
 
 
+def reference_sample_joint(x, y, ridge):
+    """estimate_gaussian's joint from 2-D samples with its rows in full np.lexsort order.
+
+    The keys are every column, x's first leading, as one stacked array;
+    ridge is added to both diagonal blocks.
+    """
+    order = np.lexsort(np.hstack([x, y]).T[::-1])
+    xc, yc = (a[order] - a[order].mean(axis=0) for a in (x, y))
+    n = x.shape[0]
+    return validate_gaussian(
+        xc.T @ xc / (n - 1) + ridge * np.eye(x.shape[1]),
+        yc.T @ yc / (n - 1) + ridge * np.eye(y.shape[1]),
+        xc.T @ yc / (n - 1),
+    )
+
+
 def gauss_mi(cov, idx_a, idx_b):
     """I(A;B) of a Gaussian vector from covariance determinants (nats)."""
     idx_a = list(idx_a)

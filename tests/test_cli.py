@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +510,7 @@ _SCALARS = st.one_of(
     st.floats(width=32).map(np.float32),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
 )
+_BLOCK = cli._REPORT_BLOCK_ROWS
 _REPORTS = st.recursive(
     st.one_of(_ARRAYS, _SCALARS),
     lambda inner: st.one_of(
@@ -529,8 +531,32 @@ _REPORTS = st.recursive(
     "flags": (np.array([True, False]), None, np.int64(3), np.float64(0.1)),
     "text, \u00e4": "a, b \u65e5\u672c",
 })
+@example({
+    # arrays that end just before, on and after a block boundary of the writer
+    "rows": [np.arange(n * 3).reshape(n, 3) / 7.0
+             for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)],
+    "flat": np.linspace(-1.0, 1.0, 2 * _BLOCK + 3),
+    "cube": np.arange((_BLOCK + 2) * 6).reshape(_BLOCK + 2, 2, 3),
+    "column": np.arange(2 * _BLOCK + 3, dtype=float).reshape(-1, 1) / 3.0,
+    "empty": [np.zeros((0, 3)), np.zeros((3, 0))],
+})
 def test_encode_matches_json_indent(report):
-    assert cli._encode(report) + "\n" == reference_report_text(report)
+    assert "".join(cli._encode(report)) + "\n" == reference_report_text(report)
+
+
+def test_report_writer_peak_below_array_bytes(tmp_path):
+    # the writer holds one block of rows as text at a time; encoding the
+    # whole array at once peaked at about 23 times its bytes
+    a = np.random.default_rng(5).standard_normal((50_000, 5))
+    out = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        cli._write_report(out, {"a": a}, no_meta=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes, f"peak {peak} bytes for a {a.nbytes}-byte array"
+    np.testing.assert_array_equal(np.array(json.loads(out.read_text())["a"]), a)
 
 
 @pytest.mark.parametrize("command", ["cca", "gaussian", "discrete", "toy"])

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import cica
-from cica import cca_decompose, estimate_gaussian, estimate_pmf
+from cica import cca_decompose, estimate_gaussian, estimate_pmf, estimation
 from cica.errors import (
     InconsistentBlock,
     IndexOutOfRange,
@@ -19,7 +20,7 @@ from cica.errors import (
     ShapeMismatch,
     TooFewSamples,
 )
-from conftest import sample_joint, whitened_diag_joint
+from conftest import reference_sample_joint, sample_joint, whitened_diag_joint
 
 
 class TestEstimateGaussian:
@@ -109,6 +110,52 @@ class TestEstimateGaussian:
         np.testing.assert_array_equal(a.k_x, b.k_x)
         np.testing.assert_array_equal(a.k_y, b.k_y)
         np.testing.assert_array_equal(a.k_xy, b.k_xy)
+
+    @pytest.mark.parametrize("lead", ["distinct", "repeated", "signed zeros"])
+    def test_canonical_order_is_the_full_lexsort(self, rng, lead, monkeypatch):
+        x, y = sample_joint(whitened_diag_joint([0.6, 0.2]), 400, rng)
+        if lead == "repeated":
+            x[:, 0] = rng.integers(0, 4, len(x))
+        elif lead == "signed zeros":
+            # == ties -0.0 with 0.0; a bitwise tie check would miss it
+            x[:2, 0] = [-0.0, 0.0]
+        lexsorts = []
+        lexsort = np.lexsort
+
+        def spy(keys):
+            lexsorts.append(keys)
+            return lexsort(keys)
+
+        monkeypatch.setattr(estimation.np, "lexsort", spy)
+        a = estimate_gaussian(x, y, ridge=1e-6)
+        assert len(lexsorts) == (lead != "distinct")
+        ref = reference_sample_joint(x, y, 1e-6)
+        perm = rng.permutation(len(x))
+        b = estimate_gaussian(x[perm], y[perm], ridge=1e-6)
+        for joint in (ref, b):
+            for name in ("k_x", "k_y", "k_xy"):
+                assert getattr(a, name).tobytes() == getattr(joint, name).tobytes(), name
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_samples_left_unmodified(self, rng, tied):
+        x, y = sample_joint(whitened_diag_joint([0.5, 0.3]), 300, rng)
+        if tied:
+            x[:, 0] = np.round(x[:, 0])
+        before = x.tobytes(), y.tobytes()
+        estimate_gaussian(x, y)
+        assert (x.tobytes(), y.tobytes()) == before
+
+    def test_peak_memory_one_copy_of_samples(self, rng):
+        # one sorted copy, centred in place; stacking, then centring copies, peaked at 2x
+        x = rng.standard_normal((20_000, 20))
+        y = 0.5 * x + rng.standard_normal((20_000, 20))
+        tracemalloc.start()
+        try:
+            estimate_gaussian(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (x.nbytes + y.nbytes), f"peak {peak} bytes"
 
     def test_mean_removal(self, rng):
         truth = whitened_diag_joint([0.5])

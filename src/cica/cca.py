@@ -6,18 +6,13 @@ joint carries. This module turns it into the sorted, sign-fixed basis and
 gives top-k projections.
 """
 
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadK, InconsistentBlock, PerfectCorrelation, ShapeMismatch
-from .model import _CLAMP_BAND, GaussianJoint, _frozen_array
+from .model import _UNIT_BAND, GaussianJoint, _frozen_array, _is_int
 
-#: canonical correlations at or above this are perfect: I(rho) diverges; singular
-#: values within _CLAMP_BAND of 1 are clamped to it
-_PERFECT_RHO = 1.0 - 1e-9
 #: canonical correlations below this are SVD noise and read as exact zeros
 _ZERO_RHO = 1e-12
 
@@ -26,10 +21,12 @@ _ZERO_RHO = 1e-12
 class CcaBasis:
     """Ordered canonical correlations with their singular-vector bases.
 
-    Columns of u and v follow a deterministic sign convention: the entry of
-    largest magnitude in each column of u is positive (ties broken by lowest
-    index), and v's columns are flipped together with u's so that
-    (w_x K_xy w_y)^T u_i = rho_i v_i holds with nonnegative scale.
+    rho holds the measured correlations: below 1 - 1e-6 from cca_decompose,
+    up to 1 + 1e-6 from canonical_matrix. Columns of u and v follow a
+    deterministic sign convention: the entry of largest magnitude in each
+    column of u is positive (ties broken by lowest index), and v's columns
+    are flipped together with u's so that (w_x K_xy w_y)^T u_i = rho_i v_i
+    holds with nonnegative scale.
     """
 
     rho: np.ndarray
@@ -46,21 +43,13 @@ class CcaBasis:
 def canonical_matrix(joint: GaussianJoint) -> CcaBasis:
     """The CcaBasis of the joint's SVD of K_x^{-1/2} K_xy K_y^{-1/2}; no decomposition runs.
 
-    rho comes out sorted descending (LAPACK's order) with values below
-    1e-12 set to 0, and u, v follow CcaBasis's sign convention. Singular
-    values within 1e-6 of 1 (sample covariances can overshoot; validation
-    refused any above) are clamped to 1 - 1e-9 with a warning at the caller,
-    past cca_decompose when it is the caller. Every array is returned
-    read-only; w_x and w_y are the joint's own.
+    rho is the measured singular values, sorted descending (LAPACK's order)
+    with values below 1e-12 set to 0, so it may reach 1 + 1e-6 (sample
+    covariances can overshoot; validation refused any above). u and v follow
+    CcaBasis's sign convention. Every array is returned read-only; w_x and
+    w_y are the joint's own.
     """
     u, s, vh = joint.cross_svd
-    near_one = s >= 1.0 - _CLAMP_BAND
-    if near_one.any():
-        warnings.warn(
-            f"{int(near_one.sum())} singular value(s) within 1e-6 of 1 clamped to 1 - 1e-9",
-            stacklevel=3 if sys._getframe(1).f_globals is globals() else 2,
-        )
-        s = np.where(near_one, _PERFECT_RHO, s)
     rho = np.where(s < _ZERO_RHO, 0.0, s)
     v = np.ascontiguousarray(vh.T)
     cols = np.arange(rho.size)
@@ -80,23 +69,22 @@ def canonical_matrix(joint: GaussianJoint) -> CcaBasis:
 def cca_decompose(joint: GaussianJoint) -> CcaBasis:
     """canonical_matrix's basis, refused when the leading correlation is perfect.
 
-    Raises PerfectCorrelation when rho_1 >= 1 - 1e-9, where the
-    per-component mutual information I(rho) diverges; this includes every
-    correlation within 1e-6 of 1, which canonical_matrix clamps to 1 - 1e-9
-    with a warning.
+    Raises PerfectCorrelation when the measured rho_1 >= 1 - 1e-6, the band
+    within which validation accepts a singular value above 1: there the
+    per-component mutual information I(rho) diverges or is round-off.
     """
     basis = canonical_matrix(joint)
-    if basis.rho.size and basis.rho[0] >= _PERFECT_RHO:
+    if basis.rho.size and basis.rho[0] >= 1.0 - _UNIT_BAND:
         raise PerfectCorrelation(
-            f"leading canonical correlation {basis.rho[0]:.12f} >= 1 - 1e-9"
+            f"leading canonical correlation {basis.rho[0]:.12f} >= 1 - 1e-6"
         )
     return basis
 
 
 def _check_k(k, n: int, low: int = 1) -> None:
-    """BadK unless low <= k <= n."""
-    if not low <= k <= n:
-        raise BadK(f"k must be in [{low}, {n}], got {k}")
+    """BadK unless k is an integer (bool excluded) with low <= k <= n."""
+    if not (_is_int(k) and low <= k <= n):
+        raise BadK(f"k must be in [{low}, {n}] and an integer, got {k!r}")
 
 
 def cca_project(basis: CcaBasis, k: int, x, y):
@@ -115,6 +103,7 @@ def cca_project(basis: CcaBasis, k: int, x, y):
             raise ShapeMismatch(f"{name} rows need {w.shape[0]} entries, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise InconsistentBlock("samples have non-finite entries")
-    u_feat = x @ basis.w_x @ basis.u[:, :k]
-    v_feat = y @ basis.w_y @ basis.v[:, :k]
+    # the (dim x k) maps first: x @ w_x would build an N x dim temporary
+    u_feat = x @ (basis.w_x @ basis.u[:, :k])
+    v_feat = y @ (basis.w_y @ basis.v[:, :k])
     return u_feat, v_feat

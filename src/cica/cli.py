@@ -292,7 +292,7 @@ def cmd_discrete_cica(args, parser) -> int:
     coupling, rep = solve_relaxed_wyner(joint, args.gamma, _solver_options(args))
     baseline = float(total_correlation(joint))
     proj = project_discrete_map(coupling)
-    features = {"per_source_map": list(proj.maps)}
+    features = {"per_source_map": list(proj.maps), "per_source_ties": list(proj.ties)}
     if joint.pmf.ndim == 2:
         features.update(u=proj.u_of_x, v=proj.v_of_y, u_ties=proj.ties[0], v_ties=proj.ties[1])
     report = {

@@ -25,6 +25,7 @@ from .model import (
     _check_grid,
     _check_mass,
     _frozen_array,
+    _is_int,
     source_marginals,
     validate_discrete,
 )
@@ -429,9 +430,7 @@ def _check_options(opts: SolverOptions) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
     for name in ("card_w", "n_lambda", "restarts", "max_iter", "threads", "seed"):
         value = getattr(opts, name)
-        if (name != "card_w" or value is not None) and (
-            isinstance(value, bool) or not isinstance(value, (int, np.integer))
-        ):
+        if (name != "card_w" or value is not None) and not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     for name, low in _OPTION_MINIMA.items():
         if getattr(opts, name) < low:

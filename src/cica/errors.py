@@ -30,7 +30,7 @@ class NegativeMass(CicaError):
 
 
 class PerfectCorrelation(CicaError):
-    """A canonical correlation is within 1e-9 of 1; I(rho) diverges."""
+    """The measured leading canonical correlation is >= 1 - 1e-6; I(rho) diverges."""
 
 
 class BadK(CicaError):

@@ -11,6 +11,7 @@ from .model import (
     _check_budget,
     _check_cells,
     _check_indices,
+    _is_int,
     validate_discrete,
     validate_gaussian,
 )
@@ -89,13 +90,17 @@ def estimate_pmf(rows, cards, smoothing: float = 0.0) -> DiscreteJoint:
 
     Column i holds the symbols of source i and cards the M >= 2 alphabet
     sizes (ShapeMismatch otherwise); a pair is the M = 2 case. Indices
-    must lie in [0, card) (IndexOutOfRange) and be integers (ValueError);
-    a table of more than MAX_STATES (64) cells raises TooLarge before allocation.
+    must lie in [0, card) (IndexOutOfRange) and be integers (ValueError),
+    and so must every card (ValueError; a bool is not an integer); a table
+    of more than MAX_STATES (64) cells raises TooLarge before allocation.
     smoothing, added to every cell's count, must be finite and >= 0 (ValueError).
     """
     smoothing = _check_budget(smoothing, "smoothing")
     rows = np.asarray(rows, dtype=float)
-    cards = tuple(int(c) for c in cards)
+    cards = tuple(cards)
+    if not all(_is_int(c) for c in cards):
+        raise ValueError(f"cards must be integers, got {cards!r}")
+    cards = tuple(map(int, cards))
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != len(cards) or len(cards) < 2:
         raise ShapeMismatch(
             f"index rows must be N x M, N >= 1, M = len(cards) >= 2; got {rows.shape}, {cards}"

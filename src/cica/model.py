@@ -22,8 +22,8 @@ LN2 = float(np.log(2.0))
 
 # a covariance block needs every eigenvalue above this floor to be whitened
 _EPS_PD = 1e-10
-# singular values above 1 + this are inconsistent; cca clamps those within it of 1
-_CLAMP_BAND = 1e-6
+# singular values above 1 + this are inconsistent; cca refuses those at or above 1 - this
+_UNIT_BAND = 1e-6
 _PMF_SUM_TOL = 1e-12
 _PMF_NEG_TOL = 1e-14
 
@@ -32,6 +32,11 @@ def _frozen_array(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _is_int(value) -> bool:
+    """Whether value is an int or a numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_budget(gamma, name: str = "gamma") -> float:
@@ -146,9 +151,13 @@ class DiscreteJoint:
         return source_marginals(self.pmf)[i]
 
 
-def _check_symmetric(name, k):
+def _check_square(name, k):
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.size == 0:
         raise ShapeMismatch(f"{name} must be square and nonempty, got shape {k.shape}")
+
+
+def _check_symmetric(name, k):
+    _check_square(name, k)
     scale = max(np.abs(k).max(), 1.0)
     if np.abs(k - k.T).max() > 1e-8 * scale:
         raise ShapeMismatch(f"{name} is not symmetric")
@@ -158,10 +167,15 @@ def inv_sqrt_psd(k, name: str = "matrix") -> np.ndarray:
     """Unique symmetric M > 0 with M @ k @ M = I, via eigendecomposition.
 
     Eigenvalues lambda are mapped to lambda^{-1/2}; the result does not
-    depend on eigenvector sign choices. Raises NotPositiveDefinite, naming
-    the matrix as name, when the smallest eigenvalue is <= 1e-10.
+    depend on eigenvector sign choices. Naming the matrix as name, raises
+    InconsistentBlock for a non-finite entry, ShapeMismatch unless k is
+    square and nonempty, and NotPositiveDefinite when the smallest
+    eigenvalue is <= 1e-10.
     """
     k = np.asarray(k, dtype=float)
+    if not np.isfinite(k).all():
+        raise InconsistentBlock(f"{name} has non-finite entries")
+    _check_square(name, k)
     k = 0.5 * (k + k.T)
     lam, q = np.linalg.eigh(k)
     if lam[0] <= _EPS_PD:
@@ -199,7 +213,7 @@ def validate_gaussian(k_x, k_y, k_xy) -> GaussianJoint:
     w_y = inv_sqrt_psd(k_y, "k_y")
     k_xy = _frozen_array(k_xy)
     u, s, vh = np.linalg.svd(w_x @ k_xy @ w_y, full_matrices=False)
-    if s[0] > 1.0 + _CLAMP_BAND:
+    if s[0] > 1.0 + _UNIT_BAND:
         raise InconsistentBlock(
             f"whitened cross-covariance has singular value {s[0]:.10g} > 1 + 1e-6"
         )

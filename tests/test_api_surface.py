@@ -98,6 +98,19 @@ def test_no_assert_statements(path):
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
+def test_library_never_warns():
+    # the library reports through typed errors, never a Python warning on stderr
+    calls = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr == "warn"
+                or isinstance(node.func, ast.Name) and node.func.id == "warn"
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+
+
 def test_gaussian_cli_traces_waterfill_layer(tmp_path):
     cov = tmp_path / "cov.json"
     cov.write_text(

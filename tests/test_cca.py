@@ -1,6 +1,6 @@
 """CCA decomposition, projection, and fixed-point oracle tests."""
 
-import warnings
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,33 +64,32 @@ class TestCcaDecompose:
         np.testing.assert_array_equal(b1.u, b2.u)
         np.testing.assert_array_equal(b1.v, b2.v)
 
+    @pytest.mark.filterwarnings("error")
     def test_perfect_correlation(self):
         j = validate_gaussian(np.eye(1), np.eye(1), np.array([[1.0 - 1e-10]]))
         with pytest.raises(PerfectCorrelation):
-            with pytest.warns(UserWarning):
-                cca_decompose(j)
-        # a correlation within 1e-6 of 1 is clamped and then always raises,
-        # whatever round-off the basis adds; one just outside decomposes
+            cca_decompose(j)
+        # a correlation within 1e-6 of 1 always raises, whatever round-off the
+        # basis adds; one just outside decomposes, all without a warning
         rng = np.random.default_rng(5)
         for leading in (1.0 - 5e-7, 1.0 - 1e-8, 1.0 - 2e-9):
             for _ in range(30):
                 j = random_basis_joint(rng, [leading, 0.6, 0.2])
                 with pytest.raises(PerfectCorrelation):
-                    with pytest.warns(UserWarning, match="clamped"):
-                        cca_decompose(j)
+                    cca_decompose(j)
         for _ in range(30):
             j = random_basis_joint(rng, [1.0 - 1.1e-6, 0.6, 0.2])
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rho = cca_decompose(j).rho
+            rho = cca_decompose(j).rho
             assert rho[0] == pytest.approx(1.0 - 1.1e-6, abs=1e-10)
 
-    def test_clamp_warning_points_at_caller(self):
-        j = validate_gaussian(np.eye(1), np.eye(1), np.array([[1.0 - 5e-7]]))
-        with pytest.raises(PerfectCorrelation):
-            with pytest.warns(UserWarning, match="clamped") as record:
+    @pytest.mark.filterwarnings("error")
+    def test_perfect_correlation_message_shows_measured_rho(self):
+        # unit blocks whiten exactly, so rho is k_xy itself; the band is closed at 1 - 1e-6
+        for k_xy, shown in ((1.0 - 5e-7, "0.999999500000"), (1.0 + 5e-7, "1.000000500000"),
+                            (1.0 - 1e-6, "0.999999000000")):
+            j = validate_gaussian(np.eye(1), np.eye(1), np.array([[k_xy]]))
+            with pytest.raises(PerfectCorrelation, match=f"correlation {shown} >= 1 - 1e-6"):
                 cca_decompose(j)
-        assert record[0].filename == __file__
 
     def test_invariance_under_invertible_maps(self, rng):
         j = random_gaussian_joint(rng, 3, 3)
@@ -123,6 +122,43 @@ class TestCcaProject:
             cca_project(basis, 0, np.zeros(2), np.zeros(2))
         with pytest.raises(BadK):
             cca_project(basis, 3, np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, True, "1", None])
+    def test_non_integer_k_refused(self, k):
+        # 1.5 escaped as numpy's "slice indices must be integers"; True kept one component
+        basis = cca_decompose(whitened_diag_joint([0.8, 0.5]))
+        with pytest.raises(BadK, match="an integer"):
+            cca_project(basis, k, np.zeros(2), np.zeros(2))
+
+    def test_numpy_integer_k_accepted(self):
+        basis = cca_decompose(whitened_diag_joint([0.8, 0.5]))
+        for k in (np.int64(2), np.int32(1), np.uint8(2)):
+            u, v = cca_project(basis, k, np.ones((3, 2)), np.ones((3, 2)))
+            assert u.shape == v.shape == (3, int(k))
+
+    def test_projection_peak_near_output_bytes(self, rng):
+        # the (dim x k) maps are formed first: x @ w_x built an N x dim
+        # temporary, a peak of about 3 times the projections' bytes
+        j = random_gaussian_joint(rng, 20, 20)
+        basis = cca_decompose(j)
+        x = rng.standard_normal((20_000, 20))
+        y = rng.standard_normal((20_000, 20))
+        tracemalloc.start()
+        try:
+            u, v = cca_project(basis, 5, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out_bytes = u.nbytes + v.nbytes
+        assert peak < 1.25 * out_bytes, f"peak {peak} bytes for {out_bytes} bytes of projections"
+
+    def test_projection_matches_left_to_right_product(self, rng):
+        j = random_gaussian_joint(rng, 6, 4)
+        basis = cca_decompose(j)
+        x, y = sample_joint(j, 2_000, rng)
+        u, v = cca_project(basis, 3, x, y)
+        for got, ref in ((u, x @ basis.w_x @ basis.u[:, :3]), (v, y @ basis.w_y @ basis.v[:, :3])):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_wrong_width_refused(self):
         # numpy's matmul used to report the mismatch

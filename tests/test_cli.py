@@ -205,15 +205,19 @@ class TestCmdGaussian:
         cov.write_text(json.dumps({"k_x": [[1.0]], "k_y": [[1.0]], "k_xy": [[0.9999999999]]}))
         r = run_cli("gaussian", "--cov", str(cov), "--gamma", "0", "--out", str(tmp_path / "r.json"))
         assert r.returncode == 4
-        # a correlation within 1e-6 of 1 behind a rotated basis: clamped, then
-        # exit 4 from gaussian and 3 from cca, never a report or a traceback
+        assert "0.999999999900 >= 1 - 1e-6" in r.stderr
+        assert "Warning" not in r.stderr and "Traceback" not in r.stderr
+        # a correlation within 1e-6 of 1 behind a rotated basis: exit 4 from
+        # gaussian and 3 from cca with the measured value, never a report, a
+        # Python warning or a traceback
         j = random_basis_joint(np.random.default_rng(6), [1.0 - 5e-7, 0.6, 0.2])
         cov.write_text(json.dumps({"k_x": j.k_x.tolist(), "k_y": j.k_y.tolist(),
                                    "k_xy": j.k_xy.tolist()}))
         for command, flags, code in (("gaussian", ["--gamma", "0"], 4), ("cca", ["-k", "1"], 3)):
             r = run_cli(command, "--cov", str(cov), *flags, "--out", str(tmp_path / "near.json"))
             assert r.returncode == code, r.stderr
-            assert "clamped" in r.stderr and "Traceback" not in r.stderr
+            assert "leading canonical correlation 0.9999995" in r.stderr
+            assert "Warning" not in r.stderr and "Traceback" not in r.stderr
             assert not (tmp_path / "near.json").exists()
 
     def test_one_svd_per_call(self, cov_file, tmp_path, monkeypatch):
@@ -291,6 +295,27 @@ class TestCmdDiscrete:
         rep = json.loads(out.read_text())
         assert abs(rep["upper_bound"] - math.log(2.0)) < 2e-2
         assert len(rep["map_features"]["per_source_map"]) == 3
+
+    def test_multi_reports_per_source_ties(self, tmp_path):
+        # x3's symbol 1 has no mass, so p(w | x3 = 1) is flat: always a tie
+        pmf = tmp_path / "m.csv"
+        pmf.write_text("x1,x2,x3,p\n0,0,0,0.4\n1,1,0,0.4\n0,1,0,0.2\n1,0,1,0\n")
+        out = tmp_path / "m.json"
+        code = cli.main(["discrete", "--pmf", str(pmf), "--gamma", "0", "--multi", "--seed", "7",
+                         "--restarts", "2", "--out", str(out), "--no-meta"])
+        assert code == 0
+        features = json.loads(out.read_text())["map_features"]
+        ties = features["per_source_ties"]
+        assert [len(t) for t in ties] == [len(m) for m in features["per_source_map"]] == [2, 2, 2]
+        assert ties[2][1] is True
+        assert "u_ties" not in features
+        # a pair keeps its u_ties and v_ties keys, the same flags
+        pmf.write_text("x,y,p\n0,0,0.45\n0,1,0.05\n1,0,0.05\n1,1,0.45\n")
+        code = cli.main(["discrete", "--pmf", str(pmf), "--gamma", "0", "--seed", "7",
+                         "--restarts", "2", "--out", str(out), "--no-meta"])
+        assert code == 0
+        features = json.loads(out.read_text())["map_features"]
+        assert features["per_source_ties"] == [features["u_ties"], features["v_ties"]]
 
     def test_multi_per_source_map_is_the_library_map(self, tmp_path, rng):
         pmf = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)

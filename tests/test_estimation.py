@@ -201,6 +201,16 @@ class TestEstimatePmf:
         with pytest.raises(ShapeMismatch):
             estimate_pmf([[0], [1]], (2,))
 
+    @pytest.mark.parametrize("cards", [(2.5, 2), (2.0, 2), (True, 2), (2, "2")])
+    def test_non_integer_card_rejected(self, cards):
+        # (2.5, 2) used to be truncated to a 2 x 2 table
+        with pytest.raises(ValueError, match="cards must be integers"):
+            estimate_pmf([[0, 1], [1, 0], [1, 1]], cards)
+
+    def test_numpy_integer_cards_accepted(self):
+        j = estimate_pmf([[0, 1], [1, 0], [1, 1]], np.array([2, 2]))
+        np.testing.assert_array_equal(j.pmf, [[0, 1 / 3], [1 / 3, 1 / 3]])
+
     def test_error_order(self):
         # shape, then range (-1 included), then integrality, then size
         with pytest.raises(ShapeMismatch):

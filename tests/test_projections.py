@@ -168,6 +168,14 @@ class TestProjectGaussian:
             with pytest.raises(BadK):
                 project_gaussian(basis, k, "map")
 
+    def test_k_must_be_an_integer(self):
+        # 1.5 escaped as a bare TypeError; True returned one component
+        basis = cca_decompose(whitened_diag_joint([0.8, 0.5]))
+        for k in (1.5, 2.0, True, False):
+            with pytest.raises(BadK, match="an integer"):
+                project_gaussian(basis, k, "map")
+        assert project_gaussian(basis, np.int64(1), "map").u_of_x.shape == (1, 2)
+
 
 class TestProjectDiscreteMap:
     def test_constant_w(self):

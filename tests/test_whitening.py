@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cica import canonical_matrix, cca_decompose, inv_sqrt_psd, validate_gaussian
-from cica.errors import InconsistentBlock, NotPositiveDefinite, PerfectCorrelation
+from cica.errors import InconsistentBlock, NotPositiveDefinite, PerfectCorrelation, ShapeMismatch
 from conftest import random_gaussian_joint, sample_joint
 
 
@@ -41,6 +41,21 @@ class TestInvSqrtPsd:
             inv_sqrt_psd(np.diag([1.0, -0.5]))
         with pytest.raises(NotPositiveDefinite):
             inv_sqrt_psd(np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("k", [[[np.nan]], [[np.inf, 0.0], [0.0, 1.0]], [np.nan, 1.0]])
+    def test_non_finite_refused(self, k):
+        # [[nan]] came back as [[nan]] and the inf matrix as all NaN; non-finite
+        # entries are checked before the shape, as validate_gaussian does
+        with pytest.raises(InconsistentBlock, match="k has non-finite entries"):
+            inv_sqrt_psd(k, "k")
+
+    @pytest.mark.parametrize("k", [[1.0, 2.0], [[1.0, 0.5]], np.zeros((0, 0)), 4.0,
+                                   np.ones((2, 2, 2))])
+    def test_non_square_refused(self, k):
+        # a 1-D input escaped as LinAlgError; 1 x 2 was broadcast by k + k.T into
+        # a 2 x 2 matrix and refused as NotPositiveDefinite
+        with pytest.raises(ShapeMismatch, match="k must be square and nonempty"):
+            inv_sqrt_psd(k, "k")
 
 
 class TestCanonicalMatrix:
@@ -80,6 +95,7 @@ class TestCanonicalMatrix:
 
     @pytest.mark.parametrize("sigma", [1.001, 1.0 + 5e-7, 1.0 - 5e-7])
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e4])
+    @pytest.mark.filterwarnings("error")
     def test_verdict_does_not_depend_on_units(self, scale, sigma):
         # K_xy = L_x diag(sigma, 0.5) L_y^T has canonical correlations (sigma, 0.5)
         # for Cholesky factors L, at every scale of the three blocks
@@ -92,12 +108,16 @@ class TestCanonicalMatrix:
                 validate_gaussian(*blocks)
         else:
             j = validate_gaussian(*blocks)
-            with pytest.warns(UserWarning, match="clamped"), pytest.raises(PerfectCorrelation):
+            with pytest.raises(PerfectCorrelation):
                 cca_decompose(j)
 
-    def test_near_one_clamped_with_warning(self):
-        j = validate_gaussian(np.eye(1), np.eye(1), np.array([[1.0 - 5e-7]]))
-        with pytest.warns(UserWarning, match="clamped") as record:
-            basis = canonical_matrix(j)
-        assert record[0].filename == __file__
-        assert basis.rho[0] == 1.0 - 1e-9
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", [1.0 + 5e-7, 1.0 - 5e-7, 1.0 - 2e-6])
+    def test_near_one_rho_is_measured(self, sigma):
+        # canonical_matrix rewrites no value near 1: rho is the joint's singular value
+        k_x = np.array([[2.0, 0.5], [0.5, 1.0]])
+        k_y = np.array([[1.0, 0.3], [0.3, 3.0]])
+        k_xy = np.linalg.cholesky(k_x) @ np.diag([sigma, 0.5]) @ np.linalg.cholesky(k_y).T
+        j = validate_gaussian(k_x, k_y, k_xy)
+        assert canonical_matrix(j).rho[0] == j.cross_svd[1][0]
+        assert abs(j.cross_svd[1][0] - sigma) < 1e-12

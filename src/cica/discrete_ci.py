@@ -38,8 +38,9 @@ _ETA_GROWTH = 2.0
 _ETA_MAX = 1e6
 _ETA_FLOOR = 1e-12
 # float64 entries of q(w|cells) in a sweep's widest backtracking round, two
-# rungs for every grid run: 2**24 entries are 128 MiB, and the engine holds a
-# few arrays of that size at once (the default options reach about 2**20)
+# rungs for every grid run: 2**24 entries are 128 MiB, and a round holds five
+# arrays of that size at once (its gathered log q and gradient, the candidate,
+# its log and one scratch product; the default options reach about 2**20)
 _MAX_ROUND_ENTRIES = 2**24
 # the multiplier grid spans [_LAMBDA_MIN, _LAMBDA_GRID_MAX]; an infeasible budget
 # escalates to _LAMBDA_MAX and bisects in between
@@ -234,22 +235,34 @@ class _Engine:
     run's outcome. One batch holds every run of a sweep: splitting it over
     threads only adds Python iteration loops that the GIL serialises.
 
+    Inside the engine every array is latent-major: q, log q and the
+    gradient are (W, runs, cells), and the packed marginal logs are
+    (W, runs, 1 + sum_i c_i). A max or sum over W is then one reduction
+    over the leading axis along contiguous runs x cells rows, and a per-run
+    scale (the step, the multiplier, p(c), the p_i weights) is one vector
+    tiled over those rows. Besides q0 and the output, a descent holds about
+    six arrays of q's size at once: q, its log and its gradient, a
+    candidate with its log, and one scratch product.
+
     Every marginal comes from one product with the fixed incidence matrix
     ``S`` of shape cells x (1 + sum_i c_i): column 0 is all ones and gives
     q(w), and one 0/1 column per source symbol gives q(w, x_i). The
     gradient scatters the logs of those marginals back onto the cells
-    through S^T. Each product is stacked over the run axis with one fixed
-    shape per run, so BLAS takes the same kernel for a run whatever else
-    the batch holds, and a run's bits do not depend on the batch.
+    through S^T. Each product runs on the (runs, W, cells) view, one BLAS
+    call per run with one fixed shape, so BLAS takes the same kernel for a
+    run whatever else the batch holds, and a run's bits do not depend on
+    the batch.
     """
 
     def __init__(self, pmf, card_w: int, opts: SolverOptions):
         self.pmf = pmf
         self.cards = pmf.shape
         self.n_src = pmf.ndim
+        self.n_cells = pmf.size
         self.card_w = card_w
         self.opts = opts
-        self.off_support = pmf <= 0
+        off_support = pmf.ravel() <= 0
+        self.off_support = off_support if off_support.any() else None
         self.tc = _total_correlation(pmf)  # relaxation of constant W
         # column 0, then each source's block of symbol columns
         self.starts = np.cumsum((0, 1) + self.cards[:-1])
@@ -257,38 +270,58 @@ class _Engine:
         self.S = np.zeros((pmf.size, 1 + sum(self.cards)))
         self.S[:, 0] = 1.0
         self.S[np.arange(pmf.size)[:, None], self.starts[1:] + cells] = 1.0
-        # per symbol column: the p_i weight and the safe p_i denominator
-        self.p_wt = np.concatenate(source_marginals(pmf))
+        # per column of S: the p_i weight and the safe p_i denominator, 1 for q(w)
+        self.p_wt = np.concatenate([[1.0]] + source_marginals(pmf))
+        self.zero_mass = bool((self.p_wt <= 0).any())
         self.p_den = np.maximum(self.p_wt, _TINY)
-        self.row_axes = tuple(range(1, self.n_src + 2))  # all but the run axis
+        self.pmf_w = np.tile(pmf.ravel(), card_w)  # p(c) for each (w, cell) of a run
+        self._runs = 0  # runs covered by the tiles below
+
+    def _tiles(self, runs):
+        """p(c), the p_i weights and the denominators repeated for `runs` runs."""
+        if runs > self._runs:
+            self._runs = runs
+            self._pmf_t = np.tile(self.pmf.ravel(), runs)
+            self._wt_t = np.tile(self.p_wt, runs)
+            self._den_t = np.tile(self.p_den, runs)
+        k = self.p_wt.size
+        return self._pmf_t[: runs * self.n_cells], self._wt_t[: runs * k], self._den_t[: runs * k]
 
     # -- functionals ---------------------------------------------------
 
-    def _parts(self, q):
+    def _parts(self, q, lq=None):
         """Per-run (log q, logs, F) with J = -H(W|cells), A = -H(W), B_i = -H(W|X_i).
 
-        logs is (R, W, 1 + sum_i c_i): log q(w), then every log q(w|x_i).
+        q is latent-major (W, R, cells); lq is its log when the caller has
+        it. logs is (W, R, 1 + sum_i c_i): log q(w), then every log q(w|x_i).
         """
-        R = q.shape[0]
-        joint_w = q * self.pmf
-        marg = joint_w.reshape(R, self.card_w, -1) @ self.S
+        W, R, C = q.shape
+        pmf_t, wt_t, den_t = self._tiles(R)
+        joint_w = np.multiply(q.reshape(W, -1), pmf_t).reshape(W, R, C)
+        marg = np.empty((W, R, self.p_wt.size))
+        np.matmul(joint_w.transpose(1, 0, 2), self.S, out=marg.transpose(1, 0, 2))
+        flat = marg.reshape(W, -1)
         # where p_i = 0 the numerator is 0, so the ratio is the 0 a mask would give
-        src = marg[..., 1:]
-        np.divide(src, self.p_den, out=src)
+        np.divide(flat, den_t, out=flat)
         logs = _safe_log(marg)
-        zero = marg <= 0
+        zero = marg <= 0 if self.zero_mass else None
         plogp = np.multiply(marg, logs, out=marg)
-        np.copyto(plogp, 0.0, where=zero)
-        np.multiply(src, self.p_wt, out=src)
-        lq = _safe_log(q)
+        if zero is not None:
+            np.copyto(plogp, 0.0, where=zero)
+        np.multiply(flat, wt_t, out=flat)
+        if lq is None:
+            lq = _safe_log(q)
         F = np.empty((R, 2 + self.n_src))
-        np.multiply(q, lq, out=joint_w)
-        F[:, 0] = np.multiply(joint_w, self.pmf, out=joint_w).sum(axis=self.row_axes)
-        F[:, 1:] = np.add.reduceat(plogp.sum(axis=1), self.starts, axis=1)
+        # J sums each run's W x cells block in (w, cell) order, in joint_w's
+        # buffer, which the product above no longer needs
+        block = joint_w.reshape(R, W, C)
+        np.multiply(q.transpose(1, 0, 2), lq.transpose(1, 0, 2), out=block)
+        block = block.reshape(R, -1)
+        F[:, 0] = np.multiply(block, self.pmf_w, out=block).sum(axis=1)
+        F[:, 1:] = np.add.reduceat(plogp.sum(axis=0), self.starts, axis=1)
         return lq, logs, F
 
-    def _objective_relax(self, parts):
-        F = parts[2]
+    def _objective_relax(self, F):
         obj = F[:, 0] - F[:, 1]
         relax = F[:, 0] + (self.n_src - 1) * F[:, 1] - sum(F[:, 2:].T) + self.tc
         return obj, relax
@@ -302,24 +335,35 @@ class _Engine:
         )
 
     def _gradient(self, parts, lam):
-        """The Lagrangian's gradient over p(cells), 0 off the support; lam has one entry per run."""
+        """The Lagrangian's latent-major gradient over p(cells), 0 off the support.
+
+        lam has one entry per run.
+        """
         lq, logs, _ = parts
-        lam_b = np.reshape(lam, (-1, 1, 1))
-        g = np.multiply(1.0 + lam_b, lq.reshape(logs.shape[:2] + (-1,)))
-        g += ((self.n_src - 1) * lam_b - 1.0) * logs[..., :1]
-        g -= lam_b * (logs[..., 1:] @ self.S[:, 1:].T)
-        g = g.reshape(lq.shape)
-        np.copyto(g, 0.0, where=self.off_support)
+        W, R, C = lq.shape
+        lam_t = np.repeat(lam, C)
+        g = np.multiply(1.0 + lam_t, lq.reshape(W, -1)).reshape(W, R, C)
+        g += (logs[..., 0] * ((self.n_src - 1) * lam - 1.0))[..., None]
+        scatter = np.empty_like(g)
+        np.matmul(
+            logs[..., 1:].transpose(1, 0, 2), self.S[:, 1:].T, out=scatter.transpose(1, 0, 2)
+        )
+        flat = scatter.reshape(W, -1)
+        np.multiply(flat, lam_t, out=flat)
+        g -= scatter
+        if self.off_support is not None:
+            np.copyto(g, 0.0, where=self.off_support)
         return g
 
     def _step(self, lq, g, eta):
-        z = np.multiply(eta.reshape((eta.size,) + (1,) * (self.n_src + 1)), g)
-        np.subtract(lq, z, out=z)
-        z -= z.max(axis=1, keepdims=True)
+        W = lq.shape[0]
+        z = np.multiply(np.repeat(eta, self.n_cells), g.reshape(W, -1))
+        np.subtract(lq.reshape(W, -1), z, out=z)
+        z -= z.max(axis=0)
         np.exp(z, out=z)
         np.maximum(z, _PROB_FLOOR, out=z)
-        z /= z.sum(axis=1, keepdims=True)
-        return z
+        z /= z.sum(axis=0)
+        return z.reshape(lq.shape)
 
     # -- descent -------------------------------------------------------
 
@@ -338,14 +382,15 @@ class _Engine:
         that holds, which is the step that halving one rung per round would
         accept. With a budget, a run that freezes with relax <= budget at
         multiplier lam_c cuts every live run with lam > lam_c: it leaves
-        the batch unconverged, at its current iterate. Returns per-run
-        arrays (q, obj, relax, iters, converged).
+        the batch unconverged, at its current iterate. q0 is (runs, W,
+        *cards). Returns per-run arrays (q, obj, relax, iters, converged),
+        with q in q0's layout.
         """
         opts = self.opts
-        q = np.array(q0, dtype=float)
+        R, W, C = len(q0), self.card_w, self.n_cells
+        q = np.array(np.asarray(q0, dtype=float).reshape(R, W, C).transpose(1, 0, 2), order="C")
         lam = np.asarray(lam, dtype=float)
-        R = q.shape[0]
-        q_out = np.empty_like(q)
+        q_out = np.empty((R, W, C))
         obj_out = np.empty(R)
         relax_out = np.empty(R)
         iters = np.full(R, opts.max_iter)
@@ -354,66 +399,79 @@ class _Engine:
         eta = np.full(R, _ETA_INIT)
         parts = self._parts(q)
         G = self._lagrangian(parts, lam)
-        obj, relax = self._objective_relax(parts)
         for it in range(opts.max_iter):
             if live.size == 0:
                 break
             lq = parts[0]
             g = self._gradient(parts, lam)
-            pending = np.arange(live.size)
+            # round 1: every live run at its own step; each entry of a step is
+            # at least _PROB_FLOOR / W, so its log needs no floor
+            cand = self._step(lq, g, eta)
+            cand_parts = self._parts(cand, np.log(cand))
+            good = self._lagrangian(cand_parts, lam) <= G + 1e-12
+            if good.all():
+                q, parts = cand, cand_parts
+            else:  # one masked copy per array
+                for dst, src in zip((q,) + parts[:2], (cand,) + cand_parts[:2]):
+                    mask = np.repeat(good, src.shape[2])
+                    np.copyto(dst.reshape(W, -1), src.reshape(W, -1), where=mask)
+                np.copyto(parts[2], cand_parts[2], where=good[:, None])
+            pending = np.flatnonzero(~good)
+            eta[pending] *= 0.5
             stuck = np.zeros(live.size, dtype=bool)
-            retry = False
+            stuck[pending] = eta[pending] < _ETA_FLOOR
+            pending = pending[~stuck[pending]]
+            # later rounds: the rungs eta and eta/2, the second while above the floor
             while pending.size:
                 n = pending.size
-                rows, steps = pending, eta[pending]
-                if retry:  # the rungs eta and eta/2, the second while above the floor
-                    two = steps * 0.5 >= _ETA_FLOOR
-                    rows = np.concatenate([pending, pending[two]])
-                    steps = np.concatenate([steps, steps[two] * 0.5])
-                    cand = self._step(lq[rows], g[rows], steps)
-                else:  # every live run at its own step
-                    cand = self._step(lq, g, steps)
-                cand_parts = self._parts(cand)
+                two = eta[pending] * 0.5 >= _ETA_FLOOR
+                rows = np.concatenate([pending, pending[two]])
+                steps = np.concatenate([eta[pending], eta[pending[two]] * 0.5])
+                cand = self._step(lq.take(rows, axis=1), g.take(rows, axis=1), steps)
+                cand_parts = self._parts(cand, np.log(cand))
                 good = self._lagrangian(cand_parts, lam[rows]) <= G[rows] + 1e-12
                 fail = ~good[:n]
-                if retry:  # a run takes its first rung that holds
-                    good[n:] &= fail[two]
-                    fail[two] &= ~good[n:]
+                # a run takes its first rung that holds
+                good[n:] &= fail[two]
+                fail[two] &= ~good[n:]
                 # an accepted run's rows take the candidate; stuck runs keep theirs
                 sel = np.flatnonzero(good)
                 acc = rows[sel]
-                for dst, src in zip((q,) + parts, (cand,) + cand_parts):
-                    dst[acc] = src[sel]
+                for dst, src in zip((q,) + parts[:2], (cand,) + cand_parts[:2]):
+                    dst[:, acc] = src.take(sel, axis=1)
+                parts[2][acc] = cand_parts[2][sel]
                 eta[acc] = steps[sel]
                 # a run that failed every rung halves once per rung it tried
                 pending = pending[fail]
                 eta[pending] *= 0.5
-                if retry:
-                    eta[pending[two[fail]]] *= 0.5
+                eta[pending[two[fail]]] *= 0.5
                 stuck[pending] = eta[pending] < _ETA_FLOOR
                 pending = pending[~stuck[pending]]
-                retry = True
             G_new = self._lagrangian(parts, lam)
             if not np.all(G_new <= G + 1e-9):
                 raise NoConvergence("Lagrangian increased within a run")
             rel = (G - G_new) / np.maximum(np.abs(G), 1.0)
-            obj, relax = self._objective_relax(parts)
             met_tol = rel < opts.tol
             done = stuck | met_tol
             G = G_new
             if done.any():
                 if budget is not None:
-                    done |= lam > lam[done & (relax <= budget)].min(initial=np.inf)
+                    met = self._objective_relax(parts[2][done])[1] <= budget
+                    done |= lam > lam[done][met].min(initial=np.inf)
                 out = live[done]
-                q_out[out], obj_out[out], relax_out[out] = q[done], obj[done], relax[done]
+                q_out[out] = q[:, done].transpose(1, 0, 2)
+                obj_out[out], relax_out[out] = self._objective_relax(parts[2][done])
                 iters[out] = it + 1
                 converged[out] = (met_tol & ~stuck)[done]
                 keep = ~done
-                live, q, G, eta, lam = live[keep], q[keep], G[keep], eta[keep], lam[keep]
-                parts, obj, relax = tuple(a[keep] for a in parts), obj[keep], relax[keep]
+                # compress, not a[:, keep]: numpy lays that result out run-major
+                live, G, eta, lam = live[keep], G[keep], eta[keep], lam[keep]
+                q, lq, logs = (a.compress(keep, axis=1) for a in (q,) + parts[:2])
+                parts = (lq, logs, parts[2][keep])
             eta = np.minimum(eta * _ETA_GROWTH, _ETA_MAX)
-        q_out[live], obj_out[live], relax_out[live] = q, obj, relax
-        return q_out, obj_out, relax_out, iters, converged
+        q_out[live] = q.transpose(1, 0, 2)
+        obj_out[live], relax_out[live] = self._objective_relax(parts[2])
+        return q_out.reshape((R, W) + self.cards), obj_out, relax_out, iters, converged
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +651,7 @@ solve_relaxed_wyner_multi = solve_relaxed_wyner
 # ---------------------------------------------------------------------------
 
 def _lower_convex_envelope(points, xs):
-    """Lower convex hull of achievable (gamma, value) points sampled at xs."""
+    """Lower convex hull of achievable (gamma, value) points, made nonincreasing, sampled at xs."""
     pts = []
     for p in sorted(points):  # keep the lowest value per distinct abscissa
         if pts and p[0] == pts[-1][0]:
@@ -610,11 +668,10 @@ def _lower_convex_envelope(points, xs):
                 break
         hull.append(p)
     hx = np.array([h[0] for h in hull])
-    hy = np.array([h[1] for h in hull])
-    out = np.interp(xs, hx, hy)  # clamps to the end values outside the hull
-    # a value achievable at gamma' <= gamma is achievable at gamma
-    np.minimum.accumulate(out, out=out)
-    return out
+    # a value achievable at gamma' <= gamma is achievable at gamma, so the
+    # rising right end of the hull is cut at its lowest vertex
+    hy = np.minimum.accumulate([h[1] for h in hull])
+    return np.interp(xs, hx, hy)  # clamps to the end values outside the hull
 
 
 def ci_curve_discrete(joint: DiscreteJoint, grid, opts: SolverOptions | None = None):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import statistics
 import tempfile
 from dataclasses import dataclass
 
@@ -149,6 +150,34 @@ def dsbs_wyner(a0):
     return max(1.0 + h_bits(a0) - 2.0 * h_bits(a1), 0.0) * math.log(2.0)
 
 
+def quantized_gaussian(rho, n, panel=0.25, nodes=20):
+    """Cell masses of a standard normal pair with correlation rho, n equiprobable bins each.
+
+    P(X in [a, b], Y in [c, d]) is the integral over [a, b] of
+    phi(x) (Phi((d - rho x) / s) - Phi((c - rho x) / s)) with
+    s = sqrt(1 - rho^2). Each X bin, truncated to [-9, 9], is split into
+    panels at most ``panel`` wide with ``nodes`` Gauss-Legendre nodes each;
+    Phi comes from math.erf and the bin edges from statistics.NormalDist,
+    so no scipy is needed. The masses are renormalised over the truncation.
+    """
+    inner = [statistics.NormalDist().inv_cdf(k / n) for k in range(1, n)]
+    x_edges = [-9.0] + inner + [9.0]
+    y_edges = np.array([-math.inf] + inner + [math.inf])
+    s = math.sqrt(1.0 - rho * rho)
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    erf = np.vectorize(math.erf)
+    pmf = np.zeros((n, n))
+    for i in range(n):
+        lo, hi = x_edges[i], x_edges[i + 1]
+        cuts = np.linspace(lo, hi, 1 + math.ceil((hi - lo) / panel))
+        half = np.diff(cuts)[:, None] / 2.0
+        x = ((cuts[:-1, None] + half) + half * t).ravel()
+        dens = (half * w).ravel() * np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
+        cdf = 0.5 * (1.0 + erf((y_edges[:, None] - rho * x) / (s * math.sqrt(2.0))))
+        pmf[i] = (np.diff(cdf, axis=0) * dens).sum(axis=1)
+    return pmf / pmf.sum()
+
+
 @dataclass(frozen=True)
 class GaussianLatentSpec:
     """Latent construction W = U_k^T x_hat + V_k^T y_hat + Z for one budget."""
@@ -234,19 +263,26 @@ def leading_pair_fixed_point(canonical, tol: float = 1e-12, max_iter: int = 100_
     )
 
 
+def latent_major(q):
+    """A (runs, W, *cards) batch in the engine's (W, runs, cells) layout."""
+    q = np.asarray(q)
+    return np.ascontiguousarray(q.reshape(q.shape[:2] + (-1,)).transpose(1, 0, 2))
+
+
 def reference_descend(engine, q0, lam):
     """The batched descent before frozen runs left the batch, kept as an oracle.
 
     Every iteration evaluates every run, frozen or not, and every
     backtracking round evaluates the whole batch; the accepted step is then
     recomputed. Runs are independent, so the compacting engine must return
-    exactly these arrays (q, obj, relax, iters, converged).
+    exactly these arrays (q, obj, relax, iters, converged). q0 and the
+    returned q are (runs, W, *cards); the loop runs on the engine's
+    latent-major (W, runs, cells) layout.
     """
     opts = engine.opts
-    q = np.array(q0, dtype=float)
+    q = latent_major(q0)
     lam = np.asarray(lam, dtype=float)
-    R = q.shape[0]
-    lam_b = lam.reshape((R,) + (1,) * (engine.n_src + 1))
+    R = lam.size
     eta = np.full(R, _ETA_INIT)
     frozen = np.zeros(R, dtype=bool)
     iters = np.zeros(R, dtype=int)
@@ -255,7 +291,7 @@ def reference_descend(engine, q0, lam):
     for it in range(opts.max_iter):
         if frozen.all():
             break
-        g = engine._gradient(parts, lam_b)
+        g = engine._gradient(parts, lam)
         ok = frozen.copy()
         eta_acc = np.zeros(R)  # zero step for runs that never descend
         while not ok.all():
@@ -271,11 +307,7 @@ def reference_descend(engine, q0, lam):
                 frozen |= stuck
                 iters[stuck] = it + 1
                 ok |= stuck
-        q = np.where(
-            frozen.reshape((R,) + (1,) * (engine.n_src + 1)),
-            q,
-            engine._step(parts[0], g, eta_acc),
-        )
+        q = np.where(frozen[:, None], q, engine._step(parts[0], g, eta_acc))
         parts = engine._parts(q)
         G_new = engine._lagrangian(parts, lam)
         if not np.all(G_new <= G + 1e-9):
@@ -289,7 +321,8 @@ def reference_descend(engine, q0, lam):
         eta = np.where(frozen, eta, np.minimum(eta * _ETA_GROWTH, _ETA_MAX))
     converged = frozen.copy()
     iters[~frozen] = opts.max_iter
-    obj, relax = engine._objective_relax(parts)
+    obj, relax = engine._objective_relax(parts[2])
+    q = np.ascontiguousarray(q.transpose(1, 0, 2)).reshape(np.shape(q0))
     return q, obj, relax, iters, converged
 
 

@@ -1,0 +1,140 @@
+"""Fixed discrete solve cases, for comparing two versions of the solver.
+
+Run from the root of a checkout (pytest does not collect this file):
+
+    PYTHONPATH=src python tests/solve_cases.py cases.json
+    PYTHONPATH=src python tests/solve_cases.py --compare parent.json change.json
+
+Each case is one ``solve_relaxed_wyner`` call on a fixed table, budget,
+latent alphabet and solver seed. Per case the JSON holds the objective and
+the achieved gamma as float hex, lam, iterations, restarts_used,
+converged, the sha256 of the returned coupling's bytes, the descent runs
+that the engine's ``_parts`` evaluated, and seconds. The run count is
+q.size // (card_w * cells), which holds in any array layout. Every field
+but seconds is deterministic, so ``--compare`` reports each other field
+that differs and exits 1 if any does.
+
+Cases: the 14 solves (five Dirichlet(0.5) survey tables at gamma 0.02 and
+0.1, the random 6x6, and the bench 4x4 at gamma 0.05, 0.1 and 0.2), DSBS
+a0 in {0.05, 0.1, 0.2} at gamma 0, the toy at card_w 4 and 17, the bench
+2x2x2 at gamma 0 and 0.05, and quantized Gaussians (rho in {0.5, 0.9}, n
+in {2, 3, 4}) at gamma 0.1. The survey, the 6x6 and the quantized
+Gaussians use solver seed 0, the rest seed 7.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from conftest import quantized_gaussian  # noqa: E402
+
+from cica import (  # noqa: E402
+    SolverOptions,
+    discrete_ci,
+    dsbs_joint,
+    solve_relaxed_wyner,
+    toy_binary_example,
+    validate_multi_discrete,
+)
+
+#: (generator seed, shape) of the survey's Dirichlet(0.5) tables
+SURVEY = [(1, (5, 5)), (3, (5, 5)), (4, (6, 6)), (5, (4, 6)), (6, (3, 3, 3))]
+
+
+def dirichlet(seed, shape, alpha):
+    size = int(np.prod(shape))
+    return np.random.default_rng(seed).dirichlet(np.full(size, alpha)).reshape(shape)
+
+
+def cases():
+    """(name, pmf, gamma, card_w, solver seed) of every case."""
+    out = []
+    for seed, shape in SURVEY:
+        for gamma in (0.02, 0.1):
+            name = f"survey {'x'.join(map(str, shape))} seed {seed} gamma {gamma}"
+            out.append((name, dirichlet(seed, shape, 0.5), gamma, None, 0))
+    out.append(("random 6x6 gamma 0.05", dirichlet(0, (6, 6), 0.5), 0.05, None, 0))
+    for gamma in (0.05, 0.1, 0.2):
+        out.append((f"bench 4x4 gamma {gamma}", dirichlet(2, (4, 4), 0.5), gamma, None, 7))
+    for a0 in (0.05, 0.1, 0.2):
+        out.append((f"dsbs {a0} gamma 0", dsbs_joint(a0).pmf, 0.0, None, 7))
+    for card_w in (4, 17):
+        out.append((f"toy card_w {card_w}", toy_binary_example(0.1).pmf, 0.0, card_w, 7))
+    for gamma in (0.0, 0.05):
+        out.append((f"bench 2x2x2 gamma {gamma}", dirichlet(1, (2, 2, 2), 1.0), gamma, None, 7))
+    for rho in (0.5, 0.9):
+        for n in (2, 3, 4):
+            out.append((f"quantized gaussian ({rho}, {n}) gamma 0.1", quantized_gaussian(rho, n),
+                        0.1, None, 0))
+    return out
+
+
+def run_case(pmf, gamma, card_w, seed):
+    rows = []
+    parts = discrete_ci._Engine._parts
+
+    def counted_parts(self, q, *args):
+        rows.append(q.size // (self.card_w * self.pmf.size))
+        return parts(self, q, *args)
+
+    discrete_ci._Engine._parts = counted_parts
+    try:
+        start = time.perf_counter()
+        coupling, rep = solve_relaxed_wyner(
+            validate_multi_discrete(pmf), gamma, SolverOptions(seed=seed, card_w=card_w)
+        )
+        seconds = time.perf_counter() - start
+    finally:
+        discrete_ci._Engine._parts = parts
+    return {
+        "objective": float(rep.objective).hex(),
+        "achieved_gamma": float(rep.achieved_gamma).hex(),
+        "lam": rep.lam,
+        "iterations": rep.iterations,
+        "restarts_used": rep.restarts_used,
+        "converged": rep.converged,
+        "coupling_sha256": hashlib.sha256(coupling.q_w_given_xy.tobytes()).hexdigest(),
+        "parts_rows": sum(rows),
+        "seconds": seconds,
+    }
+
+
+def compare(a, b):
+    """Lines naming every case and field but seconds where a and b differ."""
+    diffs = [f"case sets differ: {sorted(set(a) ^ set(b))}"] if set(a) != set(b) else []
+    for name in sorted(set(a) & set(b)):
+        for field in sorted((set(a[name]) | set(b[name])) - {"seconds"}):
+            if a[name].get(field) != b[name].get(field):
+                diffs.append(f"{name}: {field} {a[name].get(field)!r} != {b[name].get(field)!r}")
+    return diffs
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", help="JSON file to write the case results to")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two case files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.compare)
+        diffs = compare(a, b)
+        print("\n".join(diffs) or f"{len(a)} cases match in every field but seconds")
+        return 1 if diffs else 0
+    if not args.out:
+        parser.error("give an output file or --compare A B")
+    results = {}
+    for name, pmf, gamma, card_w, seed in cases():
+        results[name] = run_case(pmf, gamma, card_w, seed)
+        print(f"{name}: {results[name]['seconds']:.2f} s", file=sys.stderr)
+    Path(args.out).write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,6 +28,7 @@ from cica import (
     total_correlation,
     validate_discrete,
     validate_multi_discrete,
+    waterfill,
 )
 from cica.errors import (
     A0OutOfRange,
@@ -37,7 +38,13 @@ from cica.errors import (
     NotNormalized,
     TooLarge,
 )
-from conftest import dsbs_wyner, reference_descend, reference_functionals
+from conftest import (
+    dsbs_wyner,
+    latent_major,
+    quantized_gaussian,
+    reference_descend,
+    reference_functionals,
+)
 
 LN2 = np.log(2.0)
 H_09_01 = 0.3250829733914482
@@ -461,6 +468,15 @@ class TestDescendOracle:
         assert stuck.any() and np.all(got[3][stuck] == 1) and want[4][stuck].all()
         assert_same_runs(got, want[:4] + (want[4] & ~stuck,))
 
+    def test_leaves_q0_unchanged(self):
+        # a single run's latent-major layout is q0's memory order, yet the
+        # descent must still work on a copy
+        engine, q0, lam = grid_batch(dsbs_joint(0.1), SolverOptions(seed=3))
+        start = q0.copy()
+        for r in range(0, lam.size, 8):
+            engine.descend(q0[r:r + 1], lam[r:r + 1])
+        assert np.array_equal(q0, start)
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
         "joint, card_w",
@@ -475,9 +491,9 @@ class TestDescendOracle:
         parts = discrete_ci._Engine._parts
         descend = discrete_ci._Engine.descend
 
-        def counted_parts(self, q):
-            rows.append(q.shape[0])
-            return parts(self, q)
+        def counted_parts(self, q, *args):
+            rows.append(q.size // (self.card_w * self.pmf.size))  # runs, in any layout
+            return parts(self, q, *args)
 
         def counted_descend(self, q0, lam, *args):
             out = descend(self, q0, lam, *args)
@@ -503,9 +519,9 @@ class TestDescendOracle:
         parts = discrete_ci._Engine._parts
         descend = discrete_ci._Engine.descend
 
-        def counted_parts(self, q):
+        def counted_parts(self, q, *args):
             calls[-1][0] += 1
-            return parts(self, q)
+            return parts(self, q, *args)
 
         def counted_descend(self, q0, lam, *args):
             calls.append([0, 0])
@@ -546,6 +562,11 @@ ENGINE_ROW_CASES = {
     "multi222": (MULTI_PMF, None),
     "off-support-cell": (np.array([[0.5, 0.0], [0.2, 0.3]]), None),
     "zero-mass-symbol": (np.array([[0.4, 0.0, 0.1], [0.3, 0.0, 0.2]]), None),
+    # the per-run scales tiled over runs x cells, for M = 4 and a non-square pair;
+    # at card_w 17 the M = 4 gradient and the source-by-source one both round by
+    # about 2e-13 at lam = 50, past the reference test's fixed 1e-13 tolerance
+    "2x2x2x2": (np.random.default_rng(4).dirichlet(np.ones(16)).reshape(2, 2, 2, 2), 5),
+    "2x5-w3": (np.random.default_rng(5).dirichlet(np.ones(10)).reshape(2, 5), 3),
 }
 
 
@@ -560,17 +581,20 @@ def test_engine_rows_independent_of_batch(case):
     # sub-batch and in the full batch, so compaction cannot move a run
     pmf, card_w = ENGINE_ROW_CASES[case]
     engine, q0, lam = grid_batch(validate_multi_discrete(pmf), SolverOptions(seed=5, card_w=card_w))
-    full = engine._parts(q0)
+    q = latent_major(q0)
+    full = engine._parts(q)
     g_full = engine._gradient(full, lam)
     rng = np.random.default_rng(0)
     batches = [np.array([r]) for r in range(lam.size)] + [
         np.sort(rng.choice(lam.size, size=k, replace=False)) for k in (2, 3, 7, 31, 64, 127)
     ]
     for rows in batches:
-        parts = engine._parts(q0[rows])
-        for name, got, want in zip(("log q", "logs", "F"), parts, full):
-            assert_same_bits(got, want[rows], name)
-        assert_same_bits(engine._gradient(parts, lam[rows]), g_full[rows], "gradient")
+        parts = engine._parts(q.take(rows, axis=1))
+        # the run axis is 1 of log q and logs, and 0 of F
+        for name, got, want, axis in zip(("log q", "logs", "F"), parts, full, (1, 1, 0)):
+            assert_same_bits(got, want.take(rows, axis=axis), name)
+        g = engine._gradient(parts, lam[rows])
+        assert_same_bits(g, g_full.take(rows, axis=1), "gradient")
 
 
 @pytest.mark.parametrize("case", ENGINE_ROW_CASES)
@@ -578,12 +602,23 @@ def test_engine_matches_source_by_source_reference(case):
     # the incidence product sums in another order, so values agree to rounding
     pmf, card_w = ENGINE_ROW_CASES[case]
     engine, q0, lam = grid_batch(validate_multi_discrete(pmf), SolverOptions(seed=5, card_w=card_w))
-    parts = engine._parts(q0)
+    parts = engine._parts(latent_major(q0))
     g = engine._gradient(parts, lam)
     for r in range(0, lam.size, 5):
         F, g_ref = reference_functionals(pmf, q0[r], lam[r])
         np.testing.assert_allclose(parts[2][r], F, rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(g[r], g_ref, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(g[:, r].reshape(q0[r].shape), g_ref, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, -0.3])
+def test_quantized_gaussian_oracle(rho):
+    # at n = 2 the diagonal mass is P(XY > 0) = 1/2 + arcsin(rho) / pi (Sheppard)
+    pmf = quantized_gaussian(rho, 2)
+    assert abs(np.trace(pmf) - (0.5 + np.arcsin(rho) / np.pi)) <= 1e-14
+    for n in (3, 4):
+        pmf = quantized_gaussian(rho, n)
+        np.testing.assert_allclose(pmf.sum(axis=0), 1.0 / n, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(pmf, pmf.T, rtol=0, atol=1e-15)
 
 
 #: single-budget solves pinned to the engine before the incidence product:
@@ -719,6 +754,36 @@ class TestCiCurveDiscrete:
         # achieved budgets respect the slack
         for (g, _, ach) in rows:
             assert ach <= g + 5e-3 + 1e-12
+
+    @pytest.mark.parametrize("pmf", [dsbs_joint(0.1).pmf, MULTI_PMF], ids=["dsbs", "multi222"])
+    def test_zero_at_and_above_total_correlation(self, pmf):
+        # the constant coupling reaches (TC, 0); a run ending just above TC
+        # with a positive objective must not lift the curve's right end
+        j = validate_multi_discrete(pmf)
+        tc = float(total_correlation(j))
+        for grid in ([tc, 1.5 * tc, 10.0], [1.5 * tc, 10.0]):
+            rows = ci_curve_discrete(j, grid, SolverOptions(seed=7))
+            assert [r[1] for r in rows] == [0.0] * len(grid)
+
+    @pytest.mark.parametrize("pmf", [dsbs_joint(0.1).pmf, MULTI_PMF, CUT_PMFS["4x4"]],
+                             ids=["dsbs", "multi222", "4x4"])
+    def test_envelope_below_every_covered_run(self, pmf):
+        # time sharing: the bound at gamma is no worse than any run with relax <= gamma
+        sweep = discrete_ci._Sweep(validate_multi_discrete(pmf), SolverOptions(seed=7))
+        points = list(zip(sweep.relax.tolist(), sweep.obj.tolist()))
+        tc = sweep.engine.tc
+        for g in np.concatenate([np.unique(sweep.relax), [tc + 1e-12, 1.5 * tc, 10.0]]):
+            env = discrete_ci._lower_convex_envelope(points, [g])[0]
+            assert env <= sweep.obj[sweep.relax <= g].min(), g
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_quantized_gaussian_below_gaussian_value(self, rho, n):
+        # quantizing each coordinate is a function of it, so it cannot raise C_gamma
+        grid = [0.0, 0.05, 0.1, 0.2]
+        j = validate_discrete(quantized_gaussian(rho, n))
+        for g, ub, _ in ci_curve_discrete(j, grid, SolverOptions(seed=0)):
+            assert ub <= float(waterfill([rho], g).c_gamma) + 1e-9, g
 
     def test_tensorization(self):
         j1 = dsbs_joint(0.1)

@@ -28,7 +28,6 @@ from .gaussian_ci import (
     GammaAllocation,
     ci_curve,
     component_count,
-    mutual_info_rho,
     waterfill,
 )
 from .model import (
@@ -78,7 +77,6 @@ __all__ = [
     "feature_mutual_information",
     "inv_sqrt_psd",
     "latent_mutual_information",
-    "mutual_info_rho",
     "mutual_information",
     "project_discrete",
     "project_discrete_map",

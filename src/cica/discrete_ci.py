@@ -42,11 +42,9 @@ _ETA_FLOOR = 1e-12
 # arrays of that size at once (its gathered log q and gradient, the candidate,
 # its log and one scratch product; the default options reach about 2**20)
 _MAX_ROUND_ENTRIES = 2**24
-# the multiplier grid spans [_LAMBDA_MIN, _LAMBDA_GRID_MAX]; an infeasible budget
-# escalates to _LAMBDA_MAX and bisects in between
+# the multiplier grid spans [_LAMBDA_MIN, _LAMBDA_GRID_MAX]
 _LAMBDA_MIN = 0.05
 _LAMBDA_GRID_MAX = 50.0
-_LAMBDA_MAX = 1e4
 # every entry of a descent step's q(w|cells) is floored here before renormalizing
 _PROB_FLOOR = 1e-15
 
@@ -205,8 +203,9 @@ class SolveReport:
 
     restarts_used counts the descent runs in the solve's run cloud: a
     single-budget solve keeps the grid's runs up to the first multiplier
-    that meets gamma, plus any escalation and bisection runs. lam,
-    iterations and converged describe the selected run.
+    that meets gamma. lam, iterations and converged describe the selected
+    run; the relaxation-0 fallback coupling reports lam 0.0, 0 iterations
+    and converged True.
     """
 
     achieved_gamma: InfoValue
@@ -498,17 +497,17 @@ def _check_options(opts: SolverOptions) -> None:
 
 
 class _Sweep:
-    """Run cloud for one joint pmf, grown lazily by lambda escalation.
+    """Run cloud for one joint pmf: the trivial coupling, then one grid of descent runs.
 
     Each field holds one entry per run in execution order: coupling q,
     objective, relaxation, multiplier lam, iterations and convergence flag.
     Entry 0 is the trivial coupling (W independent of the sources), which
-    is always available. No two batches share a multiplier, and a batch
-    runs each multiplier's restarts in order. The numbers in opts, the
-    joint's size (against MAX_STATES), card_w and the size of the widest
+    is always available; entries 1 to runs_executed are the descent runs,
+    each multiplier's restarts in order. The numbers in opts, the joint's
+    size (against MAX_STATES), card_w and the size of the widest
     backtracking round (against _MAX_ROUND_ENTRIES) are checked before
-    anything is allocated. With a budget, a batch keeps only its runs up to
-    the lowest multiplier that holds a run with relax <= budget.
+    anything is allocated. With a budget, the sweep keeps only its runs up
+    to the lowest multiplier that holds a run with relax <= budget.
     """
 
     def __init__(self, joint: DiscreteJoint, opts: SolverOptions, budget: float | None = None):
@@ -523,79 +522,75 @@ class _Sweep:
                 f"card_w x cells) > {_MAX_ROUND_ENTRIES}"
             )
         self.opts = opts
-        self.budget = budget
         self.engine = _Engine(joint.pmf, card_w, opts)
-        self.rng = np.random.default_rng(opts.seed)
-        self.q = np.full((1, card_w) + joint.pmf.shape, 1.0 / card_w)
-        self.obj = np.zeros(1)
-        self.relax = np.array([self.engine.tc])
-        self.lam = np.zeros(1)
-        self.iters = np.zeros(1, dtype=int)
-        self.converged = np.ones(1, dtype=bool)
-        self.runs_executed = 0
-        self._run_lambdas(np.geomspace(_LAMBDA_MIN, _LAMBDA_GRID_MAX, opts.n_lambda))
-
-    def _run_lambdas(self, lambdas):
-        lam = np.repeat(np.asarray(lambdas, dtype=float), self.opts.restarts)
-        q0 = self.rng.random((lam.size, self.engine.card_w) + self.engine.cards)
+        lam = np.repeat(np.geomspace(_LAMBDA_MIN, _LAMBDA_GRID_MAX, opts.n_lambda), opts.restarts)
+        q0 = np.random.default_rng(opts.seed).random((lam.size, card_w) + joint.pmf.shape)
         q0 /= q0.sum(axis=1, keepdims=True)
-        runs = self.engine.descend(q0, lam, self.budget)
-        if self.budget is not None:
+        runs = self.engine.descend(q0, lam, budget)
+        if budget is not None:
             # lam ascends, so the runs up to the first multiplier that met the budget are a prefix
-            n = np.searchsorted(lam, lam[runs[2] <= self.budget].min(initial=np.inf), side="right")
+            n = np.searchsorted(lam, lam[runs[2] <= budget].min(initial=np.inf), side="right")
             runs, lam = [a[:n] for a in runs], lam[:n]
         q, obj, relax, iters, converged = runs
-        self.q = np.concatenate([self.q, q])
-        self.obj = np.concatenate([self.obj, obj])
-        self.relax = np.concatenate([self.relax, relax])
-        self.lam = np.concatenate([self.lam, lam])
-        self.iters = np.concatenate([self.iters, iters])
-        self.converged = np.concatenate([self.converged, converged])
-        self.runs_executed += lam.size
+        self.q = np.concatenate([np.full((1, card_w) + joint.pmf.shape, 1.0 / card_w), q])
+        self.obj = np.concatenate([[0.0], obj])
+        self.relax = np.concatenate([[self.engine.tc], relax])
+        self.lam = np.concatenate([[0.0], lam])
+        self.iters = np.concatenate([[0], iters])
+        self.converged = np.concatenate([[True], converged])
+        self.runs_executed = lam.size
 
     def _feasible(self, gamma):
         return self.relax <= gamma + self.opts.slack
 
-    def ensure_feasible(self, gamma):
-        """Escalate lambda to _LAMBDA_MAX unless some run is feasible, then bisect down from it."""
-        opts = self.opts
-        if self._feasible(gamma).any():
-            return
-        lo, hi = _LAMBDA_GRID_MAX, _LAMBDA_MAX
-        self._run_lambdas([hi])
-        if not self._feasible(gamma).any():
+    def _append_fallback(self, gamma):
+        """Append W = every source but the one with the largest alphabet (the first on a tie).
+
+        Given W, the sources are deterministic but one, so the relaxation is
+        exactly 0 and the objective is H(X_-m). Raises Infeasible when card_w
+        is below that W's alphabet.
+        """
+        engine, opts = self.engine, self.opts
+        m = int(np.argmax(engine.cards))
+        rest = engine.cards[:m] + engine.cards[m + 1:]
+        needed = math.prod(rest)
+        if engine.card_w < needed:
             best = float(self.relax.min())
             raise Infeasible(
-                f"no coupling reached I-relaxation <= {gamma + opts.slack:.3e}; "
-                f"best achieved {best:.3e} at lambda <= {hi:g}",
+                f"no coupling reached I-relaxation <= {gamma + opts.slack:.3e} (best achieved "
+                f"{best:.3e}), and card_w={engine.card_w} is below the {needed} symbols of the "
+                f"relaxation-0 coupling W = every source but source {m}; use card_w >= {needed}",
                 details={
                     "gamma": gamma,
                     "slack": opts.slack,
                     "best_achieved_gamma": best,
-                    "lambda_max": hi,
+                    "card_w": engine.card_w,
+                    "card_w_needed": needed,
                     "runs_executed": self.runs_executed,
                 },
             )
-        # refine the smallest feasible multiplier for a tighter objective
-        for _ in range(12):
-            mid = math.sqrt(lo * hi)
-            self._run_lambdas([mid])
-            if (self._feasible(gamma) & (self.lam == mid)).any():
-                hi = mid
-            else:
-                lo = mid
+        w = np.ravel_multi_index(np.delete(np.indices(engine.cards), m, axis=0), rest)
+        q = np.arange(engine.card_w).reshape((-1,) + (1,) * engine.n_src) == w
+        self.q = np.concatenate([self.q, q[None].astype(float)])
+        self.obj = np.append(self.obj, -_plogp(engine.pmf.sum(axis=m)).sum())
+        self.relax = np.append(self.relax, 0.0)
+        self.lam = np.append(self.lam, 0.0)
+        self.iters = np.append(self.iters, 0)
+        self.converged = np.append(self.converged, True)
 
     def select(self, gamma) -> int:
         """Index of the best feasible run under a slope-penalized score.
 
-        The score obj + _LAMBDA_GRID_MAX * max(0, relax - gamma) charges a
-        run's constraint overshoot back at the steepest swept slope, so
-        near-tight frontier points beat ones that merely exploit the slack.
-        Ties go to lower lambda, then to the earlier run, which at one lambda
-        is the lower restart index.
+        When no entry meets gamma + slack, the relaxation-0 fallback coupling
+        is appended first. The score obj + _LAMBDA_GRID_MAX * max(0, relax -
+        gamma) charges a run's constraint overshoot back at the steepest
+        swept slope, so near-tight frontier points beat ones that merely
+        exploit the slack. Ties go to lower lambda, then to the earlier run,
+        which at one lambda is the lower restart index.
         """
-        self.ensure_feasible(gamma)
-        if not self.converged[1:].any():  # the trivial coupling does not count
+        if not self._feasible(gamma).any():
+            self._append_fallback(gamma)
+        if not self.converged[1:1 + self.runs_executed].any():  # descent runs only
             raise NoConvergence(
                 f"no descent run met tol={self.opts.tol:g} within "
                 f"{self.opts.max_iter} iterations"
@@ -620,11 +615,13 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
     C at achieved_gamma <= gamma + opts.slack. The grid sweep stops at the
     first multiplier that holds a run with relaxation <= gamma: the runs at
     higher multipliers are cut from the batch and never enter the run cloud
-    that selection scores. Raises TooLarge when the joint has more than
-    MAX_STATES cells or a backtracking round would hold more than
-    _MAX_ROUND_ENTRIES entries, Infeasible when no multiplier up to 1e4
-    meets the budget, NoConvergence when no descent run in the cloud
-    converged, and ValueError for a negative or non-finite gamma or an
+    that selection scores. When no run meets gamma + slack, the answer is
+    the relaxation-0 coupling W = every source but the one with the largest
+    alphabet, whose objective is that W's entropy. Raises TooLarge when the
+    joint has more than MAX_STATES cells or a backtracking round would hold
+    more than _MAX_ROUND_ENTRIES entries, Infeasible when that coupling is
+    needed but card_w is below its alphabet, NoConvergence when no descent
+    run converged, and ValueError for a negative or non-finite gamma or an
     option out of range.
     """
     opts = opts or SolverOptions()
@@ -680,16 +677,18 @@ def ci_curve_discrete(joint: DiscreteJoint, grid, opts: SolverOptions | None = N
     One multiplier sweep serves the whole grid; the reported upper bound at
     each grid point is the lower convex envelope of all achieved
     (I(X;Y|W), I(X,Y;W)) sweep points (valid by time sharing, since C_gamma
-    is convex in gamma). Returns [(gamma, upper_bound, achieved_gamma)]:
-    achieved_gamma is the relaxation of the single run that select picks
-    for gamma, not the abscissa of the envelope point behind upper_bound.
+    is convex in gamma). A grid point that no run meets within the slack
+    adds the relaxation-0 fallback coupling to those points. Returns
+    [(gamma, upper_bound, achieved_gamma)]: achieved_gamma is the
+    relaxation of the single run that select picks for gamma, not the
+    abscissa of the envelope point behind upper_bound.
     """
     opts = opts or SolverOptions()
     grid = _check_grid(grid)
     sweep = _Sweep(joint, opts)
     achieved = []
     for g in grid:
-        best = sweep.select(float(g))  # may grow the sweep's arrays
+        best = sweep.select(float(g))  # may append the fallback coupling
         achieved.append(float(sweep.relax[best]))
     env = _lower_convex_envelope(list(zip(sweep.relax.tolist(), sweep.obj.tolist())), grid)
     env = np.maximum(env, 0.0)

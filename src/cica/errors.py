@@ -54,10 +54,11 @@ class A0OutOfRange(CicaError):
 
 
 class Infeasible(CicaError):
-    """No coupling satisfying the relaxation budget was found.
+    """No coupling meets the relaxation budget, and card_w cannot hold the fallback.
 
-    Carries a ``details`` dict with solver telemetry (best achieved
-    relaxation, multipliers tried) for diagnostics.
+    The fallback W = every source but the one with the largest alphabet has
+    relaxation 0. ``details`` carries the budget, the best achieved
+    relaxation, ``card_w``, the ``card_w_needed`` for that W and the run count.
     """
 
     def __init__(self, message, details=None):

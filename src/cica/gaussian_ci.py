@@ -51,13 +51,6 @@ def _info(rho):
     return -0.5 * np.log1p(-rho * rho)
 
 
-def mutual_info_rho(rho: float) -> InfoValue:
-    """Mutual information of a unit-variance Gaussian pair: 0.5 ln 1/(1-rho^2)."""
-    rho = float(rho)
-    _check_rho(rho)
-    return InfoValue(float(_info(rho)))
-
-
 def _fill(rho, gammas):
     """(I(rho), water level, C_gamma, component count k) for each budget in gammas.
 

@@ -15,6 +15,7 @@ from hypothesis import configuration, settings
 from cica import cca_decompose, component_count, validate_gaussian, waterfill
 from cica.discrete_ci import _ETA_FLOOR, _ETA_GROWTH, _ETA_INIT, _ETA_MAX
 from cica.errors import NoConvergence
+from cica.gaussian_ci import _check_rho
 from cica.model import source_marginals
 
 # the same examples on every run, no example database on disk, and no
@@ -135,6 +136,16 @@ def relaxed_ci_log_form(rho, gamma):
     with np.errstate(divide="ignore"):  # s = 1 at very large budgets: ln 0 = -inf, clipped
         val = 0.5 * np.log(((1 + rho) * (1 - s)) / ((1 - rho) * (1 + s)))
     return np.maximum(val, 0.0)
+
+
+def mutual_info_rho(rho):
+    """I(rho) = 0.5 ln 1/(1 - rho^2) nats of a unit-variance Gaussian pair.
+
+    A rho outside [0, 1) raises RhoOutOfRange from the library's spectrum check.
+    """
+    rho = float(rho)
+    _check_rho(rho)
+    return -0.5 * math.log1p(-rho * rho)
 
 
 def dsbs_wyner(a0):

@@ -9,10 +9,14 @@ Each case is one ``solve_relaxed_wyner`` call on a fixed table, budget,
 latent alphabet and solver seed. Per case the JSON holds the objective and
 the achieved gamma as float hex, lam, iterations, restarts_used,
 converged, the sha256 of the returned coupling's bytes, the descent runs
-that the engine's ``_parts`` evaluated, and seconds. The run count is
-q.size // (card_w * cells), which holds in any array layout. Every field
-but seconds is deterministic, so ``--compare`` reports each other field
-that differs and exits 1 if any does.
+that the engine's ``_parts`` evaluated, and seconds. ``bracket_gap`` is
+the objective less the lower bound max(TC - gamma, 0) / (M - 1), and for
+the quantized Gaussians ``ceiling_gap`` is the objective less the Gaussian
+pair's C_gamma, ``waterfill([rho], gamma).c_gamma``, which no discrete
+value may exceed; a positive ceiling gap is a certified loose bound. The
+run count is q.size // (card_w * cells), which holds in any array layout.
+Every field but seconds is deterministic, so ``--compare`` reports each
+other field that differs and exits 1 if any does.
 
 Cases: the 14 solves (five Dirichlet(0.5) survey tables at gamma 0.02 and
 0.1, the random 6x6, and the bench 4x4 at gamma 0.05, 0.1 and 0.2), DSBS
@@ -41,7 +45,9 @@ from cica import (  # noqa: E402
     dsbs_joint,
     solve_relaxed_wyner,
     toy_binary_example,
+    total_correlation,
     validate_multi_discrete,
+    waterfill,
 )
 
 #: (generator seed, shape) of the survey's Dirichlet(0.5) tables
@@ -54,29 +60,31 @@ def dirichlet(seed, shape, alpha):
 
 
 def cases():
-    """(name, pmf, gamma, card_w, solver seed) of every case."""
+    """(name, pmf, gamma, card_w, solver seed, Gaussian ceiling or None) of every case."""
     out = []
     for seed, shape in SURVEY:
         for gamma in (0.02, 0.1):
             name = f"survey {'x'.join(map(str, shape))} seed {seed} gamma {gamma}"
-            out.append((name, dirichlet(seed, shape, 0.5), gamma, None, 0))
-    out.append(("random 6x6 gamma 0.05", dirichlet(0, (6, 6), 0.5), 0.05, None, 0))
+            out.append((name, dirichlet(seed, shape, 0.5), gamma, None, 0, None))
+    out.append(("random 6x6 gamma 0.05", dirichlet(0, (6, 6), 0.5), 0.05, None, 0, None))
     for gamma in (0.05, 0.1, 0.2):
-        out.append((f"bench 4x4 gamma {gamma}", dirichlet(2, (4, 4), 0.5), gamma, None, 7))
+        out.append((f"bench 4x4 gamma {gamma}", dirichlet(2, (4, 4), 0.5), gamma, None, 7, None))
     for a0 in (0.05, 0.1, 0.2):
-        out.append((f"dsbs {a0} gamma 0", dsbs_joint(a0).pmf, 0.0, None, 7))
+        out.append((f"dsbs {a0} gamma 0", dsbs_joint(a0).pmf, 0.0, None, 7, None))
     for card_w in (4, 17):
-        out.append((f"toy card_w {card_w}", toy_binary_example(0.1).pmf, 0.0, card_w, 7))
+        out.append((f"toy card_w {card_w}", toy_binary_example(0.1).pmf, 0.0, card_w, 7, None))
     for gamma in (0.0, 0.05):
-        out.append((f"bench 2x2x2 gamma {gamma}", dirichlet(1, (2, 2, 2), 1.0), gamma, None, 7))
+        pmf = dirichlet(1, (2, 2, 2), 1.0)
+        out.append((f"bench 2x2x2 gamma {gamma}", pmf, gamma, None, 7, None))
     for rho in (0.5, 0.9):
         for n in (2, 3, 4):
+            ceiling = float(waterfill([rho], 0.1).c_gamma)
             out.append((f"quantized gaussian ({rho}, {n}) gamma 0.1", quantized_gaussian(rho, n),
-                        0.1, None, 0))
+                        0.1, None, 0, ceiling))
     return out
 
 
-def run_case(pmf, gamma, card_w, seed):
+def run_case(pmf, gamma, card_w, seed, ceiling=None):
     rows = []
     parts = discrete_ci._Engine._parts
 
@@ -84,17 +92,18 @@ def run_case(pmf, gamma, card_w, seed):
         rows.append(q.size // (self.card_w * self.pmf.size))
         return parts(self, q, *args)
 
+    joint = validate_multi_discrete(pmf)
     discrete_ci._Engine._parts = counted_parts
     try:
         start = time.perf_counter()
-        coupling, rep = solve_relaxed_wyner(
-            validate_multi_discrete(pmf), gamma, SolverOptions(seed=seed, card_w=card_w)
-        )
+        coupling, rep = solve_relaxed_wyner(joint, gamma, SolverOptions(seed=seed, card_w=card_w))
         seconds = time.perf_counter() - start
     finally:
         discrete_ci._Engine._parts = parts
-    return {
-        "objective": float(rep.objective).hex(),
+    objective = float(rep.objective)
+    lower = max(float(total_correlation(joint)) - gamma, 0.0) / (pmf.ndim - 1)
+    out = {
+        "objective": objective.hex(),
         "achieved_gamma": float(rep.achieved_gamma).hex(),
         "lam": rep.lam,
         "iterations": rep.iterations,
@@ -102,8 +111,12 @@ def run_case(pmf, gamma, card_w, seed):
         "converged": rep.converged,
         "coupling_sha256": hashlib.sha256(coupling.q_w_given_xy.tobytes()).hexdigest(),
         "parts_rows": sum(rows),
+        "bracket_gap": objective - lower,
         "seconds": seconds,
     }
+    if ceiling is not None:
+        out["ceiling_gap"] = objective - ceiling
+    return out
 
 
 def compare(a, b):
@@ -129,8 +142,8 @@ def main(argv=None):
     if not args.out:
         parser.error("give an output file or --compare A B")
     results = {}
-    for name, pmf, gamma, card_w, seed in cases():
-        results[name] = run_case(pmf, gamma, card_w, seed)
+    for name, *case in cases():
+        results[name] = run_case(*case)
         print(f"{name}: {results[name]['seconds']:.2f} s", file=sys.stderr)
     Path(args.out).write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -21,7 +21,6 @@ from cica import (
     component_count,
     dsbs_joint,
     feature_mutual_information,
-    mutual_info_rho,
     mutual_information,
     project_discrete_map,
     project_gaussian,
@@ -32,7 +31,7 @@ from cica import (
     waterfill,
 )
 from cica.projections import binary_vector_covariance
-from conftest import block_covariance, random_gaussian_joint
+from conftest import block_covariance, mutual_info_rho, random_gaussian_joint
 from test_gaussian_ci import grid_search_allocation
 
 LN2 = math.log(2.0)

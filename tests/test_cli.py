@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cica
-from cica import cca_decompose, ci_curve, cli, component_count, mutual_info_rho, waterfill
+from cica import cca_decompose, ci_curve, cli, component_count, waterfill
 from conftest import (
+    mutual_info_rho,
     random_basis_joint,
     random_gaussian_joint,
     reference_read_csv_matrix,
@@ -337,9 +338,12 @@ class TestCmdDiscrete:
         r = run_cli("discrete", "--pmf", str(dsbs_file), "--gamma", "0", "--seed", "1",
                     "--restarts", "1", "--threads", "1", "--out", str(tmp_path / "d.json"),
                     "--card-w", "1")
-        # card_w=1 forces W constant: infeasible at gamma=0 for a dependent pair
+        # card_w=1 forces W constant and cannot hold the relaxation-0 coupling W = Y
         assert r.returncode == 5
-        assert "telemetry" in r.stderr
+        telemetry = json.loads(r.stderr.split("cica: telemetry: ", 1)[1])
+        assert telemetry["card_w"] == 1 and telemetry["card_w_needed"] == 2
+        assert "lambda_max" not in telemetry
+        assert "use card_w >= 2" in r.stderr
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -6,6 +6,7 @@ C(0.05) = 0.6530425383369941, C(0.1) = 0.6049515261814267,
 C(0.2) = 0.48929599185999795.
 """
 
+import dataclasses
 import functools
 import itertools
 
@@ -348,13 +349,21 @@ class TestSolveRelaxedWyner:
         with pytest.raises(ValueError, match=field):
             solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(**{field: value}))
 
-    def test_infeasible(self, monkeypatch):
-        monkeypatch.setattr(discrete_ci, "_LAMBDA_MAX", 55.0)
+    def test_fallback_when_no_run_meets_budget(self):
+        # no grid run reaches relaxation 1e-9, so the answer is W = Y: ln 2 at relaxation 0
         opts = SolverOptions(seed=1, slack=1e-9, n_lambda=4, restarts=2)
-        with pytest.raises(Infeasible) as excinfo:
-            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
-        assert "best_achieved_gamma" in excinfo.value.details
-        assert excinfo.value.details["lambda_max"] == 55.0
+        _, rep = solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
+        assert float(rep.objective) == pytest.approx(LN2, abs=1e-15)
+        assert float(rep.achieved_gamma) == 0.0
+        assert (rep.lam, rep.iterations, rep.restarts_used, rep.converged) == (0.0, 0, 8, True)
+        # card_w = 1 cannot hold W = Y, so the budget is infeasible
+        with pytest.raises(Infeasible, match="card_w >= 2") as excinfo:
+            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(seed=1, card_w=1))
+        details = excinfo.value.details
+        assert details["card_w"] == 1 and details["card_w_needed"] == 2
+        assert details["runs_executed"] == 128
+        assert details["best_achieved_gamma"] == pytest.approx(I_DSBS_01, abs=1e-12)
+        assert "lambda_max" not in details
 
     def test_too_large_pair_before_allocation(self, monkeypatch):
         def no_engine(*args):
@@ -652,7 +661,8 @@ class TestMultiplierCut:
         joint, gamma = cut_case(*case)
         sweep = uncut_sweep(case[0])
         i = sweep.select(gamma)
-        assert sweep.runs_executed == 128  # the grid met gamma: no escalation
+        assert sweep.runs_executed == 128  # the uncut grid
+        assert sweep.q.shape[0] == 129  # a run met gamma + slack: no fallback entry
         c, rep = solve_relaxed_wyner(joint, gamma, CUT_OPTS)
         assert c.q_w_given_xy.tobytes() == sweep.q[i].tobytes()
         assert float(rep.objective) == max(float(sweep.obj[i]), 0.0)
@@ -690,6 +700,55 @@ class TestMultiplierCut:
         _, rep = solve_relaxed_wyner(joint, 0.05, CUT_OPTS)
         assert rep.restarts_used == 80
         assert uncut_sweep("4x4").runs_executed == 128
+
+
+#: tables whose fallback coupling the oracle checks: W = X for the 2x3 pair
+#: (Y has the larger alphabet), W = (X_1, X_3) for the 2x3x2 triple
+FALLBACK_PMFS = {
+    "2x3": np.random.default_rng(4).dirichlet(np.ones(6)).reshape(2, 3),
+    "2x3x2": np.random.default_rng(5).dirichlet(np.ones(12)).reshape(2, 3, 2),
+}
+#: one multiplier, 0.05, whose runs stay at relaxation TC > 0: no run meets gamma = 0
+FALLBACK_OPTS = SolverOptions(seed=7, n_lambda=1, restarts=2, slack=0.0)
+
+
+class TestFallbackCoupling:
+    """When no run meets gamma + slack, the answer is a relaxation-0 coupling."""
+
+    @pytest.mark.parametrize("name", FALLBACK_PMFS)
+    def test_oracle(self, name):
+        pmf = FALLBACK_PMFS[name]
+        joint = validate_multi_discrete(pmf)
+        c, rep = solve_relaxed_wyner(joint, 0.0, FALLBACK_OPTS)
+        assert (rep.lam, rep.iterations, rep.converged) == (0.0, 0, True)
+        assert float(rep.achieved_gamma) == 0.0
+        assert float(relaxation_given_w(c)) <= 1e-12
+        assert abs(float(latent_mutual_information(c)) - float(rep.objective)) <= 1e-12
+        # the objective is the entropy of every source but the middle, largest one
+        assert abs(float(rep.objective) - float(entropy(pmf.sum(axis=1).ravel()))) <= 1e-12
+        rebuilt = build_coupling(c.q_w_given_xy, joint)
+        np.testing.assert_array_equal(rebuilt.q_w_given_xy, c.q_w_given_xy)
+
+    def test_tie_leaves_out_the_first_largest_source(self):
+        # both sources have 3 symbols, so W = Y: q(w | x, y) = [w == y]
+        pmf = np.random.default_rng(6).dirichlet(np.ones(9)).reshape(3, 3)
+        c, rep = solve_relaxed_wyner(validate_multi_discrete(pmf), 0.0, FALLBACK_OPTS)
+        want = np.broadcast_to(np.eye(3)[:, None], (3, 3, 3))
+        np.testing.assert_array_equal(c.q_w_given_xy[:3], want)
+        assert not c.q_w_given_xy[3:].any()
+        assert float(rep.objective) == pytest.approx(float(entropy(pmf.sum(axis=0))), abs=1e-12)
+
+    def test_no_convergence_is_not_masked(self):
+        # max_iter = 1 stops every descent run unconverged; the fallback does not count
+        joint = validate_multi_discrete(FALLBACK_PMFS["2x3"])
+        opts = dataclasses.replace(FALLBACK_OPTS, max_iter=1)
+        with pytest.raises(NoConvergence):
+            solve_relaxed_wyner(joint, 0.0, opts)
+        sweep = discrete_ci._Sweep(joint, opts)
+        for _ in range(2):  # a curve's second select sees the fallback already in the cloud
+            with pytest.raises(NoConvergence):
+                sweep.select(0.0)
+        assert sweep.q.shape[0] == 2 + sweep.runs_executed
 
 
 class TestSolveMulti:
@@ -733,16 +792,17 @@ class TestCiCurveDiscrete:
         rows = ci_curve_discrete(j, [float(mutual_information(j))], SolverOptions(seed=7))
         assert rows[0][1] <= 1e-3
 
-    def test_escalation_within_curve(self, monkeypatch):
-        # the two-point grid is infeasible at gamma = 0, so selecting the first
-        # curve point escalates lambda and grows the run cloud mid-curve
-        monkeypatch.setattr(discrete_ci, "_LAMBDA_GRID_MAX", 2.0)
+    def test_fallback_within_curve(self):
+        # no run meets gamma = 0 within the slack, so the first curve point takes
+        # the relaxation-0 fallback; the later points read the cloud without it
         j = dsbs_joint(0.1)
-        opts = SolverOptions(seed=3, n_lambda=2, restarts=1)
-        rows = ci_curve_discrete(j, [0.0, 0.2], opts)
+        opts = SolverOptions(seed=3, n_lambda=2, restarts=1, slack=1e-9)
+        later = [0.05, 0.2, 0.3]
+        rows = ci_curve_discrete(j, [0.0] + later, opts)
         _, rep = solve_relaxed_wyner(j, 0.0, opts)
-        assert rep.restarts_used > opts.n_lambda * opts.restarts
-        assert rows[0][2] == float(rep.achieved_gamma) <= opts.slack
+        assert rep.iterations == 0 and rep.restarts_used == 2
+        assert rows[0] == (0.0, float(rep.objective), float(rep.achieved_gamma)) == (0.0, LN2, 0.0)
+        assert rows[1:] == ci_curve_discrete(j, later, opts)
 
     def test_dsbs_curve_convex_nonincreasing(self):
         j = dsbs_joint(0.1)

@@ -16,12 +16,11 @@ from cica import (
     cca_decompose,
     ci_curve,
     component_count,
-    mutual_info_rho,
     validate_gaussian,
     waterfill,
 )
 from cica.errors import RhoOutOfRange, TooLarge, UnsortedRho
-from conftest import relaxed_ci_log_form, whitened_diag_joint
+from conftest import mutual_info_rho, relaxed_ci_log_form, whitened_diag_joint
 
 I_05 = 0.14384103622589042  # 0.5 ln(4/3)
 I_08 = 0.5108256237659906  # 0.5 ln(1/0.36)

@@ -10,7 +10,6 @@ from cica import (
     component_count,
     dsbs_joint,
     feature_mutual_information,
-    mutual_info_rho,
     mutual_information,
     project_discrete,
     project_discrete_map,
@@ -28,6 +27,7 @@ from conftest import (
     gauss_cond_mi,
     gauss_mi,
     gaussian_latent,
+    mutual_info_rho,
     random_gaussian_joint,
     whitened_diag_joint,
 )

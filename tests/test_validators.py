@@ -23,13 +23,12 @@ from cica import (
     discrete_ci,
     dsbs_joint,
     entropy,
-    mutual_info_rho,
     solve_relaxed_wyner,
     validate_discrete,
     waterfill,
 )
 from cica.errors import CicaError
-from conftest import whitened_diag_joint
+from conftest import mutual_info_rho, whitened_diag_joint
 
 #: NaN, +-inf, negatives, values at and above 1, and ordinary values
 FLOATS = st.one_of(

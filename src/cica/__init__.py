@@ -17,10 +17,8 @@ from .discrete_ci import (
     dsbs_joint,
     entropy,
     latent_mutual_information,
-    mutual_information,
     relaxation_given_w,
     solve_relaxed_wyner,
-    solve_relaxed_wyner_multi,
     total_correlation,
 )
 from .estimation import estimate_gaussian, estimate_pmf
@@ -37,7 +35,6 @@ from .model import (
     inv_sqrt_psd,
     validate_discrete,
     validate_gaussian,
-    validate_multi_discrete,
 )
 from .projections import (
     ProjectionOutputs,
@@ -77,17 +74,14 @@ __all__ = [
     "feature_mutual_information",
     "inv_sqrt_psd",
     "latent_mutual_information",
-    "mutual_information",
     "project_discrete",
     "project_discrete_map",
     "project_gaussian",
     "relaxation_given_w",
     "solve_relaxed_wyner",
-    "solve_relaxed_wyner_multi",
     "toy_binary_example",
     "total_correlation",
     "validate_discrete",
     "validate_gaussian",
-    "validate_multi_discrete",
     "waterfill",
 ]

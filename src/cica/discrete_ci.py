@@ -40,11 +40,17 @@ _ETA_FLOOR = 1e-12
 # float64 entries of q(w|cells) in a sweep's widest backtracking round, two
 # rungs for every grid run: 2**24 entries are 128 MiB, and a round holds five
 # arrays of that size at once (its gathered log q and gradient, the candidate,
-# its log and one scratch product; the default options reach about 2**20)
+# its log and one scratch product; the default restarts reach about 2**20)
 _MAX_ROUND_ENTRIES = 2**24
-# the multiplier grid spans [_LAMBDA_MIN, _LAMBDA_GRID_MAX]
+# the multiplier grid: _N_LAMBDA values spanning [_LAMBDA_MIN, _LAMBDA_GRID_MAX]
 _LAMBDA_MIN = 0.05
 _LAMBDA_GRID_MAX = 50.0
+_N_LAMBDA = 16
+# a run stops at _MAX_ITER iterations or when the Lagrangian's relative
+# decrease falls below _TOL; it counts as feasible within gamma + _SLACK
+_MAX_ITER = 20_000
+_TOL = 1e-9
+_SLACK = 5e-3
 # every entry of a descent step's q(w|cells) is floored here before renormalizing
 _PROB_FLOOR = 1e-15
 
@@ -178,9 +184,9 @@ def relaxation_given_w(c: Coupling) -> InfoValue:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs for the Lagrangian sweep; defaults suit alphabets <= 8x8.
+    """The latent alphabet, the restarts and the seed of a Lagrangian sweep.
 
-    n_lambda multipliers from 0.05 to 50 get restarts random starts each,
+    Each of the 16 multipliers from 0.05 to 50 gets restarts random starts,
     and the joint may have at most model.MAX_STATES cells. All randomness
     flows from ``seed``. ``threads`` is validated (it must be at least 1)
     but does not change how the solve runs: every multiplier sweep is one
@@ -188,11 +194,7 @@ class SolverOptions:
     """
 
     card_w: int | None = None
-    n_lambda: int = 16
     restarts: int = 8
-    max_iter: int = 20_000
-    tol: float = 1e-9
-    slack: float = 5e-3
     seed: int = 0
     threads: int = 1
 
@@ -253,13 +255,12 @@ class _Engine:
     the batch.
     """
 
-    def __init__(self, pmf, card_w: int, opts: SolverOptions):
+    def __init__(self, pmf, card_w: int):
         self.pmf = pmf
         self.cards = pmf.shape
         self.n_src = pmf.ndim
         self.n_cells = pmf.size
         self.card_w = card_w
-        self.opts = opts
         off_support = pmf.ravel() <= 0
         self.off_support = off_support if off_support.any() else None
         self.tc = _total_correlation(pmf)  # relaxation of constant W
@@ -371,7 +372,7 @@ class _Engine:
 
         Backtracking halves a run's step size until its Lagrangian does not
         increase; a run freezes when the relative decrease drops below
-        opts.tol (converged), or stuck when no step down to _ETA_FLOOR
+        _TOL (converged), or stuck when no step down to _ETA_FLOOR
         descends (not converged). A frozen run's results are written out and
         its rows leave the batch, so the cost follows the live runs. The
         first backtracking round of an iteration tries every live run at its
@@ -385,20 +386,19 @@ class _Engine:
         *cards). Returns per-run arrays (q, obj, relax, iters, converged),
         with q in q0's layout.
         """
-        opts = self.opts
         R, W, C = len(q0), self.card_w, self.n_cells
         q = np.array(np.asarray(q0, dtype=float).reshape(R, W, C).transpose(1, 0, 2), order="C")
         lam = np.asarray(lam, dtype=float)
         q_out = np.empty((R, W, C))
         obj_out = np.empty(R)
         relax_out = np.empty(R)
-        iters = np.full(R, opts.max_iter)
+        iters = np.full(R, _MAX_ITER)
         converged = np.zeros(R, dtype=bool)
         live = np.arange(R)  # output index of each batch row
         eta = np.full(R, _ETA_INIT)
         parts = self._parts(q)
         G = self._lagrangian(parts, lam)
-        for it in range(opts.max_iter):
+        for it in range(_MAX_ITER):
             if live.size == 0:
                 break
             lq = parts[0]
@@ -450,7 +450,7 @@ class _Engine:
             if not np.all(G_new <= G + 1e-9):
                 raise NoConvergence("Lagrangian increased within a run")
             rel = (G - G_new) / np.maximum(np.abs(G), 1.0)
-            met_tol = rel < opts.tol
+            met_tol = rel < _TOL
             done = stuck | met_tol
             G = G_new
             if done.any():
@@ -477,23 +477,17 @@ class _Engine:
 # sweep orchestration and selection
 # ---------------------------------------------------------------------------
 
-_OPTION_MINIMA = {"n_lambda": 1, "restarts": 1, "threads": 1, "max_iter": 1, "seed": 0}
+_OPTION_MINIMA = {"restarts": 1, "threads": 1, "seed": 0}
 
 
 def _check_options(opts: SolverOptions) -> None:
-    """ValueError unless every number in opts is finite, of its field's kind and in range."""
+    """ValueError unless every field of opts is an integer in range (card_w may be None)."""
     for name, value in vars(opts).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    for name in ("card_w", "n_lambda", "restarts", "max_iter", "threads", "seed"):
-        value = getattr(opts, name)
         if (name != "card_w" or value is not None) and not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     for name, low in _OPTION_MINIMA.items():
         if getattr(opts, name) < low:
             raise ValueError(f"{name} must be >= {low}, got {getattr(opts, name)}")
-    if not (opts.tol > 0 and opts.slack >= 0):
-        raise ValueError(f"need tol > 0 and slack >= 0, got tol={opts.tol}, slack={opts.slack}")
 
 
 class _Sweep:
@@ -503,11 +497,13 @@ class _Sweep:
     objective, relaxation, multiplier lam, iterations and convergence flag.
     Entry 0 is the trivial coupling (W independent of the sources), which
     is always available; entries 1 to runs_executed are the descent runs,
-    each multiplier's restarts in order. The numbers in opts, the joint's
+    each multiplier's restarts in order. The fields of opts, the joint's
     size (against MAX_STATES), card_w and the size of the widest
     backtracking round (against _MAX_ROUND_ENTRIES) are checked before
-    anything is allocated. With a budget, the sweep keeps only its runs up
-    to the lowest multiplier that holds a run with relax <= budget.
+    anything is allocated; only __init__ reads opts. With a budget, the
+    sweep keeps only its runs up to the lowest multiplier that holds a run
+    with relax <= budget. A run counts as feasible for gamma when its
+    relaxation is at most gamma + _SLACK.
     """
 
     def __init__(self, joint: DiscreteJoint, opts: SolverOptions, budget: float | None = None):
@@ -515,15 +511,14 @@ class _Sweep:
         n_states = joint.pmf.size
         _check_cells(n_states)
         card_w = _check_card_w(n_states + 1 if opts.card_w is None else opts.card_w, n_states)
-        entries = 2 * opts.n_lambda * opts.restarts * card_w * n_states
+        entries = 2 * _N_LAMBDA * opts.restarts * card_w * n_states
         if entries > _MAX_ROUND_ENTRIES:
             raise TooLarge(
-                f"a backtracking round needs {entries} entries (2 x n_lambda x restarts x "
-                f"card_w x cells) > {_MAX_ROUND_ENTRIES}"
+                f"a backtracking round needs {entries} entries (2 rungs x {_N_LAMBDA} multipliers "
+                f"x restarts x card_w x cells) > {_MAX_ROUND_ENTRIES}"
             )
-        self.opts = opts
-        self.engine = _Engine(joint.pmf, card_w, opts)
-        lam = np.repeat(np.geomspace(_LAMBDA_MIN, _LAMBDA_GRID_MAX, opts.n_lambda), opts.restarts)
+        self.engine = _Engine(joint.pmf, card_w)
+        lam = np.repeat(np.geomspace(_LAMBDA_MIN, _LAMBDA_GRID_MAX, _N_LAMBDA), opts.restarts)
         q0 = np.random.default_rng(opts.seed).random((lam.size, card_w) + joint.pmf.shape)
         q0 /= q0.sum(axis=1, keepdims=True)
         runs = self.engine.descend(q0, lam, budget)
@@ -541,7 +536,7 @@ class _Sweep:
         self.runs_executed = lam.size
 
     def _feasible(self, gamma):
-        return self.relax <= gamma + self.opts.slack
+        return self.relax <= gamma + _SLACK
 
     def _append_fallback(self, gamma):
         """Append W = every source but the one with the largest alphabet (the first on a tie).
@@ -550,19 +545,19 @@ class _Sweep:
         exactly 0 and the objective is H(X_-m). Raises Infeasible when card_w
         is below that W's alphabet.
         """
-        engine, opts = self.engine, self.opts
+        engine = self.engine
         m = int(np.argmax(engine.cards))
         rest = engine.cards[:m] + engine.cards[m + 1:]
         needed = math.prod(rest)
         if engine.card_w < needed:
             best = float(self.relax.min())
             raise Infeasible(
-                f"no coupling reached I-relaxation <= {gamma + opts.slack:.3e} (best achieved "
+                f"no coupling reached I-relaxation <= {gamma + _SLACK:.3e} (best achieved "
                 f"{best:.3e}), and card_w={engine.card_w} is below the {needed} symbols of the "
                 f"relaxation-0 coupling W = every source but source {m}; use card_w >= {needed}",
                 details={
                     "gamma": gamma,
-                    "slack": opts.slack,
+                    "slack": _SLACK,
                     "best_achieved_gamma": best,
                     "card_w": engine.card_w,
                     "card_w_needed": needed,
@@ -591,10 +586,7 @@ class _Sweep:
         if not self._feasible(gamma).any():
             self._append_fallback(gamma)
         if not self.converged[1:1 + self.runs_executed].any():  # descent runs only
-            raise NoConvergence(
-                f"no descent run met tol={self.opts.tol:g} within "
-                f"{self.opts.max_iter} iterations"
-            )
+            raise NoConvergence(f"no descent run met tol={_TOL:g} within {_MAX_ITER} iterations")
         score = self.obj + _LAMBDA_GRID_MAX * np.maximum(0.0, self.relax - gamma)
         feasible = np.flatnonzero(self._feasible(gamma))
         best = None
@@ -612,7 +604,7 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
     The relaxation functional is sum_i H(X_i|W) - H(X_1..X_M|W), which is
     I(X;Y|W) for a pair. Returns (Coupling, SolveReport). The report's
     objective is I(X_1..X_M;W) of the returned coupling, an upper bound on
-    C at achieved_gamma <= gamma + opts.slack. The grid sweep stops at the
+    C at achieved_gamma <= gamma + _SLACK (5e-3). The grid sweep stops at the
     first multiplier that holds a run with relaxation <= gamma: the runs at
     higher multipliers are cut from the batch and never enter the run cloud
     that selection scores. When no run meets gamma + slack, the answer is

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import configuration, settings
 
-from cica import cca_decompose, component_count, validate_gaussian, waterfill
+from cica import cca_decompose, component_count, discrete_ci, validate_gaussian, waterfill
 from cica.discrete_ci import _ETA_FLOOR, _ETA_GROWTH, _ETA_INIT, _ETA_MAX
 from cica.errors import NoConvergence
 from cica.gaussian_ci import _check_rho
@@ -288,9 +288,10 @@ def reference_descend(engine, q0, lam):
     recomputed. Runs are independent, so the compacting engine must return
     exactly these arrays (q, obj, relax, iters, converged). q0 and the
     returned q are (runs, W, *cards); the loop runs on the engine's
-    latent-major (W, runs, cells) layout.
+    latent-major (W, runs, cells) layout. The iteration cap and the stopping
+    tolerance are the solver's, read when the oracle runs.
     """
-    opts = engine.opts
+    max_iter, tol = discrete_ci._MAX_ITER, discrete_ci._TOL
     q = latent_major(q0)
     lam = np.asarray(lam, dtype=float)
     R = lam.size
@@ -299,7 +300,7 @@ def reference_descend(engine, q0, lam):
     iters = np.zeros(R, dtype=int)
     parts = engine._parts(q)
     G = engine._lagrangian(parts, lam)
-    for it in range(opts.max_iter):
+    for it in range(max_iter):
         if frozen.all():
             break
         g = engine._gradient(parts, lam)
@@ -324,14 +325,14 @@ def reference_descend(engine, q0, lam):
         if not np.all(G_new <= G + 1e-9):
             raise NoConvergence("Lagrangian increased within a run")
         rel = (G - G_new) / np.maximum(np.abs(G), 1.0)
-        newly = (~frozen) & (rel < opts.tol)
+        newly = (~frozen) & (rel < tol)
         iters[newly] = it + 1
         converged_now = frozen | newly
         G = G_new
         frozen = converged_now
         eta = np.where(frozen, eta, np.minimum(eta * _ETA_GROWTH, _ETA_MAX))
     converged = frozen.copy()
-    iters[~frozen] = opts.max_iter
+    iters[~frozen] = max_iter
     obj, relax = engine._objective_relax(parts[2])
     q = np.ascontiguousarray(q.transpose(1, 0, 2)).reshape(np.shape(q0))
     return q, obj, relax, iters, converged

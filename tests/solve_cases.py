@@ -5,7 +5,7 @@ Run from the root of a checkout (pytest does not collect this file):
     PYTHONPATH=src python tests/solve_cases.py cases.json
     PYTHONPATH=src python tests/solve_cases.py --compare parent.json change.json
 
-Each case is one ``solve_relaxed_wyner`` call on a fixed table, budget,
+Each point case is one ``solve_relaxed_wyner`` call on a fixed table, budget,
 latent alphabet and solver seed. Per case the JSON holds the objective and
 the achieved gamma as float hex, lam, iterations, restarts_used,
 converged, the sha256 of the returned coupling's bytes, the descent runs
@@ -15,15 +15,26 @@ the quantized Gaussians ``ceiling_gap`` is the objective less the Gaussian
 pair's C_gamma, ``waterfill([rho], gamma).c_gamma``, which no discrete
 value may exceed; a positive ceiling gap is a certified loose bound. The
 run count is q.size // (card_w * cells), which holds in any array layout.
-Every field but seconds is deterministic, so ``--compare`` reports each
-other field that differs and exits 1 if any does.
+Each curve case is one ``ci_curve_discrete`` call on a fixed table, grid
+and solver seed. Its JSON holds the rows (gamma, upper bound, achieved
+gamma), each entry as float hex, the ``_parts`` runs and seconds, and for
+the quantized Gaussian ``ceiling_gap``, the largest upper bound less the
+Gaussian C_gamma over the rows. The achieved column is the relaxation of
+the run that selection picks at that gamma, not the abscissa of the
+envelope point behind the bound: the bench 4x4 row at gamma 0.2 reads
+(0.2, 0.213464, 0.05102). Every field but seconds is deterministic, so
+``--compare`` reports each other field that differs and exits 1 if any
+does.
 
-Cases: the 14 solves (five Dirichlet(0.5) survey tables at gamma 0.02 and
-0.1, the random 6x6, and the bench 4x4 at gamma 0.05, 0.1 and 0.2), DSBS
-a0 in {0.05, 0.1, 0.2} at gamma 0, the toy at card_w 4 and 17, the bench
-2x2x2 at gamma 0 and 0.05, and quantized Gaussians (rho in {0.5, 0.9}, n
-in {2, 3, 4}) at gamma 0.1. The survey, the 6x6 and the quantized
-Gaussians use solver seed 0, the rest seed 7.
+Point cases: the 14 solves (five Dirichlet(0.5) survey tables at gamma
+0.02 and 0.1, the random 6x6, and the bench 4x4 at gamma 0.05, 0.1 and
+0.2), DSBS a0 in {0.05, 0.1, 0.2} at gamma 0, the toy at card_w 4 and 17,
+the bench 2x2x2 at gamma 0 and 0.05, and quantized Gaussians (rho in
+{0.5, 0.9}, n in {2, 3, 4}) at gamma 0.1. The survey, the 6x6 and the
+quantized Gaussians use solver seed 0, the rest seed 7. Curve cases: DSBS(0.1) over
+the benchmark's grid, 9 points from 0 to 0.36, and the bench 4x4 over
+[0, 0.05, 0.1, 0.2], both with solver seed 7, and the quantized Gaussian
+(0.5, 4) over the same four points with solver seed 0.
 """
 
 import argparse
@@ -41,12 +52,13 @@ from conftest import quantized_gaussian  # noqa: E402
 
 from cica import (  # noqa: E402
     SolverOptions,
+    ci_curve_discrete,
     discrete_ci,
     dsbs_joint,
     solve_relaxed_wyner,
     toy_binary_example,
     total_correlation,
-    validate_multi_discrete,
+    validate_discrete,
     waterfill,
 )
 
@@ -84,7 +96,18 @@ def cases():
     return out
 
 
-def run_case(pmf, gamma, card_w, seed, ceiling=None):
+def curve_cases():
+    """(name, pmf, grid, solver seed, rho of the quantized Gaussian or None) of every curve."""
+    grid = [0.0, 0.05, 0.1, 0.2]
+    return [
+        ("dsbs 0.1 curve", dsbs_joint(0.1).pmf, np.linspace(0.0, 0.36, 9), 7, None),
+        ("bench 4x4 curve", dirichlet(2, (4, 4), 0.5), grid, 7, None),
+        ("quantized gaussian (0.5, 4) curve", quantized_gaussian(0.5, 4), grid, 0, 0.5),
+    ]
+
+
+def counted(call):
+    """(call(), descent runs that the engine's _parts evaluated, seconds)."""
     rows = []
     parts = discrete_ci._Engine._parts
 
@@ -92,14 +115,20 @@ def run_case(pmf, gamma, card_w, seed, ceiling=None):
         rows.append(q.size // (self.card_w * self.pmf.size))
         return parts(self, q, *args)
 
-    joint = validate_multi_discrete(pmf)
     discrete_ci._Engine._parts = counted_parts
     try:
         start = time.perf_counter()
-        coupling, rep = solve_relaxed_wyner(joint, gamma, SolverOptions(seed=seed, card_w=card_w))
+        out = call()
         seconds = time.perf_counter() - start
     finally:
         discrete_ci._Engine._parts = parts
+    return out, sum(rows), seconds
+
+
+def run_case(pmf, gamma, card_w, seed, ceiling=None):
+    joint = validate_discrete(pmf)
+    opts = SolverOptions(seed=seed, card_w=card_w)
+    (coupling, rep), runs, seconds = counted(lambda: solve_relaxed_wyner(joint, gamma, opts))
     objective = float(rep.objective)
     lower = max(float(total_correlation(joint)) - gamma, 0.0) / (pmf.ndim - 1)
     out = {
@@ -110,12 +139,25 @@ def run_case(pmf, gamma, card_w, seed, ceiling=None):
         "restarts_used": rep.restarts_used,
         "converged": rep.converged,
         "coupling_sha256": hashlib.sha256(coupling.q_w_given_xy.tobytes()).hexdigest(),
-        "parts_rows": sum(rows),
+        "parts_rows": runs,
         "bracket_gap": objective - lower,
         "seconds": seconds,
     }
     if ceiling is not None:
         out["ceiling_gap"] = objective - ceiling
+    return out
+
+
+def run_curve(pmf, grid, seed, rho=None):
+    joint = validate_discrete(pmf)
+    rows, runs, seconds = counted(lambda: ci_curve_discrete(joint, grid, SolverOptions(seed=seed)))
+    out = {
+        "rows": [[float(v).hex() for v in row] for row in rows],
+        "parts_rows": runs,
+        "seconds": seconds,
+    }
+    if rho is not None:
+        out["ceiling_gap"] = max(ub - float(waterfill([rho], g).c_gamma) for g, ub, _ in rows)
     return out
 
 
@@ -142,8 +184,10 @@ def main(argv=None):
     if not args.out:
         parser.error("give an output file or --compare A B")
     results = {}
-    for name, *case in cases():
-        results[name] = run_case(*case)
+    jobs = [(name, run_case, case) for name, *case in cases()]
+    jobs += [(name, run_curve, case) for name, *case in curve_cases()]
+    for name, run, case in jobs:
+        results[name] = run(*case)
         print(f"{name}: {results[name]['seconds']:.2f} s", file=sys.stderr)
     Path(args.out).write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
     return 0

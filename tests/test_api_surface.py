@@ -3,6 +3,7 @@
 bench/tracing.py patches each (module, name) pair in its PATCHES table with a
 bare getattr, and the benchmark's own tests are not part of this suite, so a
 removed import would otherwise surface only when the benchmark runs traced.
+bench/checks.py holds its own copy of the solver's slack, which must agree.
 The library's own checks must also survive ``python -O``.
 """
 
@@ -18,27 +19,41 @@ from pathlib import Path
 import pytest
 
 import cica
-from cica import cli
+from cica import cli, discrete_ci
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "cica").glob("*.py"))
 
 
 @functools.cache
-def _tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+def _bench(name):
+    """The module bench/<name>.py, loaded by file path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def _tracer_patches():
-    return [(mod, attr) for mod, attr, _, _ in _tracing().PATCHES]
+    return [(mod, attr) for mod, attr, _, _ in _bench("tracing").PATCHES]
 
 
 @pytest.mark.parametrize("module, attr", _tracer_patches())
 def test_tracer_patch_targets_resolve(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_bench_checks_use_the_solver_slack():
+    # a report passes the benchmark's checks only if its achieved gamma is within
+    # the slack that the solver itself accepts
+    assert _bench("checks").SLACK == discrete_ci._SLACK
+
+
+def test_aliases_not_exported():
+    # the package exports the M-source names; the aliases stay in their modules
+    # only for the tracer, which the patch-target test above checks
+    for name in ("solve_relaxed_wyner_multi", "validate_multi_discrete", "mutual_information"):
+        assert name not in cica.__all__ and not hasattr(cica, name)
 
 
 def test_readme_tour_names_are_exported():
@@ -117,7 +132,7 @@ def test_gaussian_cli_traces_waterfill_layer(tmp_path):
         json.dumps({"k_x": [[1.0, 0.0], [0.0, 1.0]], "k_y": [[1.0, 0.0], [0.0, 1.0]],
                     "k_xy": [[0.8, 0.0], [0.0, 0.5]]})
     )
-    tracer = _tracing().Tracer()
+    tracer = _bench("tracing").Tracer()
     with tracer.patched():
         code = cli.main(["gaussian", "--cov", str(cov), "--gamma", "0.1",
                          "--out", str(tmp_path / "r.json"), "--no-meta"])

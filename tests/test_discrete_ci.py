@@ -6,7 +6,6 @@ C(0.05) = 0.6530425383369941, C(0.1) = 0.6049515261814267,
 C(0.2) = 0.48929599185999795.
 """
 
-import dataclasses
 import functools
 import itertools
 
@@ -21,14 +20,11 @@ from cica import (
     dsbs_joint,
     entropy,
     latent_mutual_information,
-    mutual_information,
     relaxation_given_w,
     solve_relaxed_wyner,
-    solve_relaxed_wyner_multi,
     toy_binary_example,
     total_correlation,
     validate_discrete,
-    validate_multi_discrete,
     waterfill,
 )
 from cica.errors import (
@@ -64,11 +60,11 @@ def product_joint(px, py):
 def grid_batch(joint, opts):
     """The engine and the first batch (q0, lam) that a sweep over joint draws."""
     card_w = opts.card_w or joint.pmf.size + 1
-    grid = np.geomspace(discrete_ci._LAMBDA_MIN, discrete_ci._LAMBDA_GRID_MAX, opts.n_lambda)
+    grid = np.geomspace(discrete_ci._LAMBDA_MIN, discrete_ci._LAMBDA_GRID_MAX, discrete_ci._N_LAMBDA)
     lam = np.repeat(grid, opts.restarts)
     q0 = np.random.default_rng(opts.seed).random((lam.size, card_w) + joint.pmf.shape)
     q0 /= q0.sum(axis=1, keepdims=True)
-    return discrete_ci._Engine(joint.pmf, card_w, opts), q0, lam
+    return discrete_ci._Engine(joint.pmf, card_w), q0, lam
 
 
 def assert_same_runs(got, want):
@@ -102,7 +98,7 @@ def cut_id(case):
 
 
 def cut_case(name, gamma, tc_frac):
-    joint = validate_multi_discrete(CUT_PMFS[name])
+    joint = validate_discrete(CUT_PMFS[name])
     if gamma is None:
         gamma = tc_frac * float(total_correlation(joint))
     return joint, gamma
@@ -111,7 +107,7 @@ def cut_case(name, gamma, tc_frac):
 @functools.cache
 def uncut_sweep(name):
     """The grid sweep with no budget, as every single-budget solve ran before the cut."""
-    return discrete_ci._Sweep(validate_multi_discrete(CUT_PMFS[name]), CUT_OPTS)
+    return discrete_ci._Sweep(validate_discrete(CUT_PMFS[name]), CUT_OPTS)
 
 
 class TestFunctionals:
@@ -146,22 +142,23 @@ class TestFunctionals:
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_mi_product(self):
-        assert float(mutual_information(product_joint([0.3, 0.7], [0.25, 0.75]))) < 1e-15
+        assert float(total_correlation(product_joint([0.3, 0.7], [0.25, 0.75]))) < 1e-15
 
     def test_mi_dsbs(self):
-        assert float(mutual_information(dsbs_joint(0.1))) == pytest.approx(
+        assert float(total_correlation(dsbs_joint(0.1))) == pytest.approx(
             I_DSBS_01, abs=1e-12
         )
 
     def test_mi_copy(self):
         j = validate_discrete([[0.5, 0.0], [0.0, 0.5]])
-        assert float(mutual_information(j)) == pytest.approx(LN2, abs=1e-15)
+        assert float(total_correlation(j)) == pytest.approx(LN2, abs=1e-15)
 
     def test_total_correlation_pair_equals_mi(self):
+        # I(X;Y) summed cell by cell from its definition
         j = dsbs_joint(0.2)
-        assert float(total_correlation(j)) == pytest.approx(
-            float(mutual_information(j)), abs=1e-14
-        )
+        px, py = j.pmf.sum(axis=1), j.pmf.sum(axis=0)
+        mi = sum(p * np.log(p / (px[x] * py[y])) for (x, y), p in np.ndenumerate(j.pmf))
+        assert float(total_correlation(j)) == pytest.approx(mi, abs=1e-14)
 
 
 class TestDsbsWyner:
@@ -188,7 +185,7 @@ class TestCoupling:
         q = np.full((3, 2, 2), 1.0 / 3.0)
         c = build_coupling(q, j)
         assert float(relaxation_given_w(c)) == pytest.approx(
-            float(mutual_information(j)), abs=1e-12
+            float(total_correlation(j)), abs=1e-12
         )
         assert float(latent_mutual_information(c)) == pytest.approx(0.0, abs=1e-12)
 
@@ -258,10 +255,11 @@ class TestCoupling:
             float(dsbs_wyner(a0)), abs=1e-12
         )
 
-    def test_induced_marginals_recomputable(self):
+    def test_induced_marginals_recomputable(self, monkeypatch):
         j = dsbs_joint(0.1)
-        opts = SolverOptions(seed=3, n_lambda=4, restarts=2, max_iter=2000)
-        c, _ = solve_relaxed_wyner(j, 0.1, opts)
+        monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 4)
+        monkeypatch.setattr(discrete_ci, "_MAX_ITER", 2000)
+        c, _ = solve_relaxed_wyner(j, 0.1, SolverOptions(seed=3, restarts=2))
         pwx = (c.q_w_given_xy * j.pmf[None]).sum(axis=2) / j.marginal(0)[None, :]
         np.testing.assert_allclose(pwx, c.q_w_given_sources[0], atol=1e-10)
         qw = (c.q_w_given_xy * j.pmf[None]).sum(axis=(1, 2))
@@ -292,7 +290,7 @@ class TestSolveRelaxedWyner:
         opts = SolverOptions(seed=11)
         for gamma in (0.0, 0.05, 0.2):
             c, rep = solve_relaxed_wyner(j, gamma, opts)
-            assert float(rep.achieved_gamma) <= gamma + opts.slack + 1e-9
+            assert float(rep.achieved_gamma) <= gamma + discrete_ci._SLACK + 1e-9
             assert float(relaxation_given_w(c)) == pytest.approx(
                 float(rep.achieved_gamma), abs=1e-9
             )
@@ -303,17 +301,19 @@ class TestSolveRelaxedWyner:
 
     def test_lower_bound_property(self):
         j = dsbs_joint(0.1)
-        i_xy = float(mutual_information(j))
+        i_xy = float(total_correlation(j))
         for gamma in (0.0, 0.1, 0.3):
             _, rep = solve_relaxed_wyner(j, gamma, SolverOptions(seed=5))
             assert float(rep.objective) >= i_xy - gamma - 2e-2
 
-    def test_permutation_invariance(self):
+    def test_permutation_invariance(self, monkeypatch):
         pmf = np.array([[0.30, 0.05], [0.05, 0.30], [0.05, 0.25]])
         j = validate_discrete(pmf)
         jp = validate_discrete(pmf[[2, 0, 1]][:, [1, 0]])
-        assert float(mutual_information(j)) > 0.1  # dependence worth hiding
-        opts = SolverOptions(seed=5, tol=1e-12, max_iter=60_000)
+        assert float(total_correlation(j)) > 0.1  # dependence worth hiding
+        monkeypatch.setattr(discrete_ci, "_TOL", 1e-12)
+        monkeypatch.setattr(discrete_ci, "_MAX_ITER", 60_000)
+        opts = SolverOptions(seed=5)
         for gamma in (0.0, 0.05):
             _, r1 = solve_relaxed_wyner(j, gamma, opts)
             _, r2 = solve_relaxed_wyner(jp, gamma, opts)
@@ -339,7 +339,7 @@ class TestSolveRelaxedWyner:
             assert r1.iterations == r2.iterations
             np.testing.assert_array_equal(c1.q_w_given_xy, c2.q_w_given_xy)
 
-    @pytest.mark.parametrize("field", ["n_lambda", "restarts", "threads"])
+    @pytest.mark.parametrize("field", ["restarts", "threads"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_solver_counts_below_one_rejected_before_allocation(self, monkeypatch, field, value):
         def no_engine(*args):
@@ -349,14 +349,16 @@ class TestSolveRelaxedWyner:
         with pytest.raises(ValueError, match=field):
             solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(**{field: value}))
 
-    def test_fallback_when_no_run_meets_budget(self):
+    def test_fallback_when_no_run_meets_budget(self, monkeypatch):
         # no grid run reaches relaxation 1e-9, so the answer is W = Y: ln 2 at relaxation 0
-        opts = SolverOptions(seed=1, slack=1e-9, n_lambda=4, restarts=2)
-        _, rep = solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
+        monkeypatch.setattr(discrete_ci, "_SLACK", 1e-9)
+        monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 4)
+        _, rep = solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(seed=1, restarts=2))
         assert float(rep.objective) == pytest.approx(LN2, abs=1e-15)
         assert float(rep.achieved_gamma) == 0.0
         assert (rep.lam, rep.iterations, rep.restarts_used, rep.converged) == (0.0, 0, 8, True)
         # card_w = 1 cannot hold W = Y, so the budget is infeasible
+        monkeypatch.undo()
         with pytest.raises(Infeasible, match="card_w >= 2") as excinfo:
             solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(seed=1, card_w=1))
         details = excinfo.value.details
@@ -373,16 +375,16 @@ class TestSolveRelaxedWyner:
         with pytest.raises(TooLarge):
             solve_relaxed_wyner(validate_discrete(np.ones((9, 9)) / 81), 0.0)
 
-    @pytest.mark.parametrize("extra", [{"restarts": 10**11}, {"n_lambda": 10**9}])
-    def test_too_large_round_before_allocation(self, monkeypatch, extra):
+    def test_too_large_round_before_allocation(self, monkeypatch):
         def no_engine(*args):
             raise AssertionError("the round size guard must run before the engine allocates")
 
         monkeypatch.setattr(discrete_ci, "_Engine", no_engine)
+        opts = SolverOptions(restarts=10**11)
         with pytest.raises(TooLarge, match="backtracking round"):
-            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(**extra))
+            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
         with pytest.raises(TooLarge, match="backtracking round"):
-            ci_curve_discrete(dsbs_joint(0.1), [0.0], SolverOptions(**extra))
+            ci_curve_discrete(dsbs_joint(0.1), [0.0], opts)
 
     def test_round_size_limit_is_inclusive(self, monkeypatch):
         class Allocated(Exception):
@@ -392,13 +394,15 @@ class TestSolveRelaxedWyner:
             raise Allocated
 
         monkeypatch.setattr(discrete_ci, "_Engine", no_engine)
-        # a DSBS grid run holds card_w 5 x 4 cells = 20 entries per rung, two rungs
-        restarts = discrete_ci._MAX_ROUND_ENTRIES // 40
+        # at card_w 4 a DSBS grid run holds 4 x 4 cells = 16 entries per rung, two
+        # rungs, and the grid has 16 multipliers: 2**15 restarts fill the limit exactly
+        restarts = discrete_ci._MAX_ROUND_ENTRIES // (2 * 16 * 16)
+        assert 2 * 16 * 16 * restarts == discrete_ci._MAX_ROUND_ENTRIES
         with pytest.raises(Allocated):
-            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(n_lambda=1, restarts=restarts))
+            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(card_w=4, restarts=restarts))
         with pytest.raises(TooLarge):
             solve_relaxed_wyner(
-                dsbs_joint(0.1), 0.0, SolverOptions(n_lambda=1, restarts=restarts + 1)
+                dsbs_joint(0.1), 0.0, SolverOptions(card_w=4, restarts=restarts + 1)
             )
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
@@ -420,18 +424,19 @@ class TestSolveRelaxedWyner:
             "_lagrangian",
             lambda self, parts, lam: lagrangian(self, parts, lam) + next(calls),
         )
-        opts = SolverOptions(seed=1, n_lambda=1, restarts=1)
+        monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 1)
         with pytest.raises(NoConvergence, match="Lagrangian increased"):
-            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
+            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(seed=1, restarts=1))
 
-    def test_no_convergence(self):
-        opts = SolverOptions(seed=1, max_iter=1, n_lambda=2, restarts=2)
+    def test_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(discrete_ci, "_MAX_ITER", 1)
+        monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 2)
         with pytest.raises(NoConvergence):
-            solve_relaxed_wyner(dsbs_joint(0.1), 0.2, opts)
+            solve_relaxed_wyner(dsbs_joint(0.1), 0.2, SolverOptions(seed=1, restarts=2))
 
     def test_gamma_at_mutual_information(self):
         j = dsbs_joint(0.1)
-        _, rep = solve_relaxed_wyner(j, float(mutual_information(j)), SolverOptions(seed=7))
+        _, rep = solve_relaxed_wyner(j, float(total_correlation(j)), SolverOptions(seed=7))
         assert float(rep.objective) <= 1e-6
 
 
@@ -443,20 +448,17 @@ class TestDescendOracle:
         [
             (dsbs_joint(0.1), None),
             (toy_binary_example(0.1), 17),
-            (validate_multi_discrete(MULTI_PMF), None),
+            (validate_discrete(MULTI_PMF), None),
         ],
         ids=["dsbs", "toy17", "multi222"],
     )
-    @pytest.mark.parametrize(
-        "extra",
-        [{}, {"max_iter": 5}],
-        ids=["plain", "capped"],
-    )
-    def test_matches_reference(self, joint, card_w, extra):
-        opts = SolverOptions(seed=3, card_w=card_w, **extra)
-        engine, q0, lam = grid_batch(joint, opts)
+    @pytest.mark.parametrize("max_iter", [None, 5], ids=["plain", "capped"])
+    def test_matches_reference(self, monkeypatch, joint, card_w, max_iter):
+        if max_iter is not None:
+            monkeypatch.setattr(discrete_ci, "_MAX_ITER", max_iter)
+        engine, q0, lam = grid_batch(joint, SolverOptions(seed=3, card_w=card_w))
         want = reference_descend(engine, q0, lam)
-        if "max_iter" in extra:
+        if max_iter is not None:
             assert not want[4].all()  # some runs hit the cap
         assert_same_runs(engine.descend(q0, lam), want)
 
@@ -589,7 +591,7 @@ def test_engine_rows_independent_of_batch(case):
     # a run's functionals and gradient are the same bits alone, in any
     # sub-batch and in the full batch, so compaction cannot move a run
     pmf, card_w = ENGINE_ROW_CASES[case]
-    engine, q0, lam = grid_batch(validate_multi_discrete(pmf), SolverOptions(seed=5, card_w=card_w))
+    engine, q0, lam = grid_batch(validate_discrete(pmf), SolverOptions(seed=5, card_w=card_w))
     q = latent_major(q0)
     full = engine._parts(q)
     g_full = engine._gradient(full, lam)
@@ -610,7 +612,7 @@ def test_engine_rows_independent_of_batch(case):
 def test_engine_matches_source_by_source_reference(case):
     # the incidence product sums in another order, so values agree to rounding
     pmf, card_w = ENGINE_ROW_CASES[case]
-    engine, q0, lam = grid_batch(validate_multi_discrete(pmf), SolverOptions(seed=5, card_w=card_w))
+    engine, q0, lam = grid_batch(validate_discrete(pmf), SolverOptions(seed=5, card_w=card_w))
     parts = engine._parts(latent_major(q0))
     g = engine._gradient(parts, lam)
     for r in range(0, lam.size, 5):
@@ -648,7 +650,7 @@ QUALITY_PINS = {
 def test_quality_pin(case):
     (pmf, gamma, card_w), (lam, iterations, restarts_used, objective) = QUALITY_PINS[case]
     opts = SolverOptions(seed=7, card_w=card_w)
-    _, rep = solve_relaxed_wyner(validate_multi_discrete(pmf), gamma, opts)
+    _, rep = solve_relaxed_wyner(validate_discrete(pmf), gamma, opts)
     assert (rep.lam, rep.iterations, rep.restarts_used) == (lam, iterations, restarts_used)
     assert abs(float(rep.objective) - objective) <= 1e-12
 
@@ -708,18 +710,27 @@ FALLBACK_PMFS = {
     "2x3": np.random.default_rng(4).dirichlet(np.ones(6)).reshape(2, 3),
     "2x3x2": np.random.default_rng(5).dirichlet(np.ones(12)).reshape(2, 3, 2),
 }
-#: one multiplier, 0.05, whose runs stay at relaxation TC > 0: no run meets gamma = 0
-FALLBACK_OPTS = SolverOptions(seed=7, n_lambda=1, restarts=2, slack=0.0)
+
+
+@pytest.fixture
+def fallback_opts(monkeypatch):
+    """One multiplier, 0.05, whose runs stay at relaxation TC > 0, and no slack.
+
+    No run meets gamma = 0, so every solve takes the fallback coupling.
+    """
+    monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 1)
+    monkeypatch.setattr(discrete_ci, "_SLACK", 0.0)
+    return SolverOptions(seed=7, restarts=2)
 
 
 class TestFallbackCoupling:
     """When no run meets gamma + slack, the answer is a relaxation-0 coupling."""
 
     @pytest.mark.parametrize("name", FALLBACK_PMFS)
-    def test_oracle(self, name):
+    def test_oracle(self, fallback_opts, name):
         pmf = FALLBACK_PMFS[name]
-        joint = validate_multi_discrete(pmf)
-        c, rep = solve_relaxed_wyner(joint, 0.0, FALLBACK_OPTS)
+        joint = validate_discrete(pmf)
+        c, rep = solve_relaxed_wyner(joint, 0.0, fallback_opts)
         assert (rep.lam, rep.iterations, rep.converged) == (0.0, 0, True)
         assert float(rep.achieved_gamma) == 0.0
         assert float(relaxation_given_w(c)) <= 1e-12
@@ -729,22 +740,22 @@ class TestFallbackCoupling:
         rebuilt = build_coupling(c.q_w_given_xy, joint)
         np.testing.assert_array_equal(rebuilt.q_w_given_xy, c.q_w_given_xy)
 
-    def test_tie_leaves_out_the_first_largest_source(self):
+    def test_tie_leaves_out_the_first_largest_source(self, fallback_opts):
         # both sources have 3 symbols, so W = Y: q(w | x, y) = [w == y]
         pmf = np.random.default_rng(6).dirichlet(np.ones(9)).reshape(3, 3)
-        c, rep = solve_relaxed_wyner(validate_multi_discrete(pmf), 0.0, FALLBACK_OPTS)
+        c, rep = solve_relaxed_wyner(validate_discrete(pmf), 0.0, fallback_opts)
         want = np.broadcast_to(np.eye(3)[:, None], (3, 3, 3))
         np.testing.assert_array_equal(c.q_w_given_xy[:3], want)
         assert not c.q_w_given_xy[3:].any()
         assert float(rep.objective) == pytest.approx(float(entropy(pmf.sum(axis=0))), abs=1e-12)
 
-    def test_no_convergence_is_not_masked(self):
-        # max_iter = 1 stops every descent run unconverged; the fallback does not count
-        joint = validate_multi_discrete(FALLBACK_PMFS["2x3"])
-        opts = dataclasses.replace(FALLBACK_OPTS, max_iter=1)
+    def test_no_convergence_is_not_masked(self, monkeypatch, fallback_opts):
+        # one iteration stops every descent run unconverged; the fallback does not count
+        monkeypatch.setattr(discrete_ci, "_MAX_ITER", 1)
+        joint = validate_discrete(FALLBACK_PMFS["2x3"])
         with pytest.raises(NoConvergence):
-            solve_relaxed_wyner(joint, 0.0, opts)
-        sweep = discrete_ci._Sweep(joint, opts)
+            solve_relaxed_wyner(joint, 0.0, fallback_opts)
+        sweep = discrete_ci._Sweep(joint, fallback_opts)
         for _ in range(2):  # a curve's second select sees the fallback already in the cloud
             with pytest.raises(NoConvergence):
                 sweep.select(0.0)
@@ -754,30 +765,31 @@ class TestFallbackCoupling:
 class TestSolveMulti:
     def test_pair_reduction_agrees(self):
         j2 = dsbs_joint(0.1)
-        jm = validate_multi_discrete(j2.pmf)
+        jm = validate_discrete(j2.pmf)
         opts = SolverOptions(seed=7)
         _, r2 = solve_relaxed_wyner(j2, 0.05, opts)
-        _, rm = solve_relaxed_wyner_multi(jm, 0.05, opts)
+        _, rm = solve_relaxed_wyner(jm, 0.05, opts)
         assert abs(float(r2.objective) - float(rm.objective)) < 1e-3
 
     def test_three_copies_common_bit(self):
         pmf = np.zeros((2, 2, 2))
         pmf[0, 0, 0] = pmf[1, 1, 1] = 0.5
-        jm = validate_multi_discrete(pmf)
-        _, rep = solve_relaxed_wyner_multi(jm, 0.0, SolverOptions(seed=7))
+        jm = validate_discrete(pmf)
+        _, rep = solve_relaxed_wyner(jm, 0.0, SolverOptions(seed=7))
         assert abs(float(rep.objective) - LN2) < 2e-2
 
     def test_three_independent(self):
-        pmf = np.ones((2, 2, 2)) / 8.0
-        jm = validate_multi_discrete(pmf)
-        _, rep = solve_relaxed_wyner_multi(jm, 0.0, SolverOptions(seed=7))
-        assert float(rep.objective) <= 1e-6
+        # the pair's total correlation rounds to 2.2e-16, not 0, yet within the
+        # fixed slack the constant coupling is feasible: C_0 = 0, not the fallback's ln 2
+        for pmf in (np.ones((2, 2, 2)) / 8.0, np.outer([0.4, 0.6], [0.5, 0.5])):
+            _, rep = solve_relaxed_wyner(validate_discrete(pmf), 0.0, SolverOptions(seed=7))
+            assert float(rep.objective) == 0.0 and rep.lam == 0.0
 
     def test_too_large(self):
         pmf = np.ones((5, 5, 5)) / 125.0
-        jm = validate_multi_discrete(pmf)
+        jm = validate_discrete(pmf)
         with pytest.raises(TooLarge):
-            solve_relaxed_wyner_multi(jm, 0.0)
+            solve_relaxed_wyner(jm, 0.0)
 
 
 class TestCiCurveDiscrete:
@@ -789,14 +801,16 @@ class TestCiCurveDiscrete:
 
     def test_upper_bound_tiny_at_full_budget(self):
         j = dsbs_joint(0.1)
-        rows = ci_curve_discrete(j, [float(mutual_information(j))], SolverOptions(seed=7))
+        rows = ci_curve_discrete(j, [float(total_correlation(j))], SolverOptions(seed=7))
         assert rows[0][1] <= 1e-3
 
-    def test_fallback_within_curve(self):
+    def test_fallback_within_curve(self, monkeypatch):
         # no run meets gamma = 0 within the slack, so the first curve point takes
         # the relaxation-0 fallback; the later points read the cloud without it
         j = dsbs_joint(0.1)
-        opts = SolverOptions(seed=3, n_lambda=2, restarts=1, slack=1e-9)
+        monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 2)
+        monkeypatch.setattr(discrete_ci, "_SLACK", 1e-9)
+        opts = SolverOptions(seed=3, restarts=1)
         later = [0.05, 0.2, 0.3]
         rows = ci_curve_discrete(j, [0.0] + later, opts)
         _, rep = solve_relaxed_wyner(j, 0.0, opts)
@@ -806,7 +820,7 @@ class TestCiCurveDiscrete:
 
     def test_dsbs_curve_convex_nonincreasing(self):
         j = dsbs_joint(0.1)
-        grid = np.linspace(0.0, float(mutual_information(j)), 9)
+        grid = np.linspace(0.0, float(total_correlation(j)), 9)
         rows = ci_curve_discrete(j, grid, SolverOptions(seed=7))
         ub = np.array([r[1] for r in rows])
         assert np.all(np.diff(ub) <= 1e-12)
@@ -819,7 +833,7 @@ class TestCiCurveDiscrete:
     def test_zero_at_and_above_total_correlation(self, pmf):
         # the constant coupling reaches (TC, 0); a run ending just above TC
         # with a positive objective must not lift the curve's right end
-        j = validate_multi_discrete(pmf)
+        j = validate_discrete(pmf)
         tc = float(total_correlation(j))
         for grid in ([tc, 1.5 * tc, 10.0], [1.5 * tc, 10.0]):
             rows = ci_curve_discrete(j, grid, SolverOptions(seed=7))
@@ -829,7 +843,7 @@ class TestCiCurveDiscrete:
                              ids=["dsbs", "multi222", "4x4"])
     def test_envelope_below_every_covered_run(self, pmf):
         # time sharing: the bound at gamma is no worse than any run with relax <= gamma
-        sweep = discrete_ci._Sweep(validate_multi_discrete(pmf), SolverOptions(seed=7))
+        sweep = discrete_ci._Sweep(validate_discrete(pmf), SolverOptions(seed=7))
         points = list(zip(sweep.relax.tolist(), sweep.obj.tolist()))
         tc = sweep.engine.tc
         for g in np.concatenate([np.unique(sweep.relax), [tc + 1e-12, 1.5 * tc, 10.0]]):
@@ -849,7 +863,7 @@ class TestCiCurveDiscrete:
         j1 = dsbs_joint(0.1)
         j2 = dsbs_joint(0.2)
         prod = validate_discrete(np.kron(j1.pmf, j2.pmf))
-        total = float(mutual_information(prod))
+        total = float(total_correlation(prod))
         grid = np.linspace(0.0, total, 7)
         rows_p = ci_curve_discrete(prod, grid, SolverOptions(seed=7, card_w=8))
         fine = np.linspace(0.0, total, 121)

@@ -9,7 +9,6 @@ from cica import (
     inv_sqrt_psd,
     validate_discrete,
     validate_gaussian,
-    validate_multi_discrete,
 )
 from cica.errors import (
     InconsistentBlock,
@@ -150,17 +149,17 @@ class TestValidateMultiDiscrete:
     def test_three_sources(self):
         pmf = np.zeros((2, 2, 2))
         pmf[0, 0, 0] = pmf[1, 1, 1] = 0.5
-        j = validate_multi_discrete(pmf)
+        j = validate_discrete(pmf)
         assert j.cards == (2, 2, 2)
         np.testing.assert_allclose(j.marginal(1), [0.5, 0.5])
 
     def test_one_axis_rejected(self):
         with pytest.raises(ShapeMismatch):
-            validate_multi_discrete(np.array([0.5, 0.5]))
+            validate_discrete(np.array([0.5, 0.5]))
 
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
-            validate_multi_discrete(np.full((2, 2, 2), 0.2))
+            validate_discrete(np.full((2, 2, 2), 0.2))
 
 
 class TestInfoValue:

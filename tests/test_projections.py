@@ -10,12 +10,12 @@ from cica import (
     component_count,
     dsbs_joint,
     feature_mutual_information,
-    mutual_information,
     project_discrete,
     project_discrete_map,
     project_gaussian,
     solve_relaxed_wyner,
     toy_binary_example,
+    total_correlation,
     validate_gaussian,
     waterfill,
 )
@@ -323,11 +323,11 @@ class TestToyBinaryExample:
         for a0 in (0.1, 0.3):
             j = toy_binary_example(a0)
             hb = -(a0 * np.log(a0) + (1 - a0) * np.log(1 - a0))
-            assert float(mutual_information(j)) == pytest.approx(LN2 - hb, abs=1e-12)
+            assert float(total_correlation(j)) == pytest.approx(LN2 - hb, abs=1e-12)
 
     def test_independent_at_half(self):
         j = toy_binary_example(0.5)
-        assert float(mutual_information(j)) == pytest.approx(0.0, abs=1e-12)
+        assert float(total_correlation(j)) == pytest.approx(0.0, abs=1e-12)
 
     def test_cca_sees_nothing(self):
         j = toy_binary_example(0.1)

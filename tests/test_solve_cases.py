@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import solve_cases
-from cica import waterfill
+from cica import SolverOptions, ci_curve_discrete, validate_discrete, waterfill
 from conftest import quantized_gaussian
 
 CASE = {
@@ -66,3 +66,23 @@ def test_run_case_gaps():
     assert got["bracket_gap"] >= 0.0
     assert got["ceiling_gap"] == objective - ceiling < 0.0  # a 2x2 value is at most ln 2
     assert "ceiling_gap" not in solve_cases.run_case(pmf, 0.1, None, 0)
+
+
+def test_curve_rows_are_float_hex_and_compared():
+    name, pmf, grid, seed, rho = solve_cases.curve_cases()[0]  # DSBS(0.1), 9 points
+    got = solve_cases.run_curve(pmf, grid, seed, rho)
+    rows = [tuple(float.fromhex(v) for v in row) for row in got["rows"]]
+    assert rows == ci_curve_discrete(validate_discrete(pmf), grid, SolverOptions(seed=seed))
+    changed = [list(row) for row in got["rows"]]
+    changed[3][1] = (rows[3][1] + 1e-12).hex()
+    diffs = solve_cases.compare({name: got}, {name: dict(got, rows=changed)})
+    assert len(diffs) == 1 and diffs[0].startswith(f"{name}: rows ")
+
+
+def test_run_curve_ceiling_gap():
+    pmf, grid = quantized_gaussian(0.9, 2), [0.0, 0.1]
+    got = solve_cases.run_curve(pmf, grid, 0, 0.9)
+    want = max(float.fromhex(row[1]) - float(waterfill([0.9], g).c_gamma)
+               for g, row in zip(grid, got["rows"]))
+    assert got["ceiling_gap"] == want
+    assert "ceiling_gap" not in solve_cases.run_curve(pmf, grid, 0)

@@ -83,7 +83,7 @@ def _read_cov_json(path):
 
 
 def _read_pmf_csv(path, multi: bool):
-    """Sparse pmf CSV: index columns then a probability column."""
+    """Sparse pmf CSV: index columns then a probability column, each cell in one row."""
     rows = _read_csv_matrix(path)
     width = rows.shape[1]
     if width < 3 or (not multi and width != 3):
@@ -93,6 +93,9 @@ def _read_pmf_csv(path, multi: bool):
         )
     idx, prob = rows[:, :-1], rows[:, -1]
     _check_indices(idx, f"{path}: symbol indices")
+    cells, counts = np.unique(idx, axis=0, return_counts=True)
+    if counts.max() > 1:
+        raise ValueError(f"{path}: index row {[int(v) for v in cells[counts.argmax()]]} repeats")
     return _index_table(idx, tuple(int(m) + 1 for m in idx.max(axis=0)), prob)
 
 

@@ -495,18 +495,19 @@ class _Sweep:
 
     Each field holds one entry per run in execution order: coupling q,
     objective, relaxation, multiplier lam, iterations and convergence flag.
-    Entry 0 is the trivial coupling (W independent of the sources), which
-    is always available; entries 1 to runs_executed are the descent runs,
-    each multiplier's restarts in order. The fields of opts, the joint's
-    size (against MAX_STATES), card_w and the size of the widest
-    backtracking round (against _MAX_ROUND_ENTRIES) are checked before
-    anything is allocated; only __init__ reads opts. With a budget, the
-    sweep keeps only its runs up to the lowest multiplier that holds a run
-    with relax <= budget. A run counts as feasible for gamma when its
-    relaxation is at most gamma + _SLACK.
+    Entry 0 is the trivial coupling (W independent of the sources); entries
+    1 to runs_executed are the descent runs, each multiplier's restarts in
+    order. The options, the joint's size (against MAX_STATES), card_w and
+    the widest backtracking round (against _MAX_ROUND_ENTRIES) are checked
+    before anything is allocated. The cloud is complete when built: it
+    serves every budget of at least gamma. With cut it keeps only the runs
+    up to the lowest multiplier that holds a run with relax <= gamma, and
+    when no entry has relax <= gamma + _SLACK (feasible) it ends with the
+    relaxation-0 fallback coupling. Raises Infeasible when that coupling
+    does not fit card_w, then NoConvergence when no descent run converged.
     """
 
-    def __init__(self, joint: DiscreteJoint, opts: SolverOptions, budget: float | None = None):
+    def __init__(self, joint: DiscreteJoint, opts: SolverOptions, gamma: float, cut=False):
         _check_options(opts)
         n_states = joint.pmf.size
         _check_cells(n_states)
@@ -521,25 +522,27 @@ class _Sweep:
         lam = np.repeat(np.geomspace(_LAMBDA_MIN, _LAMBDA_GRID_MAX, _N_LAMBDA), opts.restarts)
         q0 = np.random.default_rng(opts.seed).random((lam.size, card_w) + joint.pmf.shape)
         q0 /= q0.sum(axis=1, keepdims=True)
-        runs = self.engine.descend(q0, lam, budget)
-        if budget is not None:
+        runs = self.engine.descend(q0, lam, gamma if cut else None)
+        if cut:
             # lam ascends, so the runs up to the first multiplier that met the budget are a prefix
-            n = np.searchsorted(lam, lam[runs[2] <= budget].min(initial=np.inf), side="right")
+            n = np.searchsorted(lam, lam[runs[2] <= gamma].min(initial=np.inf), side="right")
             runs, lam = [a[:n] for a in runs], lam[:n]
         q, obj, relax, iters, converged = runs
-        self.q = np.concatenate([np.full((1, card_w) + joint.pmf.shape, 1.0 / card_w), q])
-        self.obj = np.concatenate([[0.0], obj])
-        self.relax = np.concatenate([[self.engine.tc], relax])
-        self.lam = np.concatenate([[0.0], lam])
-        self.iters = np.concatenate([[0], iters])
-        self.converged = np.concatenate([[True], converged])
         self.runs_executed = lam.size
+        trivial = np.full((1, card_w) + joint.pmf.shape, 1.0 / card_w)
+        entries = [(trivial, [0.0], [self.engine.tc], [0.0], [0], [True]),
+                   (q, obj, relax, lam, iters, converged)]
+        best = float(min(self.engine.tc, relax.min()))  # the cloud's smallest relaxation
+        if best > gamma + _SLACK:
+            entries.append(self._fallback(gamma, best))
+        self.q, self.obj, self.relax, self.lam, self.iters, self.converged = (
+            np.concatenate(field) for field in zip(*entries)
+        )
+        if not converged.any():
+            raise NoConvergence(f"no descent run met tol={_TOL:g} within {_MAX_ITER} iterations")
 
-    def _feasible(self, gamma):
-        return self.relax <= gamma + _SLACK
-
-    def _append_fallback(self, gamma):
-        """Append W = every source but the one with the largest alphabet (the first on a tie).
+    def _fallback(self, gamma, best):
+        """The entry W = every source but the one with the largest alphabet (the first on a tie).
 
         Given W, the sources are deterministic but one, so the relaxation is
         exactly 0 and the objective is H(X_-m). Raises Infeasible when card_w
@@ -550,7 +553,6 @@ class _Sweep:
         rest = engine.cards[:m] + engine.cards[m + 1:]
         needed = math.prod(rest)
         if engine.card_w < needed:
-            best = float(self.relax.min())
             raise Infeasible(
                 f"no coupling reached I-relaxation <= {gamma + _SLACK:.3e} (best achieved "
                 f"{best:.3e}), and card_w={engine.card_w} is below the {needed} symbols of the "
@@ -566,29 +568,21 @@ class _Sweep:
             )
         w = np.ravel_multi_index(np.delete(np.indices(engine.cards), m, axis=0), rest)
         q = np.arange(engine.card_w).reshape((-1,) + (1,) * engine.n_src) == w
-        self.q = np.concatenate([self.q, q[None].astype(float)])
-        self.obj = np.append(self.obj, -_plogp(engine.pmf.sum(axis=m)).sum())
-        self.relax = np.append(self.relax, 0.0)
-        self.lam = np.append(self.lam, 0.0)
-        self.iters = np.append(self.iters, 0)
-        self.converged = np.append(self.converged, True)
+        h_w = -_plogp(engine.pmf.sum(axis=m)).sum()
+        return q[None].astype(float), [h_w], [0.0], [0.0], [0], [True]
 
     def select(self, gamma) -> int:
-        """Index of the best feasible run under a slope-penalized score.
+        """Index of the best run feasible for gamma under a slope-penalized score.
 
-        When no entry meets gamma + slack, the relaxation-0 fallback coupling
-        is appended first. The score obj + _LAMBDA_GRID_MAX * max(0, relax -
-        gamma) charges a run's constraint overshoot back at the steepest
-        swept slope, so near-tight frontier points beat ones that merely
-        exploit the slack. Ties go to lower lambda, then to the earlier run,
-        which at one lambda is the lower restart index.
+        Only reads the cloud; gamma must be at least the sweep's own. The
+        score obj + _LAMBDA_GRID_MAX * max(0, relax - gamma) charges a run's
+        constraint overshoot back at the steepest swept slope, so near-tight
+        frontier points beat ones that merely exploit the slack. Ties go to
+        lower lambda, then to the earlier run, which at one lambda is the
+        lower restart index.
         """
-        if not self._feasible(gamma).any():
-            self._append_fallback(gamma)
-        if not self.converged[1:1 + self.runs_executed].any():  # descent runs only
-            raise NoConvergence(f"no descent run met tol={_TOL:g} within {_MAX_ITER} iterations")
         score = self.obj + _LAMBDA_GRID_MAX * np.maximum(0.0, self.relax - gamma)
-        feasible = np.flatnonzero(self._feasible(gamma))
+        feasible = np.flatnonzero(self.relax <= gamma + _SLACK)
         best = None
         best_score = np.inf
         for i in feasible[np.argsort(self.lam[feasible], kind="stable")]:
@@ -604,21 +598,21 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
     The relaxation functional is sum_i H(X_i|W) - H(X_1..X_M|W), which is
     I(X;Y|W) for a pair. Returns (Coupling, SolveReport). The report's
     objective is I(X_1..X_M;W) of the returned coupling, an upper bound on
-    C at achieved_gamma <= gamma + _SLACK (5e-3). The grid sweep stops at the
-    first multiplier that holds a run with relaxation <= gamma: the runs at
-    higher multipliers are cut from the batch and never enter the run cloud
-    that selection scores. When no run meets gamma + slack, the answer is
-    the relaxation-0 coupling W = every source but the one with the largest
-    alphabet, whose objective is that W's entropy. Raises TooLarge when the
-    joint has more than MAX_STATES cells or a backtracking round would hold
-    more than _MAX_ROUND_ENTRIES entries, Infeasible when that coupling is
-    needed but card_w is below its alphabet, NoConvergence when no descent
-    run converged, and ValueError for a negative or non-finite gamma or an
-    option out of range.
+    C at achieved_gamma, that one run's relaxation, <= gamma + _SLACK
+    (5e-3). The grid sweep stops at the first multiplier that holds a run
+    with relaxation <= gamma: the runs at higher multipliers never enter
+    the run cloud that select scores. When no run meets gamma + slack, the
+    answer is the relaxation-0 coupling W = every source but the one with
+    the largest alphabet, whose objective is that W's entropy. Raises
+    TooLarge when the joint has more than MAX_STATES cells or a
+    backtracking round would hold more than _MAX_ROUND_ENTRIES entries,
+    Infeasible when that coupling is needed but card_w is below its
+    alphabet, NoConvergence when no descent run converged, and ValueError
+    for a negative or non-finite gamma or an option out of range.
     """
     opts = opts or SolverOptions()
     gamma = _check_budget(gamma)
-    sweep = _Sweep(joint, opts, budget=gamma)
+    sweep = _Sweep(joint, opts, gamma, cut=True)
     i = sweep.select(gamma)
     coupling = build_coupling(sweep.q[i], joint)
     report = SolveReport(
@@ -639,8 +633,12 @@ solve_relaxed_wyner_multi = solve_relaxed_wyner
 # trade-off curve
 # ---------------------------------------------------------------------------
 
-def _lower_convex_envelope(points, xs):
-    """Lower convex hull of achievable (gamma, value) points, made nonincreasing, sampled at xs."""
+def _lower_convex_envelope(points):
+    """Vertices (hx ascending, hy) of the lower convex hull of achievable (gamma, value) points.
+
+    A value achievable at gamma' <= gamma is achievable at gamma, so the
+    hull's rising right end is cut at its lowest vertex.
+    """
     pts = []
     for p in sorted(points):  # keep the lowest value per distinct abscissa
         if pts and p[0] == pts[-1][0]:
@@ -656,32 +654,25 @@ def _lower_convex_envelope(points, xs):
             else:
                 break
         hull.append(p)
-    hx = np.array([h[0] for h in hull])
-    # a value achievable at gamma' <= gamma is achievable at gamma, so the
-    # rising right end of the hull is cut at its lowest vertex
-    hy = np.minimum.accumulate([h[1] for h in hull])
-    return np.interp(xs, hx, hy)  # clamps to the end values outside the hull
+    return np.array([h[0] for h in hull]), np.minimum.accumulate([h[1] for h in hull])
 
 
 def ci_curve_discrete(joint: DiscreteJoint, grid, opts: SolverOptions | None = None):
     """Upper-bound C_gamma curve over a gamma grid.
 
-    One multiplier sweep serves the whole grid; the reported upper bound at
-    each grid point is the lower convex envelope of all achieved
-    (I(X;Y|W), I(X,Y;W)) sweep points (valid by time sharing, since C_gamma
-    is convex in gamma). A grid point that no run meets within the slack
-    adds the relaxation-0 fallback coupling to those points. Returns
-    [(gamma, upper_bound, achieved_gamma)]: achieved_gamma is the
-    relaxation of the single run that select picks for gamma, not the
-    abscissa of the envelope point behind upper_bound.
+    One multiplier sweep, built for grid[0], serves the whole grid; the
+    reported upper bound at each grid point is the lower convex envelope of
+    all achieved (I(X;Y|W), I(X,Y;W)) sweep points, the relaxation-0
+    fallback coupling among them when no run meets grid[0] + slack (valid
+    by time sharing, since C_gamma is convex in gamma). Returns [(gamma,
+    upper_bound, achieved_gamma)]: achieved_gamma is the abscissa where the
+    envelope reaches upper_bound, gamma clamped to the hull between its
+    left end (within the slack of grid[0]) and its lowest vertex.
     """
     opts = opts or SolverOptions()
     grid = _check_grid(grid)
-    sweep = _Sweep(joint, opts)
-    achieved = []
-    for g in grid:
-        best = sweep.select(float(g))  # may append the fallback coupling
-        achieved.append(float(sweep.relax[best]))
-    env = _lower_convex_envelope(list(zip(sweep.relax.tolist(), sweep.obj.tolist())), grid)
-    env = np.maximum(env, 0.0)
-    return [(float(g), float(u), a) for g, u, a in zip(grid, env, achieved)]
+    sweep = _Sweep(joint, opts, float(grid[0]))
+    hx, hy = _lower_convex_envelope(zip(sweep.relax.tolist(), sweep.obj.tolist()))
+    achieved = np.clip(grid, hx[0], hx[np.argmin(hy)])
+    env, achieved = np.maximum([np.interp(grid, hx, hy), achieved], 0.0)  # as in a point solve
+    return [(float(g), float(u), float(a)) for g, u, a in zip(grid, env, achieved)]

@@ -19,12 +19,13 @@ Each curve case is one ``ci_curve_discrete`` call on a fixed table, grid
 and solver seed. Its JSON holds the rows (gamma, upper bound, achieved
 gamma), each entry as float hex, the ``_parts`` runs and seconds, and for
 the quantized Gaussian ``ceiling_gap``, the largest upper bound less the
-Gaussian C_gamma over the rows. The achieved column is the relaxation of
-the run that selection picks at that gamma, not the abscissa of the
-envelope point behind the bound: the bench 4x4 row at gamma 0.2 reads
-(0.2, 0.213464, 0.05102). Every field but seconds is deterministic, so
-``--compare`` reports each other field that differs and exits 1 if any
-does.
+Gaussian C_gamma over the rows. The achieved column is the abscissa at
+which the envelope reaches the bound: gamma itself between the hull's left
+end and its lowest vertex, else the nearer of the two (the quantized
+Gaussian's row at gamma 0.2 reads its lowest vertex, 0.104650, where the
+bound is 0). A point case's achieved gamma is its one selected run's
+relaxation. Every field but seconds is deterministic, so ``--compare``
+reports each other field that differs and exits 1 if any does.
 
 Point cases: the 14 solves (five Dirichlet(0.5) survey tables at gamma
 0.02 and 0.1, the random 6x6, and the bench 4x4 at gamma 0.05, 0.1 and

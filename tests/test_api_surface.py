@@ -3,8 +3,9 @@
 bench/tracing.py patches each (module, name) pair in its PATCHES table with a
 bare getattr, and the benchmark's own tests are not part of this suite, so a
 removed import would otherwise surface only when the benchmark runs traced.
-bench/checks.py holds its own copy of the solver's slack, which must agree.
-The library's own checks must also survive ``python -O``.
+bench/checks.py holds its own copy of the solver's slack, which must agree,
+and its output checks must pass on the library's outputs for the benchmark's
+own inputs. The library's own checks must also survive ``python -O``.
 """
 
 import ast
@@ -16,6 +17,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cica
@@ -47,6 +49,34 @@ def test_bench_checks_use_the_solver_slack():
     # a report passes the benchmark's checks only if its achieved gamma is within
     # the slack that the solver itself accepts
     assert _bench("checks").SLACK == discrete_ci._SLACK
+
+
+#: the benchmark's solver flags and its fixed inputs, unrelabeled
+BENCH_FLAGS = ["--threads", "2", "--seed", "7"]
+
+
+def test_bench_checks_pass_on_the_discrete_curve():
+    grid = np.linspace(0.0, 0.36, 9)
+    joint = cica.dsbs_joint(0.1)
+    rows = cica.ci_curve_discrete(joint, grid, cica.SolverOptions(seed=7, threads=2))
+    assert _bench("checks").check_discrete_curve(rows, joint.pmf, grid).problems == []
+
+
+def test_bench_checks_pass_on_the_discrete_report(tmp_path):
+    # the discrete-long 4x4 base, Dirichlet(0.5) of generator seed 2, at gamma 0.05
+    pmf = np.random.default_rng(2).dirichlet(np.full(16, 0.5)).reshape(4, 4)
+    path, out = tmp_path / "long.csv", tmp_path / "long.json"
+    path.write_text("x,y,p\n" + "".join(
+        f"{x},{y},{float(pmf[x, y])!r}\n" for x, y in np.ndindex(*pmf.shape)))
+    code = cli.main(["discrete", "--pmf", str(path), "--gamma", "0.05", *BENCH_FLAGS,
+                     "--out", str(out)])
+    assert _bench("checks").check_discrete(code, out, pmf, 0.05).problems == []
+
+
+def test_bench_checks_pass_on_the_toy_report(tmp_path):
+    out = tmp_path / "toy17.json"
+    code = cli.main(["toy", "--a0", "0.1", "--card-w", "17", *BENCH_FLAGS, "--out", str(out)])
+    assert _bench("checks").check_toy(code, out, 0.1).problems == []
 
 
 def test_aliases_not_exported():

@@ -448,6 +448,8 @@ def _cap_address_space():
         pytest.param("p.csv", "x,y,p\n0,0,nan\n1,1,0.5\n", [], 3, id="nan-entry"),
         pytest.param("p.csv", "x,y,p\n-1,0,0.5\n1,1,0.5\n", [], 2, id="negative-index"),
         pytest.param("p.csv", "x,y,p\n0,inf,0.5\n1,1,0.5\n", [], 2, id="infinite-index"),
+        # a cell named twice was summed; estimate_pmf still counts repeated samples
+        pytest.param("p.csv", "x,y,p\n0,0,0.25\n0,0,0.25\n1,1,0.5\n", [], 2, id="repeated-cell"),
         pytest.param("x.csv", "", [], 2, id="sample-empty"),
         pytest.param("x.csv", "x0,x1\n", [], 2, id="sample-header-only"),
         pytest.param("x.csv", "x0,x1\n\n\n", [], 2, id="sample-header-blank-lines"),

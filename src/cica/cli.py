@@ -284,7 +284,7 @@ def cmd_gaussian_cica(args, parser) -> int:
 
 def _solver_options(args) -> SolverOptions:
     kwargs = dict(seed=args.seed)
-    for name in ("card_w", "restarts", "threads"):
+    for name in ("card_w", "threads"):
         if getattr(args, name) is not None:
             kwargs[name] = getattr(args, name)
     return SolverOptions(**kwargs)
@@ -376,7 +376,6 @@ def _add_gaussian_inputs(p):
 def _add_solver_flags(p):
     p.add_argument("--card-w", type=int, default=None, help="latent alphabet size")
     p.add_argument("--seed", type=int, default=0, help="seed for all solver randomness")
-    p.add_argument("--restarts", type=int, default=None, help="random restarts per multiplier")
     p.add_argument(
         "--threads",
         type=int,

@@ -4,7 +4,7 @@ The constrained problem min I(X,Y;W) s.t. I(X;Y|W) <= gamma is nonconvex in
 the coupling p(w|x,y), so the solver sweeps a Lagrange multiplier over a
 geometric grid and minimizes F = I(X,Y;W) + lambda I(X;Y|W) for each value
 by exponentiated multiplicative updates on the simplex slices of p(w|x,y),
-with several random restarts per multiplier. Every run yields an achievable
+with eight random restarts per multiplier. Every run yields an achievable
 (I(X;Y|W), I(X,Y;W)) point; the returned objective is an upper bound picked
 from that cloud. The same engine covers M >= 2 sources with the relaxation
 functional sum_i H(X_i|W) - H(X_1..X_M|W), which reduces to I(X;Y|W) for
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import A0OutOfRange, Infeasible, InvalidCoupling, NoConvergence, TooLarge
+from .errors import A0OutOfRange, Infeasible, InvalidCoupling, NoConvergence
 from .model import (
     DiscreteJoint,
     InfoValue,
@@ -37,15 +37,14 @@ _ETA_INIT = 0.5
 _ETA_GROWTH = 2.0
 _ETA_MAX = 1e6
 _ETA_FLOOR = 1e-12
-# float64 entries of q(w|cells) in a sweep's widest backtracking round, two
-# rungs for every grid run: 2**24 entries are 128 MiB, and a round holds five
-# arrays of that size at once (its gathered log q and gradient, the candidate,
-# its log and one scratch product; the default restarts reach about 2**20)
-_MAX_ROUND_ENTRIES = 2**24
-# the multiplier grid: _N_LAMBDA values spanning [_LAMBDA_MIN, _LAMBDA_GRID_MAX]
+# the multiplier grid: _N_LAMBDA values spanning [_LAMBDA_MIN, _LAMBDA_GRID_MAX],
+# each with _RESTARTS random starts; with card_w <= cells + 1 and cells <=
+# MAX_STATES, a backtracking round holds at most 2 rungs * 128 runs * 65 * 64
+# = 1,064,960 float64 entries per array
 _LAMBDA_MIN = 0.05
 _LAMBDA_GRID_MAX = 50.0
 _N_LAMBDA = 16
+_RESTARTS = 8
 # a run stops at _MAX_ITER iterations or when the Lagrangian's relative
 # decrease falls below _TOL; it counts as feasible within gamma + _SLACK
 _MAX_ITER = 20_000
@@ -184,9 +183,9 @@ def relaxation_given_w(c: Coupling) -> InfoValue:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The latent alphabet, the restarts and the seed of a Lagrangian sweep.
+    """The latent alphabet and the seed of a Lagrangian sweep.
 
-    Each of the 16 multipliers from 0.05 to 50 gets restarts random starts,
+    Each of the 16 multipliers from 0.05 to 50 gets 8 random starts,
     and the joint may have at most model.MAX_STATES cells. All randomness
     flows from ``seed``. ``threads`` is validated (it must be at least 1)
     but does not change how the solve runs: every multiplier sweep is one
@@ -194,7 +193,6 @@ class SolverOptions:
     """
 
     card_w: int | None = None
-    restarts: int = 8
     seed: int = 0
     threads: int = 1
 
@@ -477,7 +475,7 @@ class _Engine:
 # sweep orchestration and selection
 # ---------------------------------------------------------------------------
 
-_OPTION_MINIMA = {"restarts": 1, "threads": 1, "seed": 0}
+_OPTION_MINIMA = {"threads": 1, "seed": 0}
 
 
 def _check_options(opts: SolverOptions) -> None:
@@ -497,14 +495,14 @@ class _Sweep:
     objective, relaxation, multiplier lam, iterations and convergence flag.
     Entry 0 is the trivial coupling (W independent of the sources); entries
     1 to runs_executed are the descent runs, each multiplier's restarts in
-    order. The options, the joint's size (against MAX_STATES), card_w and
-    the widest backtracking round (against _MAX_ROUND_ENTRIES) are checked
-    before anything is allocated. The cloud is complete when built: it
-    serves every budget of at least gamma. With cut it keeps only the runs
-    up to the lowest multiplier that holds a run with relax <= gamma, and
-    when no entry has relax <= gamma + _SLACK (feasible) it ends with the
-    relaxation-0 fallback coupling. Raises Infeasible when that coupling
-    does not fit card_w, then NoConvergence when no descent run converged.
+    order. The options, the joint's size (against MAX_STATES) and card_w
+    are checked before anything is allocated. The cloud is complete when
+    built: it serves every budget of at least gamma. With cut it keeps only
+    the runs up to the lowest multiplier that holds a run with relax <=
+    gamma, and when no entry has relax <= gamma + _SLACK (feasible) it ends
+    with the relaxation-0 fallback coupling. Raises Infeasible when that
+    coupling does not fit card_w, then NoConvergence when no descent run
+    converged.
     """
 
     def __init__(self, joint: DiscreteJoint, opts: SolverOptions, gamma: float, cut=False):
@@ -512,14 +510,8 @@ class _Sweep:
         n_states = joint.pmf.size
         _check_cells(n_states)
         card_w = _check_card_w(n_states + 1 if opts.card_w is None else opts.card_w, n_states)
-        entries = 2 * _N_LAMBDA * opts.restarts * card_w * n_states
-        if entries > _MAX_ROUND_ENTRIES:
-            raise TooLarge(
-                f"a backtracking round needs {entries} entries (2 rungs x {_N_LAMBDA} multipliers "
-                f"x restarts x card_w x cells) > {_MAX_ROUND_ENTRIES}"
-            )
         self.engine = _Engine(joint.pmf, card_w)
-        lam = np.repeat(np.geomspace(_LAMBDA_MIN, _LAMBDA_GRID_MAX, _N_LAMBDA), opts.restarts)
+        lam = np.repeat(np.geomspace(_LAMBDA_MIN, _LAMBDA_GRID_MAX, _N_LAMBDA), _RESTARTS)
         q0 = np.random.default_rng(opts.seed).random((lam.size, card_w) + joint.pmf.shape)
         q0 /= q0.sum(axis=1, keepdims=True)
         runs = self.engine.descend(q0, lam, gamma if cut else None)
@@ -578,18 +570,11 @@ class _Sweep:
         score obj + _LAMBDA_GRID_MAX * max(0, relax - gamma) charges a run's
         constraint overshoot back at the steepest swept slope, so near-tight
         frontier points beat ones that merely exploit the slack. Ties go to
-        lower lambda, then to the earlier run, which at one lambda is the
-        lower restart index.
+        the earlier entry: lambda ascends through the cloud, the restarts of
+        one lambda are in order, and a fallback entry is the only feasible one.
         """
         score = self.obj + _LAMBDA_GRID_MAX * np.maximum(0.0, self.relax - gamma)
-        feasible = np.flatnonzero(self.relax <= gamma + _SLACK)
-        best = None
-        best_score = np.inf
-        for i in feasible[np.argsort(self.lam[feasible], kind="stable")]:
-            if score[i] < best_score - 1e-15:
-                best = i
-                best_score = score[i]
-        return best
+        return int(np.argmin(np.where(self.relax <= gamma + _SLACK, score, np.inf)))
 
 
 def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions | None = None):
@@ -604,8 +589,7 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
     the run cloud that select scores. When no run meets gamma + slack, the
     answer is the relaxation-0 coupling W = every source but the one with
     the largest alphabet, whose objective is that W's entropy. Raises
-    TooLarge when the joint has more than MAX_STATES cells or a
-    backtracking round would hold more than _MAX_ROUND_ENTRIES entries,
+    TooLarge when the joint has more than MAX_STATES cells,
     Infeasible when that coupling is needed but card_w is below its
     alphabet, NoConvergence when no descent run converged, and ValueError
     for a negative or non-finite gamma or an option out of range.

@@ -251,7 +251,7 @@ def test_criterion_8_cli_determinism_and_round_trip(tmp_path):
             return out.read_bytes()
 
         d_args = ("discrete", "--pmf", str(pmf), "--gamma", "0.05", "--seed", "11",
-                  "--restarts", "4", "--threads", "2")
+                  "--threads", "2")
         b1 = run(tmp_path / "d1.json", *d_args)
         b2 = run(tmp_path / "d2.json", *d_args)
         c.check(b1 == b2, "discrete reports differ byte-wise")

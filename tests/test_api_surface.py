@@ -79,6 +79,22 @@ def test_bench_checks_pass_on_the_toy_report(tmp_path):
     assert _bench("checks").check_toy(code, out, 0.1).problems == []
 
 
+@pytest.mark.parametrize("name", ["discrete-long", "discrete-short", "gaussian"])
+def test_bench_workload_pass_is_correct(monkeypatch, tmp_path, name):
+    # one pass of each benchmark workload as bench/run.py runs it: every output
+    # meets its own check, and every --no-meta report reruns to the same bytes
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # workloads imports checks by bare name
+    ops = _bench("workloads").build_pass(name, 0, 0, tmp_path, cica)
+    for op in ops:
+        value = op.call() if op.argv is None else cli.main(op.argv)
+        assert op.check(value).problems == [], op.label
+    for op in ops:
+        if op.nometa_out is not None:
+            before = Path(op.nometa_out).read_bytes()
+            assert cli.main(op.argv) == 0
+            assert Path(op.nometa_out).read_bytes() == before, op.label
+
+
 def test_aliases_not_exported():
     # the package exports the M-source names; the aliases stay in their modules
     # only for the tracer, which the patch-target test above checks

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cica
-from cica import cca_decompose, ci_curve, cli, component_count, waterfill
+from cica import cca_decompose, ci_curve, cli, component_count, discrete_ci, waterfill
 from conftest import (
     mutual_info_rho,
     random_basis_joint,
@@ -297,13 +297,14 @@ class TestCmdDiscrete:
         assert abs(rep["upper_bound"] - math.log(2.0)) < 2e-2
         assert len(rep["map_features"]["per_source_map"]) == 3
 
-    def test_multi_reports_per_source_ties(self, tmp_path):
+    def test_multi_reports_per_source_ties(self, tmp_path, monkeypatch):
         # x3's symbol 1 has no mass, so p(w | x3 = 1) is flat: always a tie
+        monkeypatch.setattr(discrete_ci, "_RESTARTS", 2)
         pmf = tmp_path / "m.csv"
         pmf.write_text("x1,x2,x3,p\n0,0,0,0.4\n1,1,0,0.4\n0,1,0,0.2\n1,0,1,0\n")
         out = tmp_path / "m.json"
         code = cli.main(["discrete", "--pmf", str(pmf), "--gamma", "0", "--multi", "--seed", "7",
-                         "--restarts", "2", "--out", str(out), "--no-meta"])
+                         "--out", str(out), "--no-meta"])
         assert code == 0
         features = json.loads(out.read_text())["map_features"]
         ties = features["per_source_ties"]
@@ -313,22 +314,23 @@ class TestCmdDiscrete:
         # a pair keeps its u_ties and v_ties keys, the same flags
         pmf.write_text("x,y,p\n0,0,0.45\n0,1,0.05\n1,0,0.05\n1,1,0.45\n")
         code = cli.main(["discrete", "--pmf", str(pmf), "--gamma", "0", "--seed", "7",
-                         "--restarts", "2", "--out", str(out), "--no-meta"])
+                         "--out", str(out), "--no-meta"])
         assert code == 0
         features = json.loads(out.read_text())["map_features"]
         assert features["per_source_ties"] == [features["u_ties"], features["v_ties"]]
 
-    def test_multi_per_source_map_is_the_library_map(self, tmp_path, rng):
+    def test_multi_per_source_map_is_the_library_map(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(discrete_ci, "_RESTARTS", 2)
         pmf = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
         path = tmp_path / "m.csv"
         rows = [f"{a},{b},{c},{float(pmf[a, b, c])!r}" for a, b, c in np.ndindex(2, 2, 2)]
         path.write_text("x1,x2,x3,p\n" + "\n".join(rows) + "\n")
         out = tmp_path / "m.json"
         code = cli.main(["discrete", "--pmf", str(path), "--gamma", "0", "--multi",
-                         "--seed", "7", "--restarts", "2", "--out", str(out), "--no-meta"])
+                         "--seed", "7", "--out", str(out), "--no-meta"])
         assert code == 0
         coupling, _ = cica.solve_relaxed_wyner(
-            cica.validate_discrete(pmf), 0.0, cica.SolverOptions(seed=7, restarts=2)
+            cica.validate_discrete(pmf), 0.0, cica.SolverOptions(seed=7)
         )
         features = json.loads(out.read_text())["map_features"]
         maps = cica.project_discrete_map(coupling).maps
@@ -336,8 +338,7 @@ class TestCmdDiscrete:
 
     def test_solver_failure_exit_5(self, dsbs_file, tmp_path):
         r = run_cli("discrete", "--pmf", str(dsbs_file), "--gamma", "0", "--seed", "1",
-                    "--restarts", "1", "--threads", "1", "--out", str(tmp_path / "d.json"),
-                    "--card-w", "1")
+                    "--threads", "1", "--out", str(tmp_path / "d.json"), "--card-w", "1")
         # card_w=1 forces W constant and cannot hold the relaxation-0 coupling W = Y
         assert r.returncode == 5
         telemetry = json.loads(r.stderr.split("cica: telemetry: ", 1)[1])
@@ -345,10 +346,7 @@ class TestCmdDiscrete:
         assert "lambda_max" not in telemetry
         assert "use card_w >= 2" in r.stderr
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--restarts", "0"), ("--restarts", "-1"), ("--threads", "0"), ("--threads", "-1")],
-    )
+    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--threads", "-1")])
     def test_solver_counts_below_one_exit_2(self, dsbs_file, tmp_path, flag, value):
         out = tmp_path / "d.json"
         r = run_cli("discrete", "--pmf", str(dsbs_file), "--gamma", "0", flag, value,
@@ -364,15 +362,6 @@ class TestCmdDiscrete:
         r = run_cli("discrete", "--pmf", str(dsbs_file), "--gamma", gamma, "--out", str(out))
         assert r.returncode == 2
         assert f"gamma must be finite and >= 0, got {gamma}" in r.stderr
-        assert "Traceback" not in r.stderr
-        assert not out.exists()
-
-    def test_oversized_batch_exit_3(self, dsbs_file, tmp_path):
-        out = tmp_path / "d.json"
-        r = run_cli("discrete", "--pmf", str(dsbs_file), "--gamma", "0",
-                    "--restarts", "100000000000", "--out", str(out))
-        assert r.returncode == 3
-        assert "backtracking round" in r.stderr
         assert "Traceback" not in r.stderr
         assert not out.exists()
 
@@ -402,7 +391,7 @@ class TestCmdDiscrete:
         )
         r = subprocess.run(
             [sys.executable, "-O", "-c", script, "discrete", "--pmf", str(dsbs_file),
-             "--gamma", "0", "--restarts", "1", "--threads", "1", "--out", str(tmp_path / "d.json")],
+             "--gamma", "0", "--threads", "1", "--out", str(tmp_path / "d.json")],
             capture_output=True, text=True,
         )
         assert r.returncode == 5, r.stderr

@@ -6,6 +6,7 @@ C(0.05) = 0.6530425383369941, C(0.1) = 0.6049515261814267,
 C(0.2) = 0.48929599185999795.
 """
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -36,6 +37,7 @@ from cica.errors import (
     NotNormalized,
     TooLarge,
 )
+from cica.model import MAX_STATES
 from conftest import (
     dsbs_wyner,
     latent_major,
@@ -62,7 +64,7 @@ def grid_batch(joint, opts):
     """The engine and the first batch (q0, lam) that a sweep over joint draws."""
     card_w = opts.card_w or joint.pmf.size + 1
     grid = np.geomspace(discrete_ci._LAMBDA_MIN, discrete_ci._LAMBDA_GRID_MAX, discrete_ci._N_LAMBDA)
-    lam = np.repeat(grid, opts.restarts)
+    lam = np.repeat(grid, discrete_ci._RESTARTS)
     q0 = np.random.default_rng(opts.seed).random((lam.size, card_w) + joint.pmf.shape)
     q0 /= q0.sum(axis=1, keepdims=True)
     return discrete_ci._Engine(joint.pmf, card_w), q0, lam
@@ -263,8 +265,9 @@ class TestCoupling:
     def test_induced_marginals_recomputable(self, monkeypatch):
         j = dsbs_joint(0.1)
         monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 4)
+        monkeypatch.setattr(discrete_ci, "_RESTARTS", 2)
         monkeypatch.setattr(discrete_ci, "_MAX_ITER", 2000)
-        c, _ = solve_relaxed_wyner(j, 0.1, SolverOptions(seed=3, restarts=2))
+        c, _ = solve_relaxed_wyner(j, 0.1, SolverOptions(seed=3))
         pwx = (c.q_w_given_xy * j.pmf[None]).sum(axis=2) / j.marginal(0)[None, :]
         np.testing.assert_allclose(pwx, c.q_w_given_sources[0], atol=1e-10)
         qw = (c.q_w_given_xy * j.pmf[None]).sum(axis=(1, 2))
@@ -344,21 +347,21 @@ class TestSolveRelaxedWyner:
             assert r1.iterations == r2.iterations
             np.testing.assert_array_equal(c1.q_w_given_xy, c2.q_w_given_xy)
 
-    @pytest.mark.parametrize("field", ["restarts", "threads"])
     @pytest.mark.parametrize("value", [0, -1])
-    def test_solver_counts_below_one_rejected_before_allocation(self, monkeypatch, field, value):
+    def test_solver_counts_below_one_rejected_before_allocation(self, monkeypatch, value):
         def no_engine(*args):
             raise AssertionError("the count check must run before the engine allocates")
 
         monkeypatch.setattr(discrete_ci, "_Engine", no_engine)
-        with pytest.raises(ValueError, match=field):
-            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(**{field: value}))
+        with pytest.raises(ValueError, match="threads"):
+            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(threads=value))
 
     def test_fallback_when_no_run_meets_budget(self, monkeypatch):
         # no grid run reaches relaxation 1e-9, so the answer is W = Y: ln 2 at relaxation 0
         monkeypatch.setattr(discrete_ci, "_SLACK", 1e-9)
         monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 4)
-        _, rep = solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(seed=1, restarts=2))
+        monkeypatch.setattr(discrete_ci, "_RESTARTS", 2)
+        _, rep = solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(seed=1))
         assert float(rep.objective) == pytest.approx(LN2, abs=1e-15)
         assert float(rep.achieved_gamma) == 0.0
         assert (rep.lam, rep.iterations, rep.restarts_used, rep.converged) == (0.0, 0, 8, True)
@@ -380,35 +383,12 @@ class TestSolveRelaxedWyner:
         with pytest.raises(TooLarge):
             solve_relaxed_wyner(validate_discrete(np.ones((9, 9)) / 81), 0.0)
 
-    def test_too_large_round_before_allocation(self, monkeypatch):
-        def no_engine(*args):
-            raise AssertionError("the round size guard must run before the engine allocates")
-
-        monkeypatch.setattr(discrete_ci, "_Engine", no_engine)
-        opts = SolverOptions(restarts=10**11)
-        with pytest.raises(TooLarge, match="backtracking round"):
-            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, opts)
-        with pytest.raises(TooLarge, match="backtracking round"):
-            ci_curve_discrete(dsbs_joint(0.1), [0.0], opts)
-
-    def test_round_size_limit_is_inclusive(self, monkeypatch):
-        class Allocated(Exception):
-            pass
-
-        def no_engine(*args):
-            raise Allocated
-
-        monkeypatch.setattr(discrete_ci, "_Engine", no_engine)
-        # at card_w 4 a DSBS grid run holds 4 x 4 cells = 16 entries per rung, two
-        # rungs, and the grid has 16 multipliers: 2**15 restarts fill the limit exactly
-        restarts = discrete_ci._MAX_ROUND_ENTRIES // (2 * 16 * 16)
-        assert 2 * 16 * 16 * restarts == discrete_ci._MAX_ROUND_ENTRIES
-        with pytest.raises(Allocated):
-            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(card_w=4, restarts=restarts))
-        with pytest.raises(TooLarge):
-            solve_relaxed_wyner(
-                dsbs_joint(0.1), 0.0, SolverOptions(card_w=4, restarts=restarts + 1)
-            )
+    def test_cell_limit_bounds_every_round(self):
+        # MAX_STATES is the one resource guard: the widest backtracking round, two
+        # rungs for every grid run at card_w = cells + 1, stays within 2**24 float64
+        # entries (128 MiB) per array
+        entries = 2 * discrete_ci._N_LAMBDA * discrete_ci._RESTARTS * (MAX_STATES + 1) * MAX_STATES
+        assert entries <= 2**24
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
     def test_non_finite_gamma_rejected_before_allocation(self, monkeypatch, gamma):
@@ -430,14 +410,16 @@ class TestSolveRelaxedWyner:
             lambda self, parts, lam: lagrangian(self, parts, lam) + next(calls),
         )
         monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 1)
+        monkeypatch.setattr(discrete_ci, "_RESTARTS", 1)
         with pytest.raises(NoConvergence, match="Lagrangian increased"):
-            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(seed=1, restarts=1))
+            solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(seed=1))
 
     def test_no_convergence(self, monkeypatch):
         monkeypatch.setattr(discrete_ci, "_MAX_ITER", 1)
         monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 2)
+        monkeypatch.setattr(discrete_ci, "_RESTARTS", 2)
         with pytest.raises(NoConvergence):
-            solve_relaxed_wyner(dsbs_joint(0.1), 0.2, SolverOptions(seed=1, restarts=2))
+            solve_relaxed_wyner(dsbs_joint(0.1), 0.2, SolverOptions(seed=1))
 
     def test_gamma_at_mutual_information(self):
         j = dsbs_joint(0.1)
@@ -742,13 +724,14 @@ FALLBACK_PMFS = {
 
 @pytest.fixture
 def fallback_opts(monkeypatch):
-    """One multiplier, 0.05, whose runs stay at relaxation TC > 0, and no slack.
+    """One multiplier, 0.05, with two starts whose runs stay at relaxation TC > 0, and no slack.
 
     No run meets gamma = 0, so every solve takes the fallback coupling.
     """
     monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 1)
+    monkeypatch.setattr(discrete_ci, "_RESTARTS", 2)
     monkeypatch.setattr(discrete_ci, "_SLACK", 0.0)
-    return SolverOptions(seed=7, restarts=2)
+    return SolverOptions(seed=7)
 
 
 class TestFallbackCoupling:
@@ -801,8 +784,9 @@ CLOUD_FIELDS = ("q", "obj", "relax", "lam", "iters", "converged")
 def fallback_curve(monkeypatch):
     """test_fallback_within_curve's setting: (joint, grid, opts) whose gamma = 0 takes the fallback."""
     monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 2)
+    monkeypatch.setattr(discrete_ci, "_RESTARTS", 1)
     monkeypatch.setattr(discrete_ci, "_SLACK", 1e-9)
-    return dsbs_joint(0.1), [0.0, 0.05, 0.2, 0.3], SolverOptions(seed=3, restarts=1)
+    return dsbs_joint(0.1), [0.0, 0.05, 0.2, 0.3], SolverOptions(seed=3)
 
 
 def bench_curve(monkeypatch):
@@ -827,6 +811,37 @@ class TestCloudReaders:
         assert [sweep.select(g) for g in grid[1::2] + grid[::2]] == forward[1::2] + forward[::2]
         for name in CLOUD_FIELDS:
             assert getattr(sweep, name).tobytes() == before[name].tobytes(), name
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["4x4", "fallback"])
+    def test_select_is_the_first_best_score(self, monkeypatch, fallback):
+        if fallback:
+            joint, grid, opts = fallback_curve(monkeypatch)
+            sweep = discrete_ci._Sweep(joint, opts, 0.0)
+        else:
+            sweep = uncut_sweep("4x4")
+            grid = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5]
+        # the descent runs are in execution order: lambda never falls
+        runs = sweep.lam[1:sweep.runs_executed + 1]
+        assert (np.diff(runs) >= 0).all()
+        for g in grid:
+            best, best_score = None, np.inf
+            for i, (obj, relax) in enumerate(zip(sweep.obj.tolist(), sweep.relax.tolist())):
+                score = obj + discrete_ci._LAMBDA_GRID_MAX * max(0.0, relax - g)
+                if relax <= g + discrete_ci._SLACK and score < best_score:
+                    best, best_score = i, score
+            assert sweep.select(g) == best, g
+
+    def test_select_tie_goes_to_the_earlier_entry(self):
+        sweep = copy.copy(uncut_sweep("4x4"))
+        sweep.obj, sweep.relax = sweep.obj.copy(), sweep.relax.copy()
+        i = sweep.select(0.05)
+        later = sweep.obj.size - 1
+        assert 0 < i < later
+        sweep.obj[later], sweep.relax[later] = sweep.obj[i], sweep.relax[i]
+        assert sweep.select(0.05) == i
+        # the same entry copied before it wins instead
+        sweep.obj[0], sweep.relax[0] = sweep.obj[i], sweep.relax[i]
+        assert sweep.select(0.05) == 0
 
     def test_curve_reads_only_its_envelope(self, monkeypatch):
         calls = []

@@ -185,14 +185,14 @@ def test_ci_curve_discrete(grid):
         # and a float seed raised a bare TypeError
         ("card_w", 2.5),
         ("card_w", True),
-        ("restarts", 2.5),
-        ("restarts", np.float64(2.0)),
+        ("card_w", np.float64(2.0)),
+        ("threads", np.float64(2.0)),
         ("threads", 1.5),
         ("seed", 1.5),
         ("seed", -1),
         ("seed", np.bool_(True)),
         # no field takes a float, so the integer check also refuses inf and NaN
-        ("restarts", math.inf),
+        ("threads", math.inf),
         ("seed", math.nan),
     ],
 )
@@ -207,12 +207,12 @@ def test_solver_options_out_of_range(name, value):
     "name",
     [
         "lambda_min", "lambda_grid_max", "lambda_max", "prob_floor", "max_states", "record_history",
-        "n_lambda", "max_iter", "tol", "slack",
+        "n_lambda", "max_iter", "tol", "slack", "restarts",
     ],
 )
 def test_removed_solver_knobs_refused(name):
-    # the multiplier grid, the stopping rule, the slack on gamma, the probability
-    # floor and the cell limit are fixed;
+    # the multiplier grid, the restarts per multiplier, the stopping rule, the
+    # slack on gamma, the probability floor and the cell limit are fixed;
     # a caller that sets one of them gets an error, never a silently ignored value
     with pytest.raises(TypeError, match=name):
         SolverOptions(**{name: 1})
@@ -221,7 +221,7 @@ def test_removed_solver_knobs_refused(name):
 def test_solver_options_fields():
     # the fields the CLI and the benchmark set; the rest of the sweep is fixed
     names = [f.name for f in dataclasses.fields(SolverOptions)]
-    assert names == ["card_w", "restarts", "seed", "threads"]
+    assert names == ["card_w", "seed", "threads"]
 
 
 @pytest.mark.parametrize(

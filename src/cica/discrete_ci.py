@@ -9,6 +9,13 @@ with eight random restarts per multiplier. Every run yields an achievable
 from that cloud. The same engine covers M >= 2 sources with the relaxation
 functional sum_i H(X_i|W) - H(X_1..X_M|W), which reduces to I(X;Y|W) for
 M = 2.
+
+Two exact reductions skip work that cannot change the answer. The sweep
+solves the table with zero-mass symbols dropped and interchangeable
+symbols merged (_reduce), then lifts the coupling back. And no run is
+descended at lambda <= 1/(M - 1), where the constant coupling is a global
+minimiser of F: TC - relax = sum_i I(X_i;W) - I(X_1..X_M;W) <= (M - 1) I,
+so F >= lambda TC + (1 - lambda (M - 1)) I >= lambda TC = F(constant W).
 """
 
 import math
@@ -201,11 +208,15 @@ class SolverOptions:
 class SolveReport:
     """Telemetry for one solve; objective is an upper bound on C_gamma.
 
-    restarts_used counts the descent runs in the solve's run cloud: a
+    restarts_used counts 8 runs per multiplier of the grid up to the cut: a
     single-budget solve keeps the grid's runs up to the first multiplier
-    that meets gamma. lam, iterations and converged describe the selected
-    run; the relaxation-0 fallback coupling reports lam 0.0, 0 iterations
-    and converged True.
+    that meets gamma. It counts the multipliers at or below 1/(M - 1) too,
+    whose runs are not descended because the constant coupling minimises
+    their Lagrangian; when TC <= gamma that coupling meets gamma there, so
+    the count is 8 and nothing is descended. lam, iterations and converged
+    describe the selected run. The constant coupling and the relaxation-0
+    fallback coupling report lam 0.0, 0 iterations and converged True, so
+    lam is never a skipped multiplier.
     """
 
     achieved_gamma: InfoValue
@@ -243,6 +254,9 @@ class _Engine:
     six arrays of q's size at once: q, its log and its gradient, a
     candidate with its log, and one scratch product.
 
+    Every source symbol of the table must have positive mass; the sweep
+    drops zero-mass symbols before it builds an engine.
+
     Every marginal comes from one product with the fixed incidence matrix
     ``S`` of shape cells x (1 + sum_i c_i): column 0 is all ones and gives
     q(w), and one 0/1 column per source symbol gives q(w, x_i). The
@@ -268,22 +282,18 @@ class _Engine:
         self.S = np.zeros((pmf.size, 1 + sum(self.cards)))
         self.S[:, 0] = 1.0
         self.S[np.arange(pmf.size)[:, None], self.starts[1:] + cells] = 1.0
-        # per column of S: the p_i weight and the safe p_i denominator, 1 for q(w)
+        # per column of S: the p_i weight, 1 for q(w); every p_i is positive
         self.p_wt = np.concatenate([[1.0]] + source_marginals(pmf))
-        self.zero_mass = bool((self.p_wt <= 0).any())
-        self.p_den = np.maximum(self.p_wt, _TINY)
         self.pmf_w = np.tile(pmf.ravel(), card_w)  # p(c) for each (w, cell) of a run
         self._runs = 0  # runs covered by the tiles below
 
     def _tiles(self, runs):
-        """p(c), the p_i weights and the denominators repeated for `runs` runs."""
+        """p(c) and the p_i weights repeated for `runs` runs."""
         if runs > self._runs:
             self._runs = runs
             self._pmf_t = np.tile(self.pmf.ravel(), runs)
             self._wt_t = np.tile(self.p_wt, runs)
-            self._den_t = np.tile(self.p_den, runs)
-        k = self.p_wt.size
-        return self._pmf_t[: runs * self.n_cells], self._wt_t[: runs * k], self._den_t[: runs * k]
+        return self._pmf_t[: runs * self.n_cells], self._wt_t[: runs * self.p_wt.size]
 
     # -- functionals ---------------------------------------------------
 
@@ -294,18 +304,14 @@ class _Engine:
         it. logs is (W, R, 1 + sum_i c_i): log q(w), then every log q(w|x_i).
         """
         W, R, C = q.shape
-        pmf_t, wt_t, den_t = self._tiles(R)
+        pmf_t, wt_t = self._tiles(R)
         joint_w = np.multiply(q.reshape(W, -1), pmf_t).reshape(W, R, C)
         marg = np.empty((W, R, self.p_wt.size))
         np.matmul(joint_w.transpose(1, 0, 2), self.S, out=marg.transpose(1, 0, 2))
         flat = marg.reshape(W, -1)
-        # where p_i = 0 the numerator is 0, so the ratio is the 0 a mask would give
-        np.divide(flat, den_t, out=flat)
+        np.divide(flat, wt_t, out=flat)
         logs = _safe_log(marg)
-        zero = marg <= 0 if self.zero_mass else None
         plogp = np.multiply(marg, logs, out=marg)
-        if zero is not None:
-            np.copyto(plogp, 0.0, where=zero)
         np.multiply(flat, wt_t, out=flat)
         if lq is None:
             lq = _safe_log(q)
@@ -392,6 +398,8 @@ class _Engine:
         relax_out = np.empty(R)
         iters = np.full(R, _MAX_ITER)
         converged = np.zeros(R, dtype=bool)
+        if R == 0:
+            return q_out.reshape((R, W) + self.cards), obj_out, relax_out, iters, converged
         live = np.arange(R)  # output index of each batch row
         eta = np.full(R, _ETA_INIT)
         parts = self._parts(q)
@@ -488,57 +496,99 @@ def _check_options(opts: SolverOptions) -> None:
             raise ValueError(f"{name} must be >= {low}, got {getattr(opts, name)}")
 
 
+def _reduce(pmf):
+    """(table, classes): pmf with zero-mass symbols dropped and interchangeable symbols merged.
+
+    Per source i, symbols a and b share a class when their normalised
+    slices p(x_i = a, .) / p(x_i = a) of the given table are exactly equal
+    as floats; classes are numbered in order of first appearance, and a
+    zero-mass symbol's class is -1. The merged table sums each class's
+    slices, which leaves C_gamma unchanged for every gamma: a coupling of
+    it lifts by q(w|x) = q'(w|class(x)) with the same I(X_1..X_M;W) and
+    relaxation. A source whose classes are its symbols keeps its slices
+    as they are, so a table with nothing to merge is returned itself.
+    """
+    classes, reduced = [], pmf
+    for i, mass in enumerate(source_marginals(pmf)):
+        cls = np.full(mass.size, -1)
+        first = {}
+        for a in np.flatnonzero(mass > 0):
+            key = tuple((np.take(pmf, a, axis=i) / mass[a]).ravel().tolist())
+            cls[a] = first.setdefault(key, len(first))
+        classes.append(cls)
+        if not np.array_equal(cls, np.arange(mass.size)):
+            slices = np.moveaxis(reduced, i, 0)
+            merged = np.zeros((len(first),) + slices.shape[1:])
+            np.add.at(merged, cls[cls >= 0], slices[cls >= 0])
+            reduced = np.moveaxis(merged, 0, i)
+    return reduced, tuple(classes)
+
+
 class _Sweep:
     """Run cloud for one joint pmf: the trivial coupling, then one grid of descent runs.
 
-    Each field holds one entry per run in execution order: coupling q,
-    objective, relaxation, multiplier lam, iterations and convergence flag.
-    Entry 0 is the trivial coupling (W independent of the sources); entries
-    1 to runs_executed are the descent runs, each multiplier's restarts in
-    order. The options, the joint's size (against MAX_STATES) and card_w
-    are checked before anything is allocated. The cloud is complete when
-    built: it serves every budget of at least gamma. With cut it keeps only
-    the runs up to the lowest multiplier that holds a run with relax <=
-    gamma, and when no entry has relax <= gamma + _SLACK (feasible) it ends
-    with the relaxation-0 fallback coupling. Raises Infeasible when that
-    coupling does not fit card_w, then NoConvergence when no descent run
-    converged.
+    The options, the joint's size (against MAX_STATES) and card_w are
+    checked on the given table before anything is allocated. The sweep
+    then runs on its reduction (_reduce), with card_w clamped to the
+    reduced cells + 1, and lift maps a cloud entry back. Each field holds
+    one entry per run in execution order: coupling q on the reduced table,
+    objective, relaxation, multiplier lam, iterations and convergence
+    flag. Entry 0 is the trivial coupling (W independent of the sources);
+    the descent runs follow, each multiplier's restarts in order. Runs at
+    lam <= 1/(M - 1) are not descended, since entry 0 minimises their
+    Lagrangian, and the cloud does not hold them; runs_counted still counts
+    them. The cloud is complete when built: it serves every budget of at
+    least gamma. With cut it keeps only the runs up to the lowest
+    multiplier that holds a run with relax <= gamma, a skipped run counting
+    at entry 0's relaxation, so when TC <= gamma nothing is descended. When
+    no entry has relax <= gamma + _SLACK (feasible) the cloud ends with the
+    relaxation-0 fallback coupling. Raises Infeasible when that coupling
+    does not fit card_w, then NoConvergence when runs were descended and
+    none converged.
     """
 
     def __init__(self, joint: DiscreteJoint, opts: SolverOptions, gamma: float, cut=False):
         _check_options(opts)
         n_states = joint.pmf.size
         _check_cells(n_states)
-        card_w = _check_card_w(n_states + 1 if opts.card_w is None else opts.card_w, n_states)
-        self.engine = _Engine(joint.pmf, card_w)
+        self.card_w = _check_card_w(n_states + 1 if opts.card_w is None else opts.card_w, n_states)
+        self.cards = joint.pmf.shape
+        pmf, self.classes = _reduce(joint.pmf)
+        engine = self.engine = _Engine(pmf, min(self.card_w, pmf.size + 1))
         lam = np.repeat(np.geomspace(_LAMBDA_MIN, _LAMBDA_GRID_MAX, _N_LAMBDA), _RESTARTS)
-        q0 = np.random.default_rng(opts.seed).random((lam.size, card_w) + joint.pmf.shape)
+        q0 = np.random.default_rng(opts.seed).random((lam.size, engine.card_w) + pmf.shape)
         q0 /= q0.sum(axis=1, keepdims=True)
-        runs = self.engine.descend(q0, lam, gamma if cut else None)
-        if cut:
+        # runs below lo are not descended: entry 0 minimises F_lam at lam <= 1/(M - 1)
+        lo = int(np.searchsorted(lam, 1.0 / (engine.n_src - 1), side="right"))
+        # with cut and TC <= gamma, entry 0 meets gamma at the lowest multiplier
+        self.runs_counted = hi = _RESTARTS if cut and lo and engine.tc <= gamma else lam.size
+        lam = lam[lo:hi]
+        runs = engine.descend(q0[lo:hi], lam, gamma if cut else None)
+        if cut and lam.size:
             # lam ascends, so the runs up to the first multiplier that met the budget are a prefix
-            n = np.searchsorted(lam, lam[runs[2] <= gamma].min(initial=np.inf), side="right")
+            n = int(np.searchsorted(lam, lam[runs[2] <= gamma].min(initial=np.inf), side="right"))
             runs, lam = [a[:n] for a in runs], lam[:n]
+            self.runs_counted = lo + n
         q, obj, relax, iters, converged = runs
-        self.runs_executed = lam.size
-        trivial = np.full((1, card_w) + joint.pmf.shape, 1.0 / card_w)
-        entries = [(trivial, [0.0], [self.engine.tc], [0.0], [0], [True]),
+        trivial = np.full((1, engine.card_w) + pmf.shape, 1.0 / engine.card_w)
+        entries = [(trivial, [0.0], [engine.tc], [0.0], [0], [True]),
                    (q, obj, relax, lam, iters, converged)]
-        best = float(min(self.engine.tc, relax.min()))  # the cloud's smallest relaxation
+        best = float(relax.min(initial=engine.tc))  # the cloud's smallest relaxation
         if best > gamma + _SLACK:
             entries.append(self._fallback(gamma, best))
         self.q, self.obj, self.relax, self.lam, self.iters, self.converged = (
             np.concatenate(field) for field in zip(*entries)
         )
-        if not converged.any():
+        if converged.size and not converged.any():
             raise NoConvergence(f"no descent run met tol={_TOL:g} within {_MAX_ITER} iterations")
 
     def _fallback(self, gamma, best):
         """The entry W = every source but the one with the largest alphabet (the first on a tie).
 
         Given W, the sources are deterministic but one, so the relaxation is
-        exactly 0 and the objective is H(X_-m). Raises Infeasible when card_w
-        is below that W's alphabet.
+        exactly 0 and the objective is H(X_-m). Alphabets are those of the
+        reduced table. Raises Infeasible when card_w is below that W's
+        alphabet.
         """
         engine = self.engine
         m = int(np.argmax(engine.cards))
@@ -555,7 +605,7 @@ class _Sweep:
                     "best_achieved_gamma": best,
                     "card_w": engine.card_w,
                     "card_w_needed": needed,
-                    "runs_executed": self.runs_executed,
+                    "runs_executed": self.runs_counted,
                 },
             )
         w = np.ravel_multi_index(np.delete(np.indices(engine.cards), m, axis=0), rest)
@@ -576,6 +626,19 @@ class _Sweep:
         score = self.obj + _LAMBDA_GRID_MAX * np.maximum(0.0, self.relax - gamma)
         return int(np.argmin(np.where(self.relax <= gamma + _SLACK, score, np.inf)))
 
+    def lift(self, q):
+        """A cloud entry's coupling on the given table: q(w|x) = q'(w|class(x)).
+
+        Zero rows pad it up to the requested card_w, and each zero-mass
+        symbol's cells get the fixed slice w = 0.
+        """
+        out = np.zeros((self.card_w,) + self.cards)
+        out[:len(q)] = q[(slice(None),) + np.ix_(*(np.maximum(c, 0) for c in self.classes))]
+        w0 = (np.arange(self.card_w) == 0).reshape((-1,) + (1,) * len(self.cards))
+        for i, c in enumerate(self.classes):
+            out[(slice(None),) * (i + 1) + (c < 0,)] = w0
+        return out
+
 
 def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions | None = None):
     """Upper-bound solver for relaxed Wyner common information of M >= 2 sources.
@@ -588,23 +651,27 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
     with relaxation <= gamma: the runs at higher multipliers never enter
     the run cloud that select scores. When no run meets gamma + slack, the
     answer is the relaxation-0 coupling W = every source but the one with
-    the largest alphabet, whose objective is that W's entropy. Raises
-    TooLarge when the joint has more than MAX_STATES cells,
-    Infeasible when that coupling is needed but card_w is below its
-    alphabet, NoConvergence when no descent run converged, and ValueError
-    for a negative or non-finite gamma or an option out of range.
+    the largest alphabet, whose objective is that W's entropy. The sweep
+    runs on the reduced table (_reduce), with card_w clamped to its cells
+    + 1, and the coupling is lifted back: q(w|x) = q'(w|class(x)), padded
+    with zero rows to the requested card_w (default: the given table's
+    cells + 1), each zero-mass symbol's cells at w = 0. Raises TooLarge
+    when the joint has more than MAX_STATES cells, Infeasible when that
+    coupling is needed but card_w is below its alphabet, NoConvergence
+    when runs were descended and none converged, and ValueError for a
+    negative or non-finite gamma or an option out of range.
     """
     opts = opts or SolverOptions()
     gamma = _check_budget(gamma)
     sweep = _Sweep(joint, opts, gamma, cut=True)
     i = sweep.select(gamma)
-    coupling = build_coupling(sweep.q[i], joint)
+    coupling = build_coupling(sweep.lift(sweep.q[i]), joint)
     report = SolveReport(
         achieved_gamma=InfoValue(max(float(sweep.relax[i]), 0.0)),
         objective=InfoValue(max(float(sweep.obj[i]), 0.0)),
         lam=float(sweep.lam[i]),
         iterations=int(sweep.iters[i]),
-        restarts_used=sweep.runs_executed,
+        restarts_used=sweep.runs_counted,
         converged=bool(sweep.converged[i]),
     )
     return coupling, report

@@ -22,6 +22,7 @@ from cica import (
     dsbs_joint,
     entropy,
     latent_mutual_information,
+    project_discrete_map,
     relaxation_given_w,
     solve_relaxed_wyner,
     toy_binary_example,
@@ -60,11 +61,15 @@ def product_joint(px, py):
     return validate_discrete(np.outer(px, py))
 
 
+def lambda_grid():
+    """The sweep's multiplier grid, read at call time so that patched constants apply."""
+    return np.geomspace(discrete_ci._LAMBDA_MIN, discrete_ci._LAMBDA_GRID_MAX, discrete_ci._N_LAMBDA)
+
+
 def grid_batch(joint, opts):
     """The engine and the first batch (q0, lam) that a sweep over joint draws."""
     card_w = opts.card_w or joint.pmf.size + 1
-    grid = np.geomspace(discrete_ci._LAMBDA_MIN, discrete_ci._LAMBDA_GRID_MAX, discrete_ci._N_LAMBDA)
-    lam = np.repeat(grid, discrete_ci._RESTARTS)
+    lam = np.repeat(lambda_grid(), discrete_ci._RESTARTS)
     q0 = np.random.default_rng(opts.seed).random((lam.size, card_w) + joint.pmf.shape)
     q0 /= q0.sum(axis=1, keepdims=True)
     return discrete_ci._Engine(joint.pmf, card_w), q0, lam
@@ -93,6 +98,14 @@ CUT_CASES = [
     ("3x3", 0.01, None), ("3x3", 0.05, None),
 ]
 CUT_OPTS = SolverOptions(seed=7)
+#: a smallest multiplier above 1/(M - 1) for pairs and triples, so that a
+#: one- or two-point grid is descended; below the fallback tables' thresholds
+DESCENDED_LAMBDA_MIN = 1.1
+
+
+def descended_runs(joint):
+    """The grid runs that a full sweep over joint descends: those at lam > 1/(M - 1)."""
+    return discrete_ci._RESTARTS * int(np.count_nonzero(lambda_grid() > 1.0 / (joint.pmf.ndim - 1)))
 
 
 def cut_id(case):
@@ -409,6 +422,7 @@ class TestSolveRelaxedWyner:
             "_lagrangian",
             lambda self, parts, lam: lagrangian(self, parts, lam) + next(calls),
         )
+        monkeypatch.setattr(discrete_ci, "_LAMBDA_MIN", DESCENDED_LAMBDA_MIN)
         monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 1)
         monkeypatch.setattr(discrete_ci, "_RESTARTS", 1)
         with pytest.raises(NoConvergence, match="Lagrangian increased"):
@@ -416,6 +430,7 @@ class TestSolveRelaxedWyner:
 
     def test_no_convergence(self, monkeypatch):
         monkeypatch.setattr(discrete_ci, "_MAX_ITER", 1)
+        monkeypatch.setattr(discrete_ci, "_LAMBDA_MIN", DESCENDED_LAMBDA_MIN)
         monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 2)
         monkeypatch.setattr(discrete_ci, "_RESTARTS", 2)
         with pytest.raises(NoConvergence):
@@ -536,7 +551,8 @@ class TestDescendOracle:
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_one_batch_per_sweep_at_any_thread_count(self, monkeypatch, threads):
-        # the 16 x 8 grid runs descend as one batch whatever the thread count
+        # the 9 x 8 grid runs above lam = 1 descend as one batch whatever the
+        # thread count; the report still counts all 16 x 8
         batches = []
         descend = discrete_ci._Engine.descend
 
@@ -547,7 +563,7 @@ class TestDescendOracle:
         monkeypatch.setattr(discrete_ci._Engine, "descend", counted_descend)
         opts = SolverOptions(seed=7, card_w=4, threads=threads)
         _, rep = solve_relaxed_wyner(toy_binary_example(0.1), 0.0, opts)
-        assert batches == [128]
+        assert batches == [72]
         assert rep.restarts_used == 128
 
 
@@ -559,7 +575,6 @@ ENGINE_ROW_CASES = {
     "toy-w17": (toy_binary_example(0.1).pmf, 17),
     "multi222": (MULTI_PMF, None),
     "off-support-cell": (np.array([[0.5, 0.0], [0.2, 0.3]]), None),
-    "zero-mass-symbol": (np.array([[0.4, 0.0, 0.1], [0.3, 0.0, 0.2]]), None),
     # the per-run scales tiled over runs x cells, for M = 4 at the default
     # card_w 17 and a non-square pair
     "2x2x2x2": (np.random.default_rng(4).dirichlet(np.ones(16)).reshape(2, 2, 2, 2), None),
@@ -643,12 +658,13 @@ def test_point_solve_below_gaussian_value(rho, n, gamma):
 
 
 #: single-budget solves pinned to the engine before the incidence product:
-#: (joint, gamma, card_w) -> (lam, iterations, restarts_used, objective)
+#: (joint, gamma, card_w) -> (lam, iterations, restarts_used, objective); the
+#: toy solves its merged table, DSBS(0.1), at card_w 4 and 5
 QUALITY_PINS = {
     "bench-4x4": (
         (CUT_PMFS["4x4"], 0.05, None), (1.9905358527674863, 49, 80, 0.42761978393672484)),
-    "toy-w4": ((toy_binary_example(0.1).pmf, 0.0, 4), (50.0, 165, 128, 0.6027868413889671)),
-    "toy-w17": ((toy_binary_example(0.1).pmf, 0.0, 17), (50.0, 210, 128, 0.6027867861967278)),
+    "toy-w4": ((toy_binary_example(0.1).pmf, 0.0, 4), (50.0, 164, 128, 0.6027875141447153)),
+    "toy-w17": ((toy_binary_example(0.1).pmf, 0.0, 17), (50.0, 264, 128, 0.6027866205924634)),
     "dsbs-0.05": ((dsbs_joint(0.05).pmf, 0.0, None), (50.0, 183, 128, 0.6522717714223363)),
     "dsbs-0.1": ((dsbs_joint(0.1).pmf, 0.0, None), (50.0, 264, 128, 0.6027866205924635)),
     "dsbs-0.2": ((dsbs_joint(0.2).pmf, 0.0, None), (50.0, 269, 128, 0.4834515624430602)),
@@ -673,8 +689,9 @@ class TestMultiplierCut:
         joint, gamma = cut_case(*case)
         sweep = uncut_sweep(case[0])
         i = sweep.select(gamma)
-        assert sweep.runs_executed == 128  # the uncut grid
-        assert sweep.q.shape[0] == 129  # a run met gamma + slack: no fallback entry
+        assert sweep.runs_counted == 128  # the uncut grid
+        # a run met gamma + slack: no fallback entry after the descended runs
+        assert sweep.q.shape[0] == 1 + descended_runs(joint)
         c, rep = solve_relaxed_wyner(joint, gamma, CUT_OPTS)
         assert c.q_w_given_xy.tobytes() == sweep.q[i].tobytes()
         assert float(rep.objective) == max(float(sweep.obj[i]), 0.0)
@@ -688,8 +705,11 @@ class TestMultiplierCut:
         joint, gamma = cut_case(*case)
         uncut = uncut_sweep(case[0])
         cut = discrete_ci._Sweep(joint, CUT_OPTS, gamma, cut=True)
-        keep = uncut.lam <= uncut.lam[uncut.relax <= gamma].min()
-        assert cut.runs_executed == keep.sum() - 1  # less the trivial coupling
+        lam_met = uncut.lam[uncut.relax <= gamma].min()
+        keep = uncut.lam <= lam_met
+        # the count takes every multiplier up to lam_met, descended or not
+        multipliers = np.count_nonzero(lambda_grid() <= lam_met)
+        assert cut.runs_counted == discrete_ci._RESTARTS * multipliers
         for name in ("q", "obj", "relax", "lam", "iters", "converged"):
             got, want = getattr(cut, name), getattr(uncut, name)[keep]
             assert got.tobytes() == want.tobytes(), name
@@ -711,7 +731,7 @@ class TestMultiplierCut:
         joint = validate_discrete(CUT_PMFS["4x4"])
         _, rep = solve_relaxed_wyner(joint, 0.05, CUT_OPTS)
         assert rep.restarts_used == 80
-        assert uncut_sweep("4x4").runs_executed == 128
+        assert uncut_sweep("4x4").runs_counted == 128
 
 
 #: tables whose fallback coupling the oracle checks: W = X for the 2x3 pair
@@ -724,10 +744,11 @@ FALLBACK_PMFS = {
 
 @pytest.fixture
 def fallback_opts(monkeypatch):
-    """One multiplier, 0.05, with two starts whose runs stay at relaxation TC > 0, and no slack.
+    """One multiplier, 1.1, with two starts whose runs stay at relaxation TC > 0, and no slack.
 
     No run meets gamma = 0, so every solve takes the fallback coupling.
     """
+    monkeypatch.setattr(discrete_ci, "_LAMBDA_MIN", DESCENDED_LAMBDA_MIN)
     monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 1)
     monkeypatch.setattr(discrete_ci, "_RESTARTS", 2)
     monkeypatch.setattr(discrete_ci, "_SLACK", 0.0)
@@ -818,10 +839,10 @@ class TestCloudReaders:
             joint, grid, opts = fallback_curve(monkeypatch)
             sweep = discrete_ci._Sweep(joint, opts, 0.0)
         else:
-            sweep = uncut_sweep("4x4")
+            joint, sweep = validate_discrete(CUT_PMFS["4x4"]), uncut_sweep("4x4")
             grid = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5]
         # the descent runs are in execution order: lambda never falls
-        runs = sweep.lam[1:sweep.runs_executed + 1]
+        runs = sweep.lam[1:1 + descended_runs(joint)]
         assert (np.diff(runs) >= 0).all()
         for g in grid:
             best, best_score = None, np.inf
@@ -873,6 +894,140 @@ class TestCloudReaders:
             assert np.interp(achieved, hx, hy) == ub
         if case is fallback_curve:
             assert left == 0.0 and rows[0][2] == 0.0
+
+
+def same_solve(a, b):
+    """Whether two reports agree bit for bit: objective, achieved gamma, lam, iterations, runs."""
+    fields = ("objective", "achieved_gamma")
+    return all(float(getattr(a, f)).hex() == float(getattr(b, f)).hex() for f in fields) and (
+        (a.lam, a.iterations, a.restarts_used) == (b.lam, b.iterations, b.restarts_used))
+
+
+def first_appearance(labels):
+    """labels renumbered 0, 1, ... in order of first appearance; -1 stays -1."""
+    order = {}
+    return np.array([-1 if v < 0 else order.setdefault(v, len(order)) for v in labels.tolist()])
+
+
+class TestReduction:
+    """The sweep solves the table with zero-mass symbols dropped and equal slices merged."""
+
+    def test_zero_row_solves_as_its_reduction(self):
+        small = validate_discrete(np.random.default_rng(4).dirichlet(np.ones(6)).reshape(2, 3))
+        big = validate_discrete(np.insert(small.pmf, 1, 0.0, axis=0))
+        reduced, classes = discrete_ci._reduce(big.pmf)
+        assert np.array_equal(reduced, small.pmf)
+        assert classes[0].tolist() == [0, -1, 1] and classes[1].tolist() == [0, 1, 2]
+        opts = SolverOptions(seed=7)
+        for gamma in (0.0, 0.05):
+            c, rep = solve_relaxed_wyner(big, gamma, opts)
+            c_small, rep_small = solve_relaxed_wyner(small, gamma, opts)
+            assert same_solve(rep, rep_small)
+            # the default card_w is the given table's cells + 1; the zero row gets w = 0
+            assert c.q_w_given_xy.shape == (10, 3, 3)
+            np.testing.assert_allclose(c.q_w_given_xy.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+            assert (c.q_w_given_xy[:, 1] == np.eye(10)[:, :1]).all()
+            np.testing.assert_array_equal(c.q_w_given_xy[:7, [0, 2]], c_small.q_w_given_xy)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_split_row_solves_as_the_unsplit_table(self, seed):
+        # row 1 split into two equal halves: the merge is exact
+        whole = validate_discrete(np.random.default_rng(seed).dirichlet(np.ones(12)).reshape(3, 4))
+        split = np.insert(whole.pmf, 2, whole.pmf[1] / 2, axis=0)
+        split[1] /= 2
+        split = validate_discrete(split)
+        reduced, classes = discrete_ci._reduce(split.pmf)
+        assert np.array_equal(reduced, whole.pmf)
+        assert classes[0].tolist() == [0, 1, 1, 2]
+        opts = SolverOptions(seed=7)
+        for gamma in (0.0, 0.05):
+            c, rep = solve_relaxed_wyner(split, gamma, opts)
+            assert same_solve(rep, solve_relaxed_wyner(whole, gamma, opts)[1])
+            assert c.q_w_given_xy.shape == (17, 4, 4)
+            np.testing.assert_array_equal(c.q_w_given_xy[:, 1], c.q_w_given_xy[:, 2])
+
+    @pytest.mark.parametrize("a0", [0.05, 0.1, 0.2])
+    def test_toy_solves_as_dsbs(self, a0):
+        toy, dsbs = toy_binary_example(a0), dsbs_joint(a0)
+        reduced, classes = discrete_ci._reduce(toy.pmf)
+        assert np.array_equal(reduced, dsbs.pmf)
+        # the class of a two-bit symbol is its B1, the xor of its bits
+        assert [c.tolist() for c in classes] == [[0, 1, 1, 0]] * 2
+        for card_w in (4, 17):
+            _, rep = solve_relaxed_wyner(toy, 0.0, SolverOptions(seed=7, card_w=card_w))
+            _, want = solve_relaxed_wyner(dsbs, 0.0, SolverOptions(seed=7, card_w=min(card_w, 5)))
+            assert same_solve(rep, want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relabelled_table_gives_relabelled_classes(self, seed):
+        pmf = np.insert(toy_binary_example(0.1).pmf, 2, 0.0, axis=0)  # a zero-mass x symbol
+        _, classes = discrete_ci._reduce(pmf)
+        rng = np.random.default_rng(seed)
+        perms = [rng.permutation(n) for n in pmf.shape]
+        _, got = discrete_ci._reduce(pmf[np.ix_(*perms)])
+        for cls, perm, relabelled in zip(classes, perms, got):
+            assert relabelled.tolist() == first_appearance(cls[perm]).tolist()
+
+    def test_card_w_above_the_reduced_bound(self):
+        # toy at card_w 17 solves DSBS(0.1) at card_w 5 and pads 12 zero rows
+        c, _ = solve_relaxed_wyner(toy_binary_example(0.1), 0.0, SolverOptions(seed=7, card_w=17))
+        small, _ = solve_relaxed_wyner(dsbs_joint(0.1), 0.0, SolverOptions(seed=7, card_w=5))
+        assert c.card_w == 17 and c.q_w_given_xy.shape == (17, 4, 4)
+        assert not c.q_w_given_xy[5:].any()
+        cls = np.array([0, 1, 1, 0])
+        np.testing.assert_array_equal(c.q_w_given_xy[:5], small.q_w_given_xy[:, cls][:, :, cls])
+        got, want = project_discrete_map(c), project_discrete_map(small)
+        for m, t, m_small, t_small in zip(got.maps, got.ties, want.maps, want.ties):
+            np.testing.assert_array_equal(m, m_small[cls])
+            np.testing.assert_array_equal(t, t_small[cls])
+
+    def test_curve_is_the_reduction_curve(self):
+        opts = SolverOptions(seed=7)
+        assert ci_curve_discrete(toy_binary_example(0.1), BENCH_GRID, opts) == ci_curve_discrete(
+            dsbs_joint(0.1), BENCH_GRID, opts)
+
+
+class TestTrivialMultipliers:
+    """No run is descended at lam <= 1/(M - 1), where entry 0 minimises F_lam."""
+
+    @pytest.mark.parametrize("pmf", [CUT_PMFS["4x4"], MULTI_PMF], ids=["4x4", "multi222"])
+    def test_descend_sees_only_multipliers_above_the_line(self, monkeypatch, pmf):
+        seen = []
+        descend = discrete_ci._Engine.descend
+
+        def spy(self, q0, lam, *args):
+            seen.append(np.asarray(lam).copy())
+            return descend(self, q0, lam, *args)
+
+        monkeypatch.setattr(discrete_ci._Engine, "descend", spy)
+        joint = validate_discrete(pmf)
+        line = 1.0 / (pmf.ndim - 1)
+        _, rep = solve_relaxed_wyner(joint, 0.05, CUT_OPTS)
+        ci_curve_discrete(joint, [0.0, 0.1], CUT_OPTS)
+        assert len(seen) == 2 and all(lam.min() > line for lam in seen)
+        grid = lambda_grid()
+        # the curve's sweep descends every grid run above the line: 9 multipliers
+        # for a pair, 10 for three sources
+        np.testing.assert_array_equal(seen[1], np.repeat(grid[grid > line], discrete_ci._RESTARTS))
+        assert seen[1].size == descended_runs(joint) == 8 * (7 + pmf.ndim)
+
+    def test_budget_above_total_correlation_descends_nothing(self, monkeypatch):
+        # TC = 0.0566 <= gamma = 0.1, so entry 0 meets gamma at the lowest multiplier:
+        # no _parts row is evaluated, the report counts that multiplier's 8 runs,
+        # and with nothing descended NoConvergence cannot apply
+        rows = []
+        parts = discrete_ci._Engine._parts
+        monkeypatch.setattr(discrete_ci._Engine, "_parts",
+                            lambda self, q, *args: rows.append(q.shape[1]) or parts(self, q, *args))
+        monkeypatch.setattr(discrete_ci, "_MAX_ITER", 1)
+        joint = validate_discrete(quantized_gaussian(0.5, 2))
+        c, rep = solve_relaxed_wyner(joint, 0.1, SolverOptions(seed=0))
+        assert rows == []
+        assert (rep.lam, rep.iterations, rep.restarts_used, rep.converged) == (0.0, 0, 8, True)
+        assert float(rep.objective) == 0.0
+        assert float(rep.achieved_gamma) == float(total_correlation(joint)) == float.fromhex(
+            "0x1.cff008f1afce0p-5")
+        assert (c.q_w_given_xy == 0.2).all()
 
 
 class TestSolveMulti:

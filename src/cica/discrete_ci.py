@@ -208,13 +208,10 @@ class SolverOptions:
 class SolveReport:
     """Telemetry for one solve; objective is an upper bound on C_gamma.
 
-    restarts_used counts 8 runs per multiplier of the grid up to the cut: a
-    single-budget solve keeps the grid's runs up to the first multiplier
-    that meets gamma. It counts the multipliers at or below 1/(M - 1) too,
-    whose runs are not descended because the constant coupling minimises
-    their Lagrangian; when TC <= gamma that coupling meets gamma there, so
-    the count is 8 and nothing is descended. lam, iterations and converged
-    describe the selected run. The constant coupling and the relaxation-0
+    restarts_used counts the descent runs in the run cloud: the runs above
+    1/(M - 1) up to the first multiplier that meets gamma, so 0 when TC <=
+    gamma and nothing is descended. lam, iterations and converged describe
+    the selected run. The constant coupling and the relaxation-0
     fallback coupling report lam 0.0, 0 iterations and converged True, so
     lam is never a skipped multiplier.
     """
@@ -273,8 +270,6 @@ class _Engine:
         self.n_src = pmf.ndim
         self.n_cells = pmf.size
         self.card_w = card_w
-        off_support = pmf.ravel() <= 0
-        self.off_support = off_support if off_support.any() else None
         self.tc = _total_correlation(pmf)  # relaxation of constant W
         # column 0, then each source's block of symbol columns
         self.starts = np.cumsum((0, 1) + self.cards[:-1])
@@ -339,9 +334,10 @@ class _Engine:
         )
 
     def _gradient(self, parts, lam):
-        """The Lagrangian's latent-major gradient over p(cells), 0 off the support.
+        """The Lagrangian's latent-major gradient over p(cells).
 
-        lam has one entry per run.
+        lam has one entry per run. On a zero-probability cell it moves only
+        q there, which no functional reads.
         """
         lq, logs, _ = parts
         W, R, C = lq.shape
@@ -355,8 +351,6 @@ class _Engine:
         flat = scatter.reshape(W, -1)
         np.multiply(flat, lam_t, out=flat)
         g -= scatter
-        if self.off_support is not None:
-            np.copyto(g, 0.0, where=self.off_support)
         return g
 
     def _step(self, lq, g, eta):
@@ -536,18 +530,18 @@ class _Sweep:
     flag. Entry 0 is the trivial coupling (W independent of the sources);
     the descent runs follow, each multiplier's restarts in order. Runs at
     lam <= 1/(M - 1) are not descended, since entry 0 minimises their
-    Lagrangian, and the cloud does not hold them; runs_counted still counts
-    them. The cloud is complete when built: it serves every budget of at
-    least gamma. With cut it keeps only the runs up to the lowest
-    multiplier that holds a run with relax <= gamma, a skipped run counting
-    at entry 0's relaxation, so when TC <= gamma nothing is descended. When
-    no entry has relax <= gamma + _SLACK (feasible) the cloud ends with the
-    relaxation-0 fallback coupling. Raises Infeasible when that coupling
-    does not fit card_w, then NoConvergence when runs were descended and
-    none converged.
+    Lagrangian, and the cloud does not hold them. The cloud keeps the runs
+    up to the lowest multiplier that holds a run with relax <= gamma, where
+    the descent, given gamma as its budget, cuts the higher ones; entry 0
+    meets gamma at the skipped multipliers when TC <= gamma, and then
+    nothing is descended. The cloud is complete when built: it serves a
+    point solve at gamma and a curve from gamma alike. When no entry has
+    relax <= gamma + _SLACK (feasible) the cloud ends with the relaxation-0
+    fallback coupling. Raises Infeasible when that coupling does not fit
+    card_w, then NoConvergence when runs were descended and none converged.
     """
 
-    def __init__(self, joint: DiscreteJoint, opts: SolverOptions, gamma: float, cut=False):
+    def __init__(self, joint: DiscreteJoint, opts: SolverOptions, gamma: float):
         _check_options(opts)
         n_states = joint.pmf.size
         _check_cells(n_states)
@@ -558,37 +552,34 @@ class _Sweep:
         lam = np.repeat(np.geomspace(_LAMBDA_MIN, _LAMBDA_GRID_MAX, _N_LAMBDA), _RESTARTS)
         q0 = np.random.default_rng(opts.seed).random((lam.size, engine.card_w) + pmf.shape)
         q0 /= q0.sum(axis=1, keepdims=True)
-        # runs below lo are not descended: entry 0 minimises F_lam at lam <= 1/(M - 1)
-        lo = int(np.searchsorted(lam, 1.0 / (engine.n_src - 1), side="right"))
-        # with cut and TC <= gamma, entry 0 meets gamma at the lowest multiplier
-        self.runs_counted = hi = _RESTARTS if cut and lo and engine.tc <= gamma else lam.size
-        lam = lam[lo:hi]
-        runs = engine.descend(q0[lo:hi], lam, gamma if cut else None)
-        if cut and lam.size:
-            # lam ascends, so the runs up to the first multiplier that met the budget are a prefix
-            n = int(np.searchsorted(lam, lam[runs[2] <= gamma].min(initial=np.inf), side="right"))
-            runs, lam = [a[:n] for a in runs], lam[:n]
-            self.runs_counted = lo + n
-        q, obj, relax, iters, converged = runs
+        # runs below lo are not descended: entry 0 minimises F_lam at lam <= 1/(M - 1),
+        # and when TC <= gamma it meets gamma there
+        line = 1.0 / (engine.n_src - 1)
+        lo = lam.size if engine.tc <= gamma else int(np.searchsorted(lam, line, side="right"))
+        lam = lam[lo:]
+        runs = engine.descend(q0[lo:], lam, gamma)
+        # lam ascends, so the runs up to the first multiplier that met gamma are a prefix
+        n = int(np.searchsorted(lam, lam[runs[2] <= gamma].min(initial=np.inf), side="right"))
+        (q, obj, relax, iters, converged), lam = [a[:n] for a in runs], lam[:n]
         trivial = np.full((1, engine.card_w) + pmf.shape, 1.0 / engine.card_w)
         entries = [(trivial, [0.0], [engine.tc], [0.0], [0], [True]),
                    (q, obj, relax, lam, iters, converged)]
         best = float(relax.min(initial=engine.tc))  # the cloud's smallest relaxation
         if best > gamma + _SLACK:
-            entries.append(self._fallback(gamma, best))
+            entries.append(self._fallback(gamma, best, n))
         self.q, self.obj, self.relax, self.lam, self.iters, self.converged = (
             np.concatenate(field) for field in zip(*entries)
         )
         if converged.size and not converged.any():
             raise NoConvergence(f"no descent run met tol={_TOL:g} within {_MAX_ITER} iterations")
 
-    def _fallback(self, gamma, best):
+    def _fallback(self, gamma, best, runs):
         """The entry W = every source but the one with the largest alphabet (the first on a tie).
 
         Given W, the sources are deterministic but one, so the relaxation is
         exactly 0 and the objective is H(X_-m). Alphabets are those of the
-        reduced table. Raises Infeasible when card_w is below that W's
-        alphabet.
+        reduced table. Raises Infeasible, naming the `runs` descended, when
+        card_w is below that W's alphabet.
         """
         engine = self.engine
         m = int(np.argmax(engine.cards))
@@ -605,7 +596,7 @@ class _Sweep:
                     "best_achieved_gamma": best,
                     "card_w": engine.card_w,
                     "card_w_needed": needed,
-                    "runs_executed": self.runs_counted,
+                    "runs_executed": runs,
                 },
             )
         w = np.ravel_multi_index(np.delete(np.indices(engine.cards), m, axis=0), rest)
@@ -629,14 +620,11 @@ class _Sweep:
     def lift(self, q):
         """A cloud entry's coupling on the given table: q(w|x) = q'(w|class(x)).
 
-        Zero rows pad it up to the requested card_w, and each zero-mass
-        symbol's cells get the fixed slice w = 0.
+        Zero rows pad it up to the requested card_w. A zero-mass symbol's
+        cells take class 0's slices, which no functional reads.
         """
         out = np.zeros((self.card_w,) + self.cards)
         out[:len(q)] = q[(slice(None),) + np.ix_(*(np.maximum(c, 0) for c in self.classes))]
-        w0 = (np.arange(self.card_w) == 0).reshape((-1,) + (1,) * len(self.cards))
-        for i, c in enumerate(self.classes):
-            out[(slice(None),) * (i + 1) + (c < 0,)] = w0
         return out
 
 
@@ -649,21 +637,21 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
     C at achieved_gamma, that one run's relaxation, <= gamma + _SLACK
     (5e-3). The grid sweep stops at the first multiplier that holds a run
     with relaxation <= gamma: the runs at higher multipliers never enter
-    the run cloud that select scores. When no run meets gamma + slack, the
-    answer is the relaxation-0 coupling W = every source but the one with
-    the largest alphabet, whose objective is that W's entropy. The sweep
-    runs on the reduced table (_reduce), with card_w clamped to its cells
-    + 1, and the coupling is lifted back: q(w|x) = q'(w|class(x)), padded
-    with zero rows to the requested card_w (default: the given table's
-    cells + 1), each zero-mass symbol's cells at w = 0. Raises TooLarge
-    when the joint has more than MAX_STATES cells, Infeasible when that
-    coupling is needed but card_w is below its alphabet, NoConvergence
+    the run cloud that select scores, and restarts_used counts the descent
+    runs that do. When no run meets gamma + slack, the answer is the
+    relaxation-0 coupling W = every source but the one with the largest
+    alphabet, whose objective is that W's entropy. The sweep runs on the
+    reduced table (_reduce), with card_w clamped to its cells + 1, and the
+    coupling is lifted back: q(w|x) = q'(w|class(x)), padded with zero rows
+    to the requested card_w (default: the given table's cells + 1). Raises
+    TooLarge when the joint has more than MAX_STATES cells, Infeasible when
+    that coupling is needed but card_w is below its alphabet, NoConvergence
     when runs were descended and none converged, and ValueError for a
     negative or non-finite gamma or an option out of range.
     """
     opts = opts or SolverOptions()
     gamma = _check_budget(gamma)
-    sweep = _Sweep(joint, opts, gamma, cut=True)
+    sweep = _Sweep(joint, opts, gamma)
     i = sweep.select(gamma)
     coupling = build_coupling(sweep.lift(sweep.q[i]), joint)
     report = SolveReport(
@@ -671,7 +659,7 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
         objective=InfoValue(max(float(sweep.obj[i]), 0.0)),
         lam=float(sweep.lam[i]),
         iterations=int(sweep.iters[i]),
-        restarts_used=sweep.runs_counted,
+        restarts_used=int(np.count_nonzero(sweep.lam)),
         converged=bool(sweep.converged[i]),
     )
     return coupling, report
@@ -711,7 +699,8 @@ def _lower_convex_envelope(points):
 def ci_curve_discrete(joint: DiscreteJoint, grid, opts: SolverOptions | None = None):
     """Upper-bound C_gamma curve over a gamma grid.
 
-    One multiplier sweep, built for grid[0], serves the whole grid; the
+    One multiplier sweep, the one a point solve at grid[0] builds (cut at
+    the first multiplier that meets grid[0]), serves the whole grid; the
     reported upper bound at each grid point is the lower convex envelope of
     all achieved (I(X;Y|W), I(X,Y;W)) sweep points, the relaxation-0
     fallback coupling among them when no run meets grid[0] + slack (valid

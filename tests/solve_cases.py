@@ -35,7 +35,10 @@ the bench 2x2x2 at gamma 0 and 0.05, and quantized Gaussians (rho in
 quantized Gaussians use solver seed 0, the rest seed 7. Curve cases: DSBS(0.1) over
 the benchmark's grid, 9 points from 0 to 0.36, and the bench 4x4 over
 [0, 0.05, 0.1, 0.2], both with solver seed 7, and the quantized Gaussian
-(0.5, 4) over the same four points with solver seed 0.
+(0.5, 4) over the same four points with solver seed 0. Two more curves
+start above 0, so their sweeps stop at the first multiplier that meets
+grid[0]: the bench 4x4 over [0.05, 0.1, 0.2] with seed 7 and the random
+6x6 over [0.02, 0.05, 0.1] with seed 0.
 """
 
 import argparse
@@ -104,6 +107,8 @@ def curve_cases():
         ("dsbs 0.1 curve", dsbs_joint(0.1).pmf, np.linspace(0.0, 0.36, 9), 7, None),
         ("bench 4x4 curve", dirichlet(2, (4, 4), 0.5), grid, 7, None),
         ("quantized gaussian (0.5, 4) curve", quantized_gaussian(0.5, 4), grid, 0, 0.5),
+        ("bench 4x4 curve from 0.05", dirichlet(2, (4, 4), 0.5), grid[1:], 7, None),
+        ("random 6x6 curve from 0.02", dirichlet(0, (6, 6), 0.5), [0.02, 0.05, 0.1], 0, None),
     ]
 
 

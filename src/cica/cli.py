@@ -124,19 +124,18 @@ def _encode_array(x, level):
     """Pieces of a non-empty numeric array's ``indent=2`` text, one per block of outer rows.
 
     json's indented encoder is pure Python, so each block is encoded flat by
-    its C encoder in one call and then split and nested; the text of the
-    whole array is never held at once.
+    its C encoder in one call, split, and poured into the text of its rows
+    with one str.format call; the text of the whole array is never held at
+    once. An outer row's layout is built once, with "{}" for each element:
+    json's tokens are numbers, true/false, NaN or Infinity, never braces.
     """
     pad = "\n" + "  " * (level + 1)
+    row = _nest(["{}"] * (x.size // x.shape[0]), x.shape[1:], level + 1) if x.ndim > 1 else "{}"
     opening = "["
     for start in range(0, x.shape[0], _REPORT_BLOCK_ROWS):
         block = x[start : start + _REPORT_BLOCK_ROWS]
         items = json.dumps(block.ravel().tolist())[1:-1].split(", ")
-        if x.ndim > 1:
-            step = len(items) // block.shape[0]
-            items = [_nest(items[i : i + step], x.shape[1:], level + 1)
-                     for i in range(0, len(items), step)]
-        yield opening + pad + ("," + pad).join(items)
+        yield opening + pad + ("," + pad).join([row] * len(block)).format(*items)
         opening = ","
     yield "\n" + "  " * level + "]"
 

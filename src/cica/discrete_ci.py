@@ -246,10 +246,11 @@ class _Engine:
     gradient are (W, runs, cells), and the packed marginal logs are
     (W, runs, 1 + sum_i c_i). A max or sum over W is then one reduction
     over the leading axis along contiguous runs x cells rows, and a per-run
-    scale (the step, the multiplier, p(c), the p_i weights) is one vector
-    tiled over those rows. Besides q0 and the output, a descent holds about
-    six arrays of q's size at once: q, its log and its gradient, a
-    candidate with its log, and one scratch product.
+    scale (the step, the multiplier) or a per-cell one (p(c), the p_i
+    weights) broadcasts over those rows without a copy. Besides q0 and the
+    output, a descent holds about six arrays of q's size at once: q, its
+    log and its gradient, a candidate with its log, and one scratch
+    product.
 
     Every source symbol of the table must have positive mass; the sweep
     drops zero-mass symbols before it builds an engine.
@@ -279,16 +280,7 @@ class _Engine:
         self.S[np.arange(pmf.size)[:, None], self.starts[1:] + cells] = 1.0
         # per column of S: the p_i weight, 1 for q(w); every p_i is positive
         self.p_wt = np.concatenate([[1.0]] + source_marginals(pmf))
-        self.pmf_w = np.tile(pmf.ravel(), card_w)  # p(c) for each (w, cell) of a run
-        self._runs = 0  # runs covered by the tiles below
-
-    def _tiles(self, runs):
-        """p(c) and the p_i weights repeated for `runs` runs."""
-        if runs > self._runs:
-            self._runs = runs
-            self._pmf_t = np.tile(self.pmf.ravel(), runs)
-            self._wt_t = np.tile(self.p_wt, runs)
-        return self._pmf_t[: runs * self.n_cells], self._wt_t[: runs * self.p_wt.size]
+        self.p_c = pmf.ravel()  # p(c) of each cell
 
     # -- functionals ---------------------------------------------------
 
@@ -299,15 +291,13 @@ class _Engine:
         it. logs is (W, R, 1 + sum_i c_i): log q(w), then every log q(w|x_i).
         """
         W, R, C = q.shape
-        pmf_t, wt_t = self._tiles(R)
-        joint_w = np.multiply(q.reshape(W, -1), pmf_t).reshape(W, R, C)
+        joint_w = q * self.p_c
         marg = np.empty((W, R, self.p_wt.size))
         np.matmul(joint_w.transpose(1, 0, 2), self.S, out=marg.transpose(1, 0, 2))
-        flat = marg.reshape(W, -1)
-        np.divide(flat, wt_t, out=flat)
+        marg /= self.p_wt
         logs = _safe_log(marg)
         plogp = np.multiply(marg, logs, out=marg)
-        np.multiply(flat, wt_t, out=flat)
+        plogp *= self.p_wt
         if lq is None:
             lq = _safe_log(q)
         F = np.empty((R, 2 + self.n_src))
@@ -315,8 +305,8 @@ class _Engine:
         # buffer, which the product above no longer needs
         block = joint_w.reshape(R, W, C)
         np.multiply(q.transpose(1, 0, 2), lq.transpose(1, 0, 2), out=block)
-        block = block.reshape(R, -1)
-        F[:, 0] = np.multiply(block, self.pmf_w, out=block).sum(axis=1)
+        block *= self.p_c
+        F[:, 0] = block.reshape(R, -1).sum(axis=1)
         F[:, 1:] = np.add.reduceat(plogp.sum(axis=0), self.starts, axis=1)
         return lq, logs, F
 
@@ -340,28 +330,24 @@ class _Engine:
         q there, which no functional reads.
         """
         lq, logs, _ = parts
-        W, R, C = lq.shape
-        lam_t = np.repeat(lam, C)
-        g = np.multiply(1.0 + lam_t, lq.reshape(W, -1)).reshape(W, R, C)
+        g = (1.0 + lam[:, None]) * lq
         g += (logs[..., 0] * ((self.n_src - 1) * lam - 1.0))[..., None]
         scatter = np.empty_like(g)
         np.matmul(
             logs[..., 1:].transpose(1, 0, 2), self.S[:, 1:].T, out=scatter.transpose(1, 0, 2)
         )
-        flat = scatter.reshape(W, -1)
-        np.multiply(flat, lam_t, out=flat)
+        scatter *= lam[:, None]
         g -= scatter
         return g
 
     def _step(self, lq, g, eta):
-        W = lq.shape[0]
-        z = np.multiply(np.repeat(eta, self.n_cells), g.reshape(W, -1))
-        np.subtract(lq.reshape(W, -1), z, out=z)
+        z = eta[:, None] * g
+        np.subtract(lq, z, out=z)
         z -= z.max(axis=0)
         np.exp(z, out=z)
         np.maximum(z, _PROB_FLOOR, out=z)
         z /= z.sum(axis=0)
-        return z.reshape(lq.shape)
+        return z
 
     # -- descent -------------------------------------------------------
 
@@ -380,9 +366,10 @@ class _Engine:
         that holds, which is the step that halving one rung per round would
         accept. With a budget, a run that freezes with relax <= budget at
         multiplier lam_c cuts every live run with lam > lam_c: it leaves
-        the batch unconverged, at its current iterate. q0 is (runs, W,
-        *cards). Returns per-run arrays (q, obj, relax, iters, converged),
-        with q in q0's layout.
+        the batch unconverged, at its current iterate. A run still live at
+        _MAX_ITER leaves through the same write-out, with converged False
+        and _MAX_ITER iterations. q0 is (runs, W, *cards). Returns per-run
+        arrays (q, obj, relax, iters, converged), with q in q0's layout.
         """
         R, W, C = len(q0), self.card_w, self.n_cells
         q = np.array(np.asarray(q0, dtype=float).reshape(R, W, C).transpose(1, 0, 2), order="C")
@@ -390,7 +377,7 @@ class _Engine:
         q_out = np.empty((R, W, C))
         obj_out = np.empty(R)
         relax_out = np.empty(R)
-        iters = np.full(R, _MAX_ITER)
+        iters = np.empty(R, dtype=int)
         converged = np.zeros(R, dtype=bool)
         if R == 0:
             return q_out.reshape((R, W) + self.cards), obj_out, relax_out, iters, converged
@@ -410,11 +397,9 @@ class _Engine:
             good = self._lagrangian(cand_parts, lam) <= G + 1e-12
             if good.all():
                 q, parts = cand, cand_parts
-            else:  # one masked copy per array
-                for dst, src in zip((q,) + parts[:2], (cand,) + cand_parts[:2]):
-                    mask = np.repeat(good, src.shape[2])
-                    np.copyto(dst.reshape(W, -1), src.reshape(W, -1), where=mask)
-                np.copyto(parts[2], cand_parts[2], where=good[:, None])
+            else:  # the run axis is next to last in q, log q, logs and F
+                for dst, src in zip((q,) + parts, (cand,) + cand_parts):
+                    np.copyto(dst, src, where=good[:, None])
             pending = np.flatnonzero(~good)
             eta[pending] *= 0.5
             stuck = np.zeros(live.size, dtype=bool)
@@ -452,6 +437,7 @@ class _Engine:
             rel = (G - G_new) / np.maximum(np.abs(G), 1.0)
             met_tol = rel < _TOL
             done = stuck | met_tol
+            done |= it + 1 == _MAX_ITER  # capped runs leave through the same write-out
             G = G_new
             if done.any():
                 if budget is not None:
@@ -468,8 +454,6 @@ class _Engine:
                 q, lq, logs = (a.compress(keep, axis=1) for a in (q,) + parts[:2])
                 parts = (lq, logs, parts[2][keep])
             eta = np.minimum(eta * _ETA_GROWTH, _ETA_MAX)
-        q_out[live] = q.transpose(1, 0, 2)
-        obj_out[live], relax_out[live] = self._objective_relax(parts[2])
         return q_out.reshape((R, W) + self.cards), obj_out, relax_out, iters, converged
 
 

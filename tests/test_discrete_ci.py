@@ -609,7 +609,7 @@ ENGINE_ROW_CASES = {
     "toy-w17": (toy_binary_example(0.1).pmf, 17),
     "multi222": (MULTI_PMF, None),
     "off-support-cell": (np.array([[0.5, 0.0], [0.2, 0.3]]), None),
-    # the per-run scales tiled over runs x cells, for M = 4 at the default
+    # the per-run and per-cell scales broadcast over runs x cells, for M = 4 at the default
     # card_w 17 and a non-square pair
     "2x2x2x2": (np.random.default_rng(4).dirichlet(np.ones(16)).reshape(2, 2, 2, 2), None),
     "2x5-w3": (np.random.default_rng(5).dirichlet(np.ones(10)).reshape(2, 5), 3),
@@ -623,13 +623,17 @@ def assert_same_bits(a, b, name):
 
 @pytest.mark.parametrize("case", ENGINE_ROW_CASES)
 def test_engine_rows_independent_of_batch(case):
-    # a run's functionals and gradient are the same bits alone, in any
-    # sub-batch and in the full batch, so compaction cannot move a run
+    # a run's functionals, gradient, step and Lagrangian are the same bits
+    # alone, in any sub-batch and in the full batch, so compaction cannot
+    # move a run
     pmf, card_w = ENGINE_ROW_CASES[case]
     engine, q0, lam = grid_batch(validate_discrete(pmf), SolverOptions(seed=5, card_w=card_w))
     q = latent_major(q0)
+    eta = np.random.default_rng(1).uniform(1e-6, 4.0, lam.size)
     full = engine._parts(q)
     g_full = engine._gradient(full, lam)
+    step_full = engine._step(full[0], g_full, eta)
+    G_full = engine._lagrangian(full, lam)
     rng = np.random.default_rng(0)
     batches = [np.array([r]) for r in range(lam.size)] + [
         np.sort(rng.choice(lam.size, size=k, replace=False)) for k in (2, 3, 7, 31, 64, 127)
@@ -641,6 +645,9 @@ def test_engine_rows_independent_of_batch(case):
             assert_same_bits(got, want.take(rows, axis=axis), name)
         g = engine._gradient(parts, lam[rows])
         assert_same_bits(g, g_full.take(rows, axis=1), "gradient")
+        step = engine._step(parts[0], g, eta[rows])
+        assert_same_bits(step, step_full.take(rows, axis=1), "step")
+        assert_same_bits(engine._lagrangian(parts, lam[rows]), G_full[rows], "Lagrangian")
 
 
 @pytest.mark.parametrize("case", ENGINE_ROW_CASES)

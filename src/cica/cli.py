@@ -282,11 +282,7 @@ def cmd_gaussian_cica(args, parser) -> int:
 
 
 def _solver_options(args) -> SolverOptions:
-    kwargs = dict(seed=args.seed)
-    for name in ("card_w", "threads"):
-        if getattr(args, name) is not None:
-            kwargs[name] = getattr(args, name)
-    return SolverOptions(**kwargs)
+    return SolverOptions(card_w=args.card_w, seed=args.seed, threads=args.threads)
 
 
 def cmd_discrete_cica(args, parser) -> int:
@@ -378,7 +374,7 @@ def _add_solver_flags(p):
     p.add_argument(
         "--threads",
         type=int,
-        default=None,
+        default=1,
         help="accepted for compatibility and must be >= 1; every solve runs as one batch",
     )
 

@@ -46,8 +46,8 @@ _ETA_MAX = 1e6
 _ETA_FLOOR = 1e-12
 # the multiplier grid: _N_LAMBDA values spanning [_LAMBDA_MIN, _LAMBDA_GRID_MAX],
 # each with _RESTARTS random starts; with card_w <= cells + 1 and cells <=
-# MAX_STATES, a backtracking round holds at most 2 rungs * 128 runs * 65 * 64
-# = 1,064,960 float64 entries per array
+# MAX_STATES, a descent round holds at most 128 runs * 65 * 64 = 532,480
+# float64 entries (4.1 MiB) per array
 _LAMBDA_MIN = 0.05
 _LAMBDA_GRID_MAX = 50.0
 _N_LAMBDA = 16
@@ -354,22 +354,23 @@ class _Engine:
     def descend(self, q0, lam, budget=None):
         """Run batched descent to convergence or the iteration cap.
 
-        Backtracking halves a run's step size until its Lagrangian does not
-        increase; a run freezes when the relative decrease drops below
-        _TOL (converged), or stuck when no step down to _ETA_FLOOR
-        descends (not converged). A frozen run's results are written out and
-        its rows leave the batch, so the cost follows the live runs. The
-        first backtracking round of an iteration tries every live run at its
-        step eta; each later round stacks, for every run whose step is not
-        yet accepted, the rungs eta and eta/2 (the second only while
-        eta/2 >= _ETA_FLOOR) into one evaluation and takes the first rung
-        that holds, which is the step that halving one rung per round would
-        accept. With a budget, a run that freezes with relax <= budget at
-        multiplier lam_c cuts every live run with lam > lam_c: it leaves
-        the batch unconverged, at its current iterate. A run still live at
-        _MAX_ITER leaves through the same write-out, with converged False
-        and _MAX_ITER iterations. q0 is (runs, W, *cards). Returns per-run
-        arrays (q, obj, relax, iters, converged), with q in q0's layout.
+        Each round evaluates every live run once: one step at its own step
+        size eta from the gradient at its iterate. A run whose Lagrangian
+        does not increase takes the step and doubles eta (up to _ETA_MAX);
+        any other run keeps its iterate and halves eta, so it retries at the
+        next round with the step that Armijo halving tries next. A run
+        freezes when an accepted step's relative decrease drops below _TOL
+        (converged), or stuck once eta < _ETA_FLOOR (not converged). A run's
+        iterations are its accepted steps, plus one for the step that got it
+        stuck. A frozen run's results are written out and its rows leave
+        the batch, so the cost follows the live runs. With a budget, a run
+        that freezes with relax <= budget at multiplier lam_c cuts every
+        live run with lam > lam_c: it leaves the batch unconverged, at its
+        current iterate, which is not part of any answer. A run that reaches
+        _MAX_ITER iterations leaves through the same write-out, converged
+        only if that last step met _TOL. q0 is (runs, W, *cards). Returns
+        per-run arrays (q, obj, relax, iters, converged), with q in q0's
+        layout.
         """
         R, W, C = len(q0), self.card_w, self.n_cells
         q = np.array(np.asarray(q0, dtype=float).reshape(R, W, C).transpose(1, 0, 2), order="C")
@@ -383,16 +384,12 @@ class _Engine:
             return q_out.reshape((R, W) + self.cards), obj_out, relax_out, iters, converged
         live = np.arange(R)  # output index of each batch row
         eta = np.full(R, _ETA_INIT)
+        steps = np.zeros(R, dtype=int)  # accepted steps of each batch row
         parts = self._parts(q)
         G = self._lagrangian(parts, lam)
-        for it in range(_MAX_ITER):
-            if live.size == 0:
-                break
-            lq = parts[0]
-            g = self._gradient(parts, lam)
-            # round 1: every live run at its own step; each entry of a step is
-            # at least _PROB_FLOOR / W, so its log needs no floor
-            cand = self._step(lq, g, eta)
+        while live.size:
+            # each entry of a step is at least _PROB_FLOOR / W, so its log needs no floor
+            cand = self._step(parts[0], self._gradient(parts, lam), eta)
             cand_parts = self._parts(cand, np.log(cand))
             good = self._lagrangian(cand_parts, lam) <= G + 1e-12
             if good.all():
@@ -400,45 +397,15 @@ class _Engine:
             else:  # the run axis is next to last in q, log q, logs and F
                 for dst, src in zip((q,) + parts, (cand,) + cand_parts):
                     np.copyto(dst, src, where=good[:, None])
-            pending = np.flatnonzero(~good)
-            eta[pending] *= 0.5
-            stuck = np.zeros(live.size, dtype=bool)
-            stuck[pending] = eta[pending] < _ETA_FLOOR
-            pending = pending[~stuck[pending]]
-            # later rounds: the rungs eta and eta/2, the second while above the floor
-            while pending.size:
-                n = pending.size
-                two = eta[pending] * 0.5 >= _ETA_FLOOR
-                rows = np.concatenate([pending, pending[two]])
-                steps = np.concatenate([eta[pending], eta[pending[two]] * 0.5])
-                cand = self._step(lq.take(rows, axis=1), g.take(rows, axis=1), steps)
-                cand_parts = self._parts(cand, np.log(cand))
-                good = self._lagrangian(cand_parts, lam[rows]) <= G[rows] + 1e-12
-                fail = ~good[:n]
-                # a run takes its first rung that holds
-                good[n:] &= fail[two]
-                fail[two] &= ~good[n:]
-                # an accepted run's rows take the candidate; stuck runs keep theirs
-                sel = np.flatnonzero(good)
-                acc = rows[sel]
-                for dst, src in zip((q,) + parts[:2], (cand,) + cand_parts[:2]):
-                    dst[:, acc] = src.take(sel, axis=1)
-                parts[2][acc] = cand_parts[2][sel]
-                eta[acc] = steps[sel]
-                # a run that failed every rung halves once per rung it tried
-                pending = pending[fail]
-                eta[pending] *= 0.5
-                eta[pending[two[fail]]] *= 0.5
-                stuck[pending] = eta[pending] < _ETA_FLOOR
-                pending = pending[~stuck[pending]]
             G_new = self._lagrangian(parts, lam)
             if not np.all(G_new <= G + 1e-9):
                 raise NoConvergence("Lagrangian increased within a run")
-            rel = (G - G_new) / np.maximum(np.abs(G), 1.0)
-            met_tol = rel < _TOL
-            done = stuck | met_tol
-            done |= it + 1 == _MAX_ITER  # capped runs leave through the same write-out
+            met_tol = good & ((G - G_new) / np.maximum(np.abs(G), 1.0) < _TOL)
             G = G_new
+            steps += good
+            eta = np.where(good, np.minimum(eta * _ETA_GROWTH, _ETA_MAX), eta * 0.5)
+            stuck = eta < _ETA_FLOOR
+            done = stuck | met_tol | (steps == _MAX_ITER)
             if done.any():
                 if budget is not None:
                     met = self._objective_relax(parts[2][done])[1] <= budget
@@ -446,14 +413,13 @@ class _Engine:
                 out = live[done]
                 q_out[out] = q[:, done].transpose(1, 0, 2)
                 obj_out[out], relax_out[out] = self._objective_relax(parts[2][done])
-                iters[out] = it + 1
-                converged[out] = (met_tol & ~stuck)[done]
+                iters[out] = (steps + stuck)[done]
+                converged[out] = met_tol[done]
                 keep = ~done
                 # compress, not a[:, keep]: numpy lays that result out run-major
-                live, G, eta, lam = live[keep], G[keep], eta[keep], lam[keep]
+                live, G, eta, lam, steps = (a[keep] for a in (live, G, eta, lam, steps))
                 q, lq, logs = (a.compress(keep, axis=1) for a in (q,) + parts[:2])
                 parts = (lq, logs, parts[2][keep])
-            eta = np.minimum(eta * _ETA_GROWTH, _ETA_MAX)
         return q_out.reshape((R, W) + self.cards), obj_out, relax_out, iters, converged
 
 

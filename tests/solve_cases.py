@@ -9,7 +9,8 @@ Each point case is one ``solve_relaxed_wyner`` call on a fixed table, budget,
 latent alphabet and solver seed. Per case the JSON holds the objective and
 the achieved gamma as float hex, lam, iterations, restarts_used,
 converged, the sha256 of the returned coupling's bytes, the descent runs
-that the engine's ``_parts`` evaluated, and seconds. ``bracket_gap`` is
+that the engine's ``_parts`` evaluated (``parts_rows``) over its calls
+(``parts_calls``), and seconds. ``bracket_gap`` is
 the objective less the lower bound max(TC - gamma, 0) / (M - 1), and for
 the quantized Gaussians ``ceiling_gap`` is the objective less the Gaussian
 pair's C_gamma, ``waterfill([rho], gamma).c_gamma``, which no discrete
@@ -17,7 +18,7 @@ value may exceed; a positive ceiling gap is a certified loose bound. The
 run count is q.size // (card_w * cells), which holds in any array layout.
 Each curve case is one ``ci_curve_discrete`` call on a fixed table, grid
 and solver seed. Its JSON holds the rows (gamma, upper bound, achieved
-gamma), each entry as float hex, the ``_parts`` runs and seconds, and for
+gamma), each entry as float hex, the ``_parts`` runs and calls and seconds, and for
 the quantized Gaussian ``ceiling_gap``, the largest upper bound less the
 Gaussian C_gamma over the rows. The achieved column is the abscissa at
 which the envelope reaches the bound: gamma itself between the hull's left
@@ -113,7 +114,7 @@ def curve_cases():
 
 
 def counted(call):
-    """(call(), descent runs that the engine's _parts evaluated, seconds)."""
+    """(call(), descent runs that the engine's _parts evaluated, _parts calls, seconds)."""
     rows = []
     parts = discrete_ci._Engine._parts
 
@@ -128,13 +129,13 @@ def counted(call):
         seconds = time.perf_counter() - start
     finally:
         discrete_ci._Engine._parts = parts
-    return out, sum(rows), seconds
+    return out, sum(rows), len(rows), seconds
 
 
 def run_case(pmf, gamma, card_w, seed, ceiling=None):
     joint = validate_discrete(pmf)
     opts = SolverOptions(seed=seed, card_w=card_w)
-    (coupling, rep), runs, seconds = counted(lambda: solve_relaxed_wyner(joint, gamma, opts))
+    (coupling, rep), runs, calls, seconds = counted(lambda: solve_relaxed_wyner(joint, gamma, opts))
     objective = float(rep.objective)
     lower = max(float(total_correlation(joint)) - gamma, 0.0) / (pmf.ndim - 1)
     out = {
@@ -146,6 +147,7 @@ def run_case(pmf, gamma, card_w, seed, ceiling=None):
         "converged": rep.converged,
         "coupling_sha256": hashlib.sha256(coupling.q_w_given_xy.tobytes()).hexdigest(),
         "parts_rows": runs,
+        "parts_calls": calls,
         "bracket_gap": objective - lower,
         "seconds": seconds,
     }
@@ -156,10 +158,12 @@ def run_case(pmf, gamma, card_w, seed, ceiling=None):
 
 def run_curve(pmf, grid, seed, rho=None):
     joint = validate_discrete(pmf)
-    rows, runs, seconds = counted(lambda: ci_curve_discrete(joint, grid, SolverOptions(seed=seed)))
+    rows, runs, calls, seconds = counted(
+        lambda: ci_curve_discrete(joint, grid, SolverOptions(seed=seed)))
     out = {
         "rows": [[float(v).hex() for v in row] for row in rows],
         "parts_rows": runs,
+        "parts_calls": calls,
         "seconds": seconds,
     }
     if rho is not None:

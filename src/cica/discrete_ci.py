@@ -363,18 +363,18 @@ class _Engine:
         (converged), or stuck once eta < _ETA_FLOOR (not converged). A run's
         iterations are its accepted steps, plus one for the step that got it
         stuck. A frozen run's results are written out and its rows leave
-        the batch, so the cost follows the live runs. With a budget, a run
-        that freezes with relax <= budget at multiplier lam_c cuts every
-        live run with lam > lam_c: it leaves the batch unconverged, at its
-        current iterate, which is not part of any answer. A run that reaches
+        the batch, so the cost follows the live runs. A run that reaches
         _MAX_ITER iterations leaves through the same write-out, converged
-        only if that last step met _TOL. q0 is (runs, W, *cards). Returns
-        per-run arrays (q, obj, relax, iters, converged), with q in q0's
-        layout.
+        only if that last step met _TOL. With a budget, lam must ascend:
+        the cut is the lowest multiplier with a run frozen at relax <=
+        budget, every live run above it leaves the batch unfinished, and
+        only the runs with lam <= cut, a prefix, are returned. q0 is (runs,
+        W, *cards). Returns per-run arrays (q, obj, relax, iters,
+        converged), with q in q0's layout.
         """
         R, W, C = len(q0), self.card_w, self.n_cells
         q = np.array(np.asarray(q0, dtype=float).reshape(R, W, C).transpose(1, 0, 2), order="C")
-        lam = np.asarray(lam, dtype=float)
+        lam = lam_in = np.asarray(lam, dtype=float)
         q_out = np.empty((R, W, C))
         obj_out = np.empty(R)
         relax_out = np.empty(R)
@@ -382,6 +382,7 @@ class _Engine:
         converged = np.zeros(R, dtype=bool)
         if R == 0:
             return q_out.reshape((R, W) + self.cards), obj_out, relax_out, iters, converged
+        cut = np.inf  # no live run is above it
         live = np.arange(R)  # output index of each batch row
         eta = np.full(R, _ETA_INIT)
         steps = np.zeros(R, dtype=int)  # accepted steps of each batch row
@@ -392,11 +393,9 @@ class _Engine:
             cand = self._step(parts[0], self._gradient(parts, lam), eta)
             cand_parts = self._parts(cand, np.log(cand))
             good = self._lagrangian(cand_parts, lam) <= G + 1e-12
-            if good.all():
-                q, parts = cand, cand_parts
-            else:  # the run axis is next to last in q, log q, logs and F
-                for dst, src in zip((q,) + parts, (cand,) + cand_parts):
-                    np.copyto(dst, src, where=good[:, None])
+            # the run axis is next to last in q, log q, logs and F
+            for dst, src in zip((q,) + parts, (cand,) + cand_parts):
+                np.copyto(dst, src, where=good[:, None])
             G_new = self._lagrangian(parts, lam)
             if not np.all(G_new <= G + 1e-9):
                 raise NoConvergence("Lagrangian increased within a run")
@@ -407,20 +406,21 @@ class _Engine:
             stuck = eta < _ETA_FLOOR
             done = stuck | met_tol | (steps == _MAX_ITER)
             if done.any():
-                if budget is not None:
-                    met = self._objective_relax(parts[2][done])[1] <= budget
-                    done |= lam > lam[done][met].min(initial=np.inf)
                 out = live[done]
                 q_out[out] = q[:, done].transpose(1, 0, 2)
                 obj_out[out], relax_out[out] = self._objective_relax(parts[2][done])
                 iters[out] = (steps + stuck)[done]
                 converged[out] = met_tol[done]
-                keep = ~done
+                if budget is not None:
+                    cut = lam[done][relax_out[out] <= budget].min(initial=cut)
+                keep = ~done & (lam <= cut)
                 # compress, not a[:, keep]: numpy lays that result out run-major
                 live, G, eta, lam, steps = (a[keep] for a in (live, G, eta, lam, steps))
                 q, lq, logs = (a.compress(keep, axis=1) for a in (q,) + parts[:2])
                 parts = (lq, logs, parts[2][keep])
-        return q_out.reshape((R, W) + self.cards), obj_out, relax_out, iters, converged
+        n = int(np.count_nonzero(lam_in <= cut))
+        outs = q_out.reshape((R, W) + self.cards), obj_out, relax_out, iters, converged
+        return tuple(a[:n] for a in outs)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +480,16 @@ class _Sweep:
     flag. Entry 0 is the trivial coupling (W independent of the sources);
     the descent runs follow, each multiplier's restarts in order. Runs at
     lam <= 1/(M - 1) are not descended, since entry 0 minimises their
-    Lagrangian, and the cloud does not hold them. The cloud keeps the runs
-    up to the lowest multiplier that holds a run with relax <= gamma, where
-    the descent, given gamma as its budget, cuts the higher ones; entry 0
-    meets gamma at the skipped multipliers when TC <= gamma, and then
-    nothing is descended. The cloud is complete when built: it serves a
-    point solve at gamma and a curve from gamma alike. When no entry has
-    relax <= gamma + _SLACK (feasible) the cloud ends with the relaxation-0
-    fallback coupling. Raises Infeasible when that coupling does not fit
-    card_w, then NoConvergence when runs were descended and none converged.
+    Lagrangian, and the cloud does not hold them. The descent, given the
+    ascending multipliers and gamma as its budget, returns exactly the runs
+    up to the lowest multiplier that holds a run with relax <= gamma, and
+    they are the cloud's descended runs; entry 0 meets gamma at the skipped
+    multipliers when TC <= gamma, and then nothing is descended. The cloud
+    is complete when built: it serves a point solve at gamma and a curve
+    from gamma alike. When no entry has relax <= gamma + _SLACK (feasible)
+    the cloud ends with the relaxation-0 fallback coupling. Raises
+    Infeasible when that coupling does not fit card_w, then NoConvergence
+    when runs were descended and none converged.
     """
 
     def __init__(self, joint: DiscreteJoint, opts: SolverOptions, gamma: float):
@@ -506,17 +507,14 @@ class _Sweep:
         # and when TC <= gamma it meets gamma there
         line = 1.0 / (engine.n_src - 1)
         lo = lam.size if engine.tc <= gamma else int(np.searchsorted(lam, line, side="right"))
-        lam = lam[lo:]
-        runs = engine.descend(q0[lo:], lam, gamma)
-        # lam ascends, so the runs up to the first multiplier that met gamma are a prefix
-        n = int(np.searchsorted(lam, lam[runs[2] <= gamma].min(initial=np.inf), side="right"))
-        (q, obj, relax, iters, converged), lam = [a[:n] for a in runs], lam[:n]
+        q, obj, relax, iters, converged = engine.descend(q0[lo:], lam[lo:], gamma)
+        lam = lam[lo:lo + obj.size]
         trivial = np.full((1, engine.card_w) + pmf.shape, 1.0 / engine.card_w)
         entries = [(trivial, [0.0], [engine.tc], [0.0], [0], [True]),
                    (q, obj, relax, lam, iters, converged)]
         best = float(relax.min(initial=engine.tc))  # the cloud's smallest relaxation
         if best > gamma + _SLACK:
-            entries.append(self._fallback(gamma, best, n))
+            entries.append(self._fallback(gamma, best, obj.size))
         self.q, self.obj, self.relax, self.lam, self.iters, self.converged = (
             np.concatenate(field) for field in zip(*entries)
         )
@@ -586,18 +584,19 @@ def solve_relaxed_wyner(joint: DiscreteJoint, gamma: float, opts: SolverOptions 
     objective is I(X_1..X_M;W) of the returned coupling, an upper bound on
     C at achieved_gamma, that one run's relaxation, <= gamma + _SLACK
     (5e-3). The grid sweep stops at the first multiplier that holds a run
-    with relaxation <= gamma: the runs at higher multipliers never enter
-    the run cloud that select scores, and restarts_used counts the descent
-    runs that do. When no run meets gamma + slack, the answer is the
-    relaxation-0 coupling W = every source but the one with the largest
-    alphabet, whose objective is that W's entropy. The sweep runs on the
-    reduced table (_reduce), with card_w clamped to its cells + 1, and the
-    coupling is lifted back: q(w|x) = q'(w|class(x)), padded with zero rows
-    to the requested card_w (default: the given table's cells + 1). Raises
-    TooLarge when the joint has more than MAX_STATES cells, Infeasible when
-    that coupling is needed but card_w is below its alphabet, NoConvergence
-    when runs were descended and none converged, and ValueError for a
-    negative or non-finite gamma or an option out of range.
+    with relaxation <= gamma: the descent returns no run at a higher
+    multiplier, so the run cloud that select scores holds none, and
+    restarts_used counts the descent runs it holds. When no run meets
+    gamma + slack, the answer is the relaxation-0 coupling W = every source
+    but the one with the largest alphabet, whose objective is that W's
+    entropy. The sweep runs on the reduced table (_reduce), with card_w
+    clamped to its cells + 1, and the coupling is lifted back: q(w|x) =
+    q'(w|class(x)), padded with zero rows to the requested card_w (default:
+    the given table's cells + 1). Raises TooLarge when the joint has more
+    than MAX_STATES cells, Infeasible when that coupling is needed but
+    card_w is below its alphabet, NoConvergence when runs were descended
+    and none converged, and ValueError for a negative or non-finite gamma
+    or an option out of range.
     """
     opts = opts or SolverOptions()
     gamma = _check_budget(gamma)

@@ -433,9 +433,9 @@ class TestSolveRelaxedWyner:
     def test_cell_limit_bounds_every_round(self):
         # MAX_STATES is the one resource guard: the widest round, one step for
         # every grid run at card_w = cells + 1, holds 532,480 float64 entries
-        # (4.1 MiB) per array, and even twice that stays within 2**24 entries (128 MiB)
-        entries = 2 * discrete_ci._N_LAMBDA * discrete_ci._RESTARTS * (MAX_STATES + 1) * MAX_STATES
-        assert entries <= 2**24
+        # (4.1 MiB) per array
+        entries = discrete_ci._N_LAMBDA * discrete_ci._RESTARTS * (MAX_STATES + 1) * MAX_STATES
+        assert entries == 532_480
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
     def test_non_finite_gamma_rejected_before_allocation(self, monkeypatch, gamma):
@@ -760,17 +760,35 @@ class TestMultiplierCut:
             got, want = getattr(cut, name), getattr(uncut, name)[keep]
             assert got.tobytes() == want.tobytes(), name
 
-    def test_descend_stops_higher_multipliers_once_budget_met(self):
+    def test_descend_returns_no_run_above_the_cut(self, monkeypatch):
         engine, q0, lam = grid_batch(dsbs_joint(0.1), CUT_OPTS)
-        want = engine.descend(q0, lam)
-        got = engine.descend(q0, lam, 0.05)
+        rows = []
+        parts = discrete_ci._Engine._parts
+        monkeypatch.setattr(discrete_ci._Engine, "_parts",
+                            lambda self, q, *args: rows.append(q.shape[1]) or parts(self, q, *args))
+
+        def descend(q0, lam, budget=None):
+            """The runs that descend returns, and the runs of each of its _parts calls."""
+            rows.clear()
+            return engine.descend(q0, lam, budget), list(rows)
+
+        want, full_rows = descend(q0, lam)
+        got, got_rows = descend(q0, lam, 0.05)
         lam_star = lam[want[2] <= 0.05].min()
         low = lam <= lam_star
-        assert_same_runs([a[low] for a in got], [a[low] for a in want])
-        # every higher run stopped by the time the first run at lam_star met the budget
-        first = want[3][low & (lam == lam_star) & (want[2] <= 0.05)].min()
-        assert got[3][~low].max() <= first < want[3][~low].max()
-        assert not got[4][~low & (got[3] < want[3])].any()
+        # exactly the uncut runs up to lam*, bit for bit, and none above it
+        assert got[1].size == np.count_nonzero(low) < lam.size
+        assert_same_runs(got, [a[low] for a in want])
+        # call 0 evaluates the starts and call k every live run's k-th step,
+        # whatever the batch, so a run descended alone froze at its last call
+        met = np.flatnonzero((lam == lam_star) & (want[2] <= 0.05))
+        first = min(len(descend(q0[r:r + 1], lam[r:r + 1])[1]) - 1 for r in met)
+        _, low_rows = descend(q0[low], lam[low])
+        # no run at lam <= lam* is cut, so after the call at which the first
+        # run at lam* froze meeting the budget the calls evaluate those runs
+        # only, though the uncut descent still holds runs above lam*
+        assert got_rows[first + 1:] == low_rows[first + 1:]
+        assert full_rows[first + 1] > low_rows[first + 1]
 
     def test_run_count(self):
         # the first multiplier with a run at relax <= 0.05 is the 10th of 16; the

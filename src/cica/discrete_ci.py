@@ -238,9 +238,11 @@ class _Engine:
 
     Runs are independent: each has its own multiplier, step size, and
     backtracking trajectory, and every functional is computed row by row.
-    The batch is compacted as runs freeze, so compaction cannot change any
-    run's outcome. One batch holds every run of a sweep: splitting it over
-    threads only adds Python iteration loops that the GIL serialises.
+    The batch is compacted as runs freeze, and with a budget above 0 the
+    runs above theta, the lowest multiplier whose current iterate meets the
+    budget, are parked (descend); neither can change any run's outcome.
+    One batch holds every run of a sweep: splitting it over threads only
+    adds Python iteration loops that the GIL serialises.
 
     Inside the engine every array is latent-major: q, log q and the
     gradient are (W, runs, cells), and the packed marginal logs are
@@ -289,6 +291,7 @@ class _Engine:
 
         q is latent-major (W, R, cells); lq is its log when the caller has
         it. logs is (W, R, 1 + sum_i c_i): log q(w), then every log q(w|x_i).
+        F is (R, 3 + M): J, A, every B_i, then sum_i B_i.
         """
         W, R, C = q.shape
         joint_w = q * self.p_c
@@ -300,43 +303,43 @@ class _Engine:
         plogp *= self.p_wt
         if lq is None:
             lq = _safe_log(q)
-        F = np.empty((R, 2 + self.n_src))
+        F = np.empty((R, 3 + self.n_src))
         # J sums each run's W x cells block in (w, cell) order, in joint_w's
         # buffer, which the product above no longer needs
         block = joint_w.reshape(R, W, C)
         np.multiply(q.transpose(1, 0, 2), lq.transpose(1, 0, 2), out=block)
         block *= self.p_c
         F[:, 0] = block.reshape(R, -1).sum(axis=1)
-        F[:, 1:] = np.add.reduceat(plogp.sum(axis=0), self.starts, axis=1)
+        F[:, 1:-1] = np.add.reduceat(plogp.sum(axis=0), self.starts, axis=1)
+        F[:, -1] = sum(F[:, 2:-1].T)
         return lq, logs, F
+
+    def _coef(self, lam):
+        """Per-run rows (R, 3) of the Lagrangian's coefficients: 1 + lam, (M - 1) lam - 1, lam."""
+        return np.stack((1.0 + lam, (self.n_src - 1) * lam - 1.0, lam), axis=1)
 
     def _objective_relax(self, F):
         obj = F[:, 0] - F[:, 1]
-        relax = F[:, 0] + (self.n_src - 1) * F[:, 1] - sum(F[:, 2:].T) + self.tc
+        relax = F[:, 0] + (self.n_src - 1) * F[:, 1] - F[:, -1] + self.tc
         return obj, relax
 
-    def _lagrangian(self, parts, lam):
-        F = parts[2]
-        return (
-            (1.0 + lam) * F[:, 0]
-            + ((self.n_src - 1) * lam - 1.0) * F[:, 1]
-            - lam * sum(F[:, 2:].T)
-        )
+    def _lagrangian(self, F, coef):
+        return coef[:, 0] * F[:, 0] + coef[:, 1] * F[:, 1] - coef[:, 2] * F[:, -1]
 
-    def _gradient(self, parts, lam):
+    def _gradient(self, parts, coef):
         """The Lagrangian's latent-major gradient over p(cells).
 
-        lam has one entry per run. On a zero-probability cell it moves only
-        q there, which no functional reads.
+        coef holds one row per run (_coef). On a zero-probability cell it
+        moves only q there, which no functional reads.
         """
         lq, logs, _ = parts
-        g = (1.0 + lam[:, None]) * lq
-        g += (logs[..., 0] * ((self.n_src - 1) * lam - 1.0))[..., None]
+        g = coef[:, :1] * lq
+        g += logs[..., :1] * coef[:, 1:2]
         scatter = np.empty_like(g)
         np.matmul(
             logs[..., 1:].transpose(1, 0, 2), self.S[:, 1:].T, out=scatter.transpose(1, 0, 2)
         )
-        scatter *= lam[:, None]
+        scatter *= coef[:, 2:]
         g -= scatter
         return g
 
@@ -351,30 +354,63 @@ class _Engine:
 
     # -- descent -------------------------------------------------------
 
+    def _round(self, q, parts, G, eta, steps, coef):
+        """One step of each given run at its own eta, in place; True where it met _TOL.
+
+        A run whose Lagrangian does not increase takes the step and doubles
+        eta (up to _ETA_MAX); any other run keeps its iterate and halves
+        eta. The arrays may be views of a larger batch.
+        """
+        # each entry of a step is at least _PROB_FLOOR / W, so its log needs no floor
+        cand = self._step(parts[0], self._gradient(parts, coef), eta)
+        cand_parts = self._parts(cand, np.log(cand))
+        good = self._lagrangian(cand_parts[2], coef) <= G + 1e-12
+        # the run axis is next to last in q, log q, logs and F
+        for dst, src in zip((q,) + parts, (cand,) + cand_parts):
+            np.copyto(dst, src, where=good[:, None])
+        G_new = self._lagrangian(parts[2], coef)
+        if not np.all(G_new <= G + 1e-9):
+            raise NoConvergence("Lagrangian increased within a run")
+        met_tol = good & ((G - G_new) / np.maximum(np.abs(G), 1.0) < _TOL)
+        G[:] = G_new
+        steps += good
+        # eta <= _ETA_MAX already, so the ceiling leaves a halved eta as it is
+        np.minimum(eta * np.where(good, _ETA_GROWTH, 0.5), _ETA_MAX, out=eta)
+        return met_tol
+
     def descend(self, q0, lam, budget=None):
         """Run batched descent to convergence or the iteration cap.
 
-        Each round evaluates every live run once: one step at its own step
-        size eta from the gradient at its iterate. A run whose Lagrangian
-        does not increase takes the step and doubles eta (up to _ETA_MAX);
-        any other run keeps its iterate and halves eta, so it retries at the
-        next round with the step that Armijo halving tries next. A run
-        freezes when an accepted step's relative decrease drops below _TOL
-        (converged), or stuck once eta < _ETA_FLOOR (not converged). A run's
-        iterations are its accepted steps, plus one for the step that got it
-        stuck. A frozen run's results are written out and its rows leave
-        the batch, so the cost follows the live runs. A run that reaches
-        _MAX_ITER iterations leaves through the same write-out, converged
-        only if that last step met _TOL. With a budget, lam must ascend:
-        the cut is the lowest multiplier with a run frozen at relax <=
-        budget, every live run above it leaves the batch unfinished, and
-        only the runs with lam <= cut, a prefix, are returned. q0 is (runs,
-        W, *cards). Returns per-run arrays (q, obj, relax, iters,
-        converged), with q in q0's layout.
+        Each round steps every live run up to theta once (_round): one
+        step at its own step size eta from the gradient at its iterate, so
+        a rejected run retries at the next round with the step that Armijo
+        halving tries next. A run freezes when an accepted step's relative
+        decrease drops below _TOL (converged), or stuck once eta <
+        _ETA_FLOOR (not converged). A run's iterations are its accepted
+        steps, plus one for the step that got it stuck. A frozen run's
+        results are written out and its rows leave the batch, so the cost
+        follows the live runs. A run that reaches _MAX_ITER iterations
+        leaves through the same write-out, converged only if that last step
+        met _TOL.
+
+        With a budget, lam must ascend. The cut is the lowest multiplier
+        with a run frozen at relax <= budget: every live run above it leaves
+        the batch unfinished, and only the runs with lam <= cut, a prefix,
+        are returned. With a budget above 0, each round first reads theta
+        from the F it carries: the lowest multiplier of a live run whose
+        current iterate has relax <= budget. Only the live runs with lam <=
+        theta, a prefix of the batch, are stepped, through views; the runs
+        above are parked, keeping their iterate, eta and step count, and
+        resume if theta rises past them or leave with the cut. A run's
+        arithmetic does not depend on its batch, so parking changes no
+        returned bit. With no budget, a budget of 0 or no live iterate
+        within the budget, a round steps the whole batch and slices nothing.
+        q0 is (runs, W, *cards). Returns per-run arrays (q, obj, relax,
+        iters, converged), with q in q0's layout.
         """
         R, W, C = len(q0), self.card_w, self.n_cells
         q = np.array(np.asarray(q0, dtype=float).reshape(R, W, C).transpose(1, 0, 2), order="C")
-        lam = lam_in = np.asarray(lam, dtype=float)
+        lam = np.asarray(lam, dtype=float)
         q_out = np.empty((R, W, C))
         obj_out = np.empty(R)
         relax_out = np.empty(R)
@@ -382,27 +418,27 @@ class _Engine:
         converged = np.zeros(R, dtype=bool)
         if R == 0:
             return q_out.reshape((R, W) + self.cards), obj_out, relax_out, iters, converged
+        park = budget is not None and budget > 0
         cut = np.inf  # no live run is above it
         live = np.arange(R)  # output index of each batch row
         eta = np.full(R, _ETA_INIT)
         steps = np.zeros(R, dtype=int)  # accepted steps of each batch row
+        coef = self._coef(lam)  # its last column is each batch row's lam
         parts = self._parts(q)
-        G = self._lagrangian(parts, lam)
+        G = self._lagrangian(parts[2], coef)
         while live.size:
-            # each entry of a step is at least _PROB_FLOOR / W, so its log needs no floor
-            cand = self._step(parts[0], self._gradient(parts, lam), eta)
-            cand_parts = self._parts(cand, np.log(cand))
-            good = self._lagrangian(cand_parts, lam) <= G + 1e-12
-            # the run axis is next to last in q, log q, logs and F
-            for dst, src in zip((q,) + parts, (cand,) + cand_parts):
-                np.copyto(dst, src, where=good[:, None])
-            G_new = self._lagrangian(parts, lam)
-            if not np.all(G_new <= G + 1e-9):
-                raise NoConvergence("Lagrangian increased within a run")
-            met_tol = good & ((G - G_new) / np.maximum(np.abs(G), 1.0) < _TOL)
-            G = G_new
-            steps += good
-            eta = np.where(good, np.minimum(eta * _ETA_GROWTH, _ETA_MAX), eta * 0.5)
+            m = live.size
+            if park:
+                met = self._objective_relax(parts[2])[1] <= budget
+                if met.any():  # theta is the first such row's lam
+                    m = int(coef[:, 2].searchsorted(coef[met.argmax(), 2], side="right"))
+            if m < live.size:
+                met_tol = np.zeros(live.size, dtype=bool)
+                head = (parts[0][:, :m], parts[1][:, :m], parts[2][:m])
+                met_tol[:m] = self._round(q[:, :m], head, G[:m], eta[:m], steps[:m], coef[:m])
+            else:
+                met_tol = self._round(q, parts, G, eta, steps, coef)
+            # a parked run has eta >= _ETA_FLOOR and fewer than _MAX_ITER steps
             stuck = eta < _ETA_FLOOR
             done = stuck | met_tol | (steps == _MAX_ITER)
             if done.any():
@@ -412,13 +448,13 @@ class _Engine:
                 iters[out] = (steps + stuck)[done]
                 converged[out] = met_tol[done]
                 if budget is not None:
-                    cut = lam[done][relax_out[out] <= budget].min(initial=cut)
-                keep = ~done & (lam <= cut)
+                    cut = coef[done, 2][relax_out[out] <= budget].min(initial=cut)
+                keep = ~done & (coef[:, 2] <= cut)
                 # compress, not a[:, keep]: numpy lays that result out run-major
-                live, G, eta, lam, steps = (a[keep] for a in (live, G, eta, lam, steps))
+                live, G, eta, steps, coef = (a[keep] for a in (live, G, eta, steps, coef))
                 q, lq, logs = (a.compress(keep, axis=1) for a in (q,) + parts[:2])
                 parts = (lq, logs, parts[2][keep])
-        n = int(np.count_nonzero(lam_in <= cut))
+        n = int(np.count_nonzero(lam <= cut))
         outs = q_out.reshape((R, W) + self.cards), obj_out, relax_out, iters, converged
         return tuple(a[:n] for a in outs)
 

@@ -298,17 +298,18 @@ def reference_descend(engine, q0, lam):
     eta = np.full(R, _ETA_INIT)
     frozen = np.zeros(R, dtype=bool)
     iters = np.zeros(R, dtype=int)
+    coef = engine._coef(lam)
     parts = engine._parts(q)
-    G = engine._lagrangian(parts, lam)
+    G = engine._lagrangian(parts[2], coef)
     for it in range(max_iter):
         if frozen.all():
             break
-        g = engine._gradient(parts, lam)
+        g = engine._gradient(parts, coef)
         ok = frozen.copy()
         eta_acc = np.zeros(R)  # zero step for runs that never descend
         while not ok.all():
             cand = engine._step(parts[0], g, eta)
-            G_c = engine._lagrangian(engine._parts(cand), lam)
+            G_c = engine._lagrangian(engine._parts(cand)[2], coef)
             good = (~ok) & (G_c <= G + 1e-12)
             eta_acc[good] = eta[good]
             ok |= good
@@ -321,7 +322,7 @@ def reference_descend(engine, q0, lam):
                 ok |= stuck
         q = np.where(frozen[:, None], q, engine._step(parts[0], g, eta_acc))
         parts = engine._parts(q)
-        G_new = engine._lagrangian(parts, lam)
+        G_new = engine._lagrangian(parts[2], coef)
         if not np.all(G_new <= G + 1e-9):
             raise NoConvergence("Lagrangian increased within a run")
         rel = (G - G_new) / np.maximum(np.abs(G), 1.0)

@@ -26,7 +26,8 @@ end and its lowest vertex, else the nearer of the two (the quantized
 Gaussian's row at gamma 0.2 reads its lowest vertex, 0.104650, where the
 bound is 0). A point case's achieved gamma is its one selected run's
 relaxation. Every field but seconds is deterministic, so ``--compare``
-reports each other field that differs and exits 1 if any does.
+reports each other field that differs and exits 1 if any does. Its last
+line gives each file's summed ``parts_rows``, ``parts_calls`` and seconds.
 
 Point cases: the 14 solves (five Dirichlet(0.5) survey tables at gamma
 0.02 and 0.1, the random 6x6, and the bench 4x4 at gamma 0.05, 0.1 and
@@ -181,6 +182,13 @@ def compare(a, b):
     return diffs
 
 
+def totals(cases):
+    """A case file's summed parts_rows, parts_calls and seconds, as one phrase."""
+    rows, calls, seconds = (sum(case.get(field, 0) for case in cases.values())
+                            for field in ("parts_rows", "parts_calls", "seconds"))
+    return f"parts_rows {rows}, parts_calls {calls}, {seconds:.2f} s"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", nargs="?", help="JSON file to write the case results to")
@@ -190,6 +198,7 @@ def main(argv=None):
         a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.compare)
         diffs = compare(a, b)
         print("\n".join(diffs) or f"{len(a)} cases match in every field but seconds")
+        print("totals: " + "; ".join(f"{p} {totals(c)}" for p, c in zip(args.compare, (a, b))))
         return 1 if diffs else 0
     if not args.out:
         parser.error("give an output file or --compare A B")

@@ -386,7 +386,7 @@ class TestCmdDiscrete:
             "calls = itertools.count()\n"
             "lagrangian = discrete_ci._Engine._lagrangian\n"
             "discrete_ci._Engine._lagrangian = (\n"
-            "    lambda self, parts, lam: lagrangian(self, parts, lam) + next(calls))\n"
+            "    lambda self, *args: lagrangian(self, *args) + next(calls))\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         r = subprocess.run(

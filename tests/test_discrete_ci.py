@@ -6,6 +6,7 @@ C(0.05) = 0.6530425383369941, C(0.1) = 0.6049515261814267,
 C(0.2) = 0.48929599185999795.
 """
 
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -161,6 +162,94 @@ def reference_cloud(joint, opts):
 def uncut_cloud(name):
     """The reference cloud of CUT_PMFS[name] with CUT_OPTS."""
     return reference_cloud(validate_discrete(CUT_PMFS[name]), CUT_OPTS)
+
+
+@contextlib.contextmanager
+def traced_parts():
+    """Wrap _Engine._parts; the yielded list gets (run keys, F) of every call.
+
+    A run's key is the hash of its (W, cells) block's bytes.
+    """
+    calls = []
+    parts = discrete_ci._Engine._parts
+
+    def traced(self, q, *args):
+        out = parts(self, q, *args)
+        calls.append(([hash(q[:, j].tobytes()) for j in range(q.shape[1])], out[2].copy()))
+        return out
+
+    discrete_ci._Engine._parts = traced
+    try:
+        yield calls
+    finally:
+        discrete_ci._Engine._parts = parts
+
+
+class SoloRuns:
+    """Every run of a batch, each descended alone with no budget, read through _parts.
+
+    A run's rows do not depend on its batch, so in any descent of the batch
+    a row is some run's start (k = 0) or its k-th candidate, and ``step``
+    maps the row's key to every such (run, k): a run's steps can repeat
+    their bytes once the probability floor saturates them. ``candidates[r]``
+    counts run r's candidates, and ``relax[r][k]`` is the relaxation of its
+    iterate after k of them, each accepted or rejected as the engine does.
+    """
+
+    def __init__(self, engine, q0, lam):
+        self.step, self.relax, self.candidates = {}, [], []
+        m = engine.n_src
+        with traced_parts() as calls:
+            for r, lam_r in enumerate(lam):
+                calls.clear()
+                engine.descend(q0[r:r + 1], lam[r:r + 1])
+                relax, G = [], np.inf
+                for k, ((key,), (F,)) in enumerate(calls):
+                    self.step.setdefault(key, []).append((r, k))
+                    # the engine's Lagrangian, term by term in its order
+                    B = sum(F[2:2 + m])
+                    L = (1.0 + lam_r) * F[0] + ((m - 1) * lam_r - 1.0) * F[1] - lam_r * B
+                    if L <= G + 1e-12:
+                        G, iterate = L, engine._objective_relax(F[None])[1][0]
+                    relax.append(iterate)
+                self.relax.append(relax)
+                self.candidates.append(len(calls) - 1)
+        self.candidates = np.array(self.candidates)
+
+    def trace(self, engine, q0, lam, budget=None):
+        """descend's runs, and the (run, k) of every row of each of its _parts calls.
+
+        Where a row's key has several (run, k), it is the next step of a run
+        after the row before it, if one of them is.
+        """
+        with traced_parts() as calls:
+            out = engine.descend(q0, lam, budget)
+        seen = np.full(lam.size, -1)  # the last step of each run read so far
+        steps = []
+        for keys, _ in calls:
+            steps.append([])
+            for key in keys:
+                after = steps[-1][-1][0] if steps[-1] else -1
+                r, k = min(self.step[key],
+                           key=lambda s: (s[0] <= after or s[1] != seen[s[0]] + 1, s))
+                seen[r] = max(seen[r], k)
+                steps[-1].append((r, k))
+        return out, steps
+
+
+@functools.cache
+def solo_batch(name, full):
+    """(engine, q0, lam, SoloRuns) of CUT_PMFS[name]'s grid batch with CUT_OPTS.
+
+    The batch is the full grid, or with full False the runs that a sweep
+    descends, at lam > 1/(M - 1).
+    """
+    joint = validate_discrete(CUT_PMFS[name])
+    engine, q0, lam = grid_batch(joint, CUT_OPTS)
+    if not full:
+        above = lam > 1.0 / (joint.pmf.ndim - 1)
+        q0, lam = q0[above], lam[above]
+    return engine, q0, lam, SoloRuns(engine, q0, lam)
 
 
 class TestFunctionals:
@@ -454,7 +543,7 @@ class TestSolveRelaxedWyner:
         monkeypatch.setattr(
             discrete_ci._Engine,
             "_lagrangian",
-            lambda self, parts, lam: lagrangian(self, parts, lam) + next(calls),
+            lambda self, *args: lagrangian(self, *args) + next(calls),
         )
         monkeypatch.setattr(discrete_ci, "_LAMBDA_MIN", DESCENDED_LAMBDA_MIN)
         monkeypatch.setattr(discrete_ci, "_N_LAMBDA", 1)
@@ -635,10 +724,11 @@ def test_engine_rows_independent_of_batch(case):
     engine, q0, lam = grid_batch(validate_discrete(pmf), SolverOptions(seed=5, card_w=card_w))
     q = latent_major(q0)
     eta = np.random.default_rng(1).uniform(1e-6, 4.0, lam.size)
+    coef = engine._coef(lam)
     full = engine._parts(q)
-    g_full = engine._gradient(full, lam)
+    g_full = engine._gradient(full, coef)
     step_full = engine._step(full[0], g_full, eta)
-    G_full = engine._lagrangian(full, lam)
+    G_full = engine._lagrangian(full[2], coef)
     rng = np.random.default_rng(0)
     batches = [np.array([r]) for r in range(lam.size)] + [
         np.sort(rng.choice(lam.size, size=k, replace=False)) for k in (2, 3, 7, 31, 64, 127)
@@ -648,11 +738,11 @@ def test_engine_rows_independent_of_batch(case):
         # the run axis is 1 of log q and logs, and 0 of F
         for name, got, want, axis in zip(("log q", "logs", "F"), parts, full, (1, 1, 0)):
             assert_same_bits(got, want.take(rows, axis=axis), name)
-        g = engine._gradient(parts, lam[rows])
+        g = engine._gradient(parts, coef[rows])
         assert_same_bits(g, g_full.take(rows, axis=1), "gradient")
         step = engine._step(parts[0], g, eta[rows])
         assert_same_bits(step, step_full.take(rows, axis=1), "step")
-        assert_same_bits(engine._lagrangian(parts, lam[rows]), G_full[rows], "Lagrangian")
+        assert_same_bits(engine._lagrangian(parts[2], coef[rows]), G_full[rows], "Lagrangian")
 
 
 @pytest.mark.parametrize("case", ENGINE_ROW_CASES)
@@ -664,12 +754,13 @@ def test_engine_matches_source_by_source_reference(case):
     pmf, card_w = ENGINE_ROW_CASES[case]
     engine, q0, lam = grid_batch(validate_discrete(pmf), SolverOptions(seed=5, card_w=card_w))
     parts = engine._parts(latent_major(q0))
-    g = engine._gradient(parts, lam)
+    g = engine._gradient(parts, engine._coef(lam))
     # a zero-probability cell's entry moves only q there, which no functional reads
     support = pmf > 0
     for r in range(0, lam.size, 5):
         F, g_ref = reference_functionals(pmf, q0[r], lam[r])
-        np.testing.assert_allclose(parts[2][r], F, rtol=1e-13, atol=1e-13)
+        # F's last column is sum_i B_i
+        np.testing.assert_allclose(parts[2][r], np.append(F, F[2:].sum()), rtol=1e-13, atol=1e-13)
         log_q = np.abs(np.log(q0[r])).max()
         bound = np.finfo(float).eps * (1 + lam[r]) * pmf.ndim * (1 + log_q)
         got = g[:, r].reshape(q0[r].shape)[:, support]
@@ -760,35 +851,31 @@ class TestMultiplierCut:
             got, want = getattr(cut, name), getattr(uncut, name)[keep]
             assert got.tobytes() == want.tobytes(), name
 
-    def test_descend_returns_no_run_above_the_cut(self, monkeypatch):
-        engine, q0, lam = grid_batch(dsbs_joint(0.1), CUT_OPTS)
-        rows = []
-        parts = discrete_ci._Engine._parts
-        monkeypatch.setattr(discrete_ci._Engine, "_parts",
-                            lambda self, q, *args: rows.append(q.shape[1]) or parts(self, q, *args))
-
-        def descend(q0, lam, budget=None):
-            """The runs that descend returns, and the runs of each of its _parts calls."""
-            rows.clear()
-            return engine.descend(q0, lam, budget), list(rows)
-
-        want, full_rows = descend(q0, lam)
-        got, got_rows = descend(q0, lam, 0.05)
+    def test_descend_returns_no_run_above_the_cut(self):
+        engine, q0, lam, solo = solo_batch("dsbs", True)
+        want = engine.descend(q0, lam)
+        got, steps = solo.trace(engine, q0, lam, 0.05)
         lam_star = lam[want[2] <= 0.05].min()
         low = lam <= lam_star
         # exactly the uncut runs up to lam*, bit for bit, and none above it
         assert got[1].size == np.count_nonzero(low) < lam.size
         assert_same_runs(got, [a[low] for a in want])
-        # call 0 evaluates the starts and call k every live run's k-th step,
-        # whatever the batch, so a run descended alone froze at its last call
-        met = np.flatnonzero((lam == lam_star) & (want[2] <= 0.05))
-        first = min(len(descend(q0[r:r + 1], lam[r:r + 1])[1]) - 1 for r in met)
-        _, low_rows = descend(q0[low], lam[low])
-        # no run at lam <= lam* is cut, so after the call at which the first
-        # run at lam* froze meeting the budget the calls evaluate those runs
-        # only, though the uncut descent still holds runs above lam*
-        assert got_rows[first + 1:] == low_rows[first + 1:]
-        assert full_rows[first + 1] > low_rows[first + 1]
+        # no run at lam <= lam* is cut or held back by the runs above it: each
+        # call evaluates the same steps of those runs as a budgeted descent of
+        # them alone does
+        _, low_steps = solo.trace(engine, q0[low], lam[low], 0.05)
+        assert [[s for s in call if low[s[0]]] for call in steps] == low_steps
+        # the call after the first run at lam* froze meeting the budget, and
+        # every later call, evaluates no run above lam*, though some of them
+        # had not finished
+        done = np.zeros(lam.size, dtype=int)
+        met = (lam == lam_star) & (want[2] <= 0.05)
+        for t, call in enumerate(steps):
+            done[[r for r, _ in call]] = [k for _, k in call]
+            if (done == solo.candidates)[met].any():
+                break
+        assert all(low[r] for call in steps[t + 1:] for r, _ in call)
+        assert (done < solo.candidates)[~low].any()
 
     def test_run_count(self):
         # the first multiplier with a run at relax <= 0.05 is the 10th of 16; the
@@ -827,6 +914,44 @@ class TestMultiplierCut:
         tc = float(total_correlation(j))
         assert ci_curve_discrete(j, [tc], SolverOptions(seed=7)) == [(tc, 0.0, tc)]
         assert rows == []
+
+
+class TestParking:
+    """With a budget above 0, descend steps only the live runs up to theta."""
+
+    def test_no_call_evaluates_a_run_above_theta(self):
+        # bench 4x4 at gamma 0.05, the runs a sweep descends; theta is the
+        # lowest multiplier whose run's current iterate, live or frozen, has
+        # relax <= gamma
+        gamma = 0.05
+        engine, q0, lam, solo = solo_batch("4x4", False)
+        want = engine.descend(q0, lam)
+        got, steps = solo.trace(engine, q0, lam, gamma)
+        assert_same_runs(got, [a[lam <= lam[want[2] <= gamma].min()] for a in want])
+        assert steps[0] == [(r, 0) for r in range(lam.size)]
+        done = np.zeros(lam.size, dtype=int)  # candidates evaluated per run
+        parked = 0
+        for call in steps[1:]:
+            theta = lam[[solo.relax[r][k] <= gamma for r, k in enumerate(done)]].min(initial=np.inf)
+            runs = [r for r, _ in call]
+            # each row is its run's next candidate, so a parked run resumes where
+            # it stopped, and no row is above theta
+            assert call == [(r, done[r] + 1) for r in runs]
+            assert lam[runs].max() <= theta
+            done[runs] += 1
+            parked += bool(((lam > theta) & (done < solo.candidates)).any())
+        assert parked
+
+    @pytest.mark.parametrize("budget", [0.0, None])
+    def test_every_call_evaluates_every_live_run(self, budget):
+        # nothing parks at budget 0 or with no budget: call k evaluates the k-th
+        # candidate of every run that has one
+        engine, q0, lam, solo = solo_batch("4x4", False)
+        got, steps = solo.trace(engine, q0, lam, budget)
+        assert got[2].min() > 0.0  # no run meets budget 0, so none is cut
+        assert len(steps) == 1 + solo.candidates.max()
+        for k, call in enumerate(steps):
+            assert call == [(r, k) for r in range(lam.size) if solo.candidates[r] >= k]
 
 
 #: tables whose fallback coupling the oracle checks: W = X for the 2x3 pair

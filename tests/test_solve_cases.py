@@ -54,6 +54,22 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "a: lam 50.0 != 25.0" in capsys.readouterr().out
 
 
+def test_compare_ends_with_each_files_totals(tmp_path, capsys):
+    # a diff in counts alone reads at a glance; the exit status still follows the diffs
+    cases = {"a": dict(CASE, parts_rows=10, parts_calls=3),
+             "b": dict(CASE, parts_rows=5, parts_calls=2)}
+    a = case_file(tmp_path, "a.json", cases)
+    b = case_file(tmp_path, "b.json", dict(cases, b=dict(cases["b"], parts_rows=4, seconds=0.25)))
+    assert solve_cases.main(["--compare", a, b]) == 1
+    totals_a = f"{a} parts_rows 15, parts_calls 5, 3.00 s"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["b: parts_rows 5 != 4",
+                     f"totals: {totals_a}; {b} parts_rows 14, parts_calls 5, 1.75 s"]
+    assert solve_cases.main(["--compare", a, a]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "2 cases match in every field but seconds", f"totals: {totals_a}; {totals_a}"]
+
+
 def test_run_case_gaps():
     # (0.9, 2) at gamma 0.1: the lower bound is I(X;Y) - gamma, the ceiling the Gaussian C_gamma
     pmf = quantized_gaussian(0.9, 2)
